@@ -6,7 +6,7 @@ the associated integer linear systems exactly, and verifies the solvers
 against brute-force enumeration on small instances.
 """
 
-from .catalog import CatalogEntry, CatalogError, catalog, catalog_entry, names
+from .catalog import CatalogEntry, CatalogError, catalog_entry, names
 from .diagram import (Arc, CheckerboardColoring, ComponentSplit, D0,
                       DiagramError, FlatDiagram, InternalInvariantError,
                       Region, SplicedComponent, apply_r1, apply_r2, arcs,
@@ -25,9 +25,8 @@ from .solvers import (ALGEBRAIC, Add1Certificate, GEOMETRIC,
                       arc_unimodularity_report, kernel_basis, pinned_kernel,
                       solve, solve_mod2, solve_single_via_double, verify)
 from .zlinalg import (E00Decomposition, EchelonForm, NotE00Error, Operation,
-                      SolutionFamily, UnsolvableError, determinant,
-                      minimize_in_family, reduce_to_e00, replay,
-                      rref_rational, solve_gf2, solve_integral,
-                      solve_with_decomposition)
+                      SolutionFamily, determinant, minimize_in_family,
+                      reduce_to_e00, replay, rref_rational, solve_gf2,
+                      solve_integral, solve_with_decomposition)
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .diagram import D0, FlatDiagram, apply_r1, arcs
+from .diagram import FlatDiagram, apply_r1, arcs
 from .incidence import DOUBLE, SINGLE, RegionChoiceMatrix, build_matrix
 
 # reference tables: single-rule matrices, rows v1..vn, columns r1..r_{n+2}
@@ -181,5 +181,3 @@ def catalog(name: str) -> FlatDiagram:
 def names() -> tuple[str, ...]:
     return NAMES
 
-
-D0_DIAGRAM = D0

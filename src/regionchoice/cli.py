@@ -73,11 +73,18 @@ def _emit(payload: dict, args) -> None:
             print(line)
 
 
+def _matrix(args, diagram: FlatDiagram, rule: str):
+    """The diagram's matrix, in the catalog's reference labeling if asked."""
+    if not args.reference_labels:
+        return incidence.build_matrix(diagram, rule)
+    if not args.diagram:
+        raise CliError("--reference-labels needs --diagram")
+    return catalog_entry(args.diagram).matrix(rule)
+
+
 def cmd_matrix(args) -> int:
     diagram = _load_diagram(args)
-    matrix = incidence.build_matrix(diagram, args.rule)
-    if args.diagram and args.reference_labels:
-        matrix = catalog_entry(args.diagram).matrix(args.rule)
+    matrix = _matrix(args, diagram, args.rule)
     _emit({
         "rule": matrix.rule,
         "row_labels": list(matrix.row_labels),
@@ -190,9 +197,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_rref(args) -> int:
     diagram = _load_diagram(args)
-    matrix = incidence.build_matrix(diagram, incidence.SINGLE)
-    if args.diagram and args.reference_labels:
-        matrix = catalog_entry(args.diagram).matrix(incidence.SINGLE)
+    matrix = _matrix(args, diagram, incidence.SINGLE)
     echelon = zlinalg.rref_rational(matrix.entries)
     lines = []
     for crow, brow in zip(echelon.coeffs, echelon.b_coeffs):
@@ -228,12 +233,17 @@ def cmd_checkerboard(args) -> int:
     return 0
 
 
-def _add_source(parser: argparse.ArgumentParser) -> None:
+def _add_source(parser: argparse.ArgumentParser, *, labels: bool = False,
+                formats: bool = True) -> None:
     parser.add_argument("--diagram", help="catalog name")
     parser.add_argument("--file", help="flat-PD document path")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--reference-labels", action="store_true",
-                        help="use the catalog's reference labeling")
+    if formats:
+        parser.add_argument("--format", choices=("text", "json"),
+                            default="text")
+    if labels:
+        parser.add_argument("--reference-labels", action="store_true",
+                            help="use the catalog's reference labeling "
+                                 "(with --diagram only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("matrix", help="print a region choice matrix")
-    _add_source(p)
+    _add_source(p, labels=True)
     p.add_argument("--rule", choices=("single", "double"), default="single")
     p.set_defaults(func=cmd_matrix)
 
@@ -281,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("rref", help="symbolic echelon form of the matrix")
-    _add_source(p)
+    _add_source(p, labels=True)
     p.set_defaults(func=cmd_rref)
 
     p = sub.add_parser("dot", help="emit the diagram graph in DOT")
-    _add_source(p)
+    _add_source(p, formats=False)
     p.set_defaults(func=cmd_dot)
 
     p = sub.add_parser("checkerboard", help="checkerboard coloring")

@@ -130,24 +130,24 @@ class ComponentSplit:
 # core map machinery
 
 
-def _mates(diagram: FlatDiagram) -> dict[Dart, Dart]:
-    by_label: dict[int, list[Dart]] = {}
-    for c, tup in enumerate(diagram.crossings):
-        for s, label in enumerate(tup):
-            by_label.setdefault(label, []).append((c, s))
-    return {d: (pair[0] if d == pair[1] else pair[1])
-            for pair in by_label.values() for d in pair}
-
-
-def _trace_faces(crossings: tuple[tuple[int, int, int, int], ...]):
-    """Face orbits of the map, each started at its smallest dart."""
+def _darts_by_label(crossings) -> dict[int, list[Dart]]:
+    """The darts carrying each arc label, in (crossing, slot) order."""
     by_label: dict[int, list[Dart]] = {}
     for c, tup in enumerate(crossings):
         for s, label in enumerate(tup):
             by_label.setdefault(label, []).append((c, s))
-    mate = {d: (p[0] if d == p[1] else p[1])
-            for p in by_label.values() for d in p}
+    return by_label
 
+
+def _mates(crossings) -> dict[Dart, Dart]:
+    """Each dart's partner: the other end of its arc."""
+    return {d: (pair[0] if d == pair[1] else pair[1])
+            for pair in _darts_by_label(crossings).values() for d in pair}
+
+
+def _trace_faces(crossings: tuple[tuple[int, int, int, int], ...]):
+    """Face orbits of the map, each started at its smallest dart."""
+    mate = _mates(crossings)
     faces = []
     seen: set[Dart] = set()
     for start in sorted(mate):
@@ -177,7 +177,9 @@ def _validate(diagram: FlatDiagram) -> None:
         if len(tup) != 4:
             raise DiagramError(f"crossing {tup!r} does not have 4 darts")
         for label in tup:
-            if not isinstance(label, int) or label < 1 or label > 2 * n:
+            # bool is a subclass of int, but true/false are not labels
+            if (not isinstance(label, int) or isinstance(label, bool)
+                    or label < 1 or label > 2 * n):
                 raise DiagramError(f"arc label {label!r} outside 1..{2 * n}")
             counts[label] = counts.get(label, 0) + 1
     for label in range(1, 2 * n + 1):
@@ -241,13 +243,10 @@ def reducible_crossings(diagram: FlatDiagram) -> tuple[int, ...]:
 def arcs(diagram: FlatDiagram) -> tuple[Arc, ...]:
     """Arcs sorted by label, each with its two (distinct) side regions."""
     corner = _region_at_corner(diagram)
-    by_label: dict[int, list[Dart]] = {}
-    for c, tup in enumerate(diagram.crossings):
-        for s, label in enumerate(tup):
-            by_label.setdefault(label, []).append((c, s))
+    by_label = _darts_by_label(diagram.crossings)
     out = []
     for label in sorted(by_label):
-        d1, d2 = sorted(by_label[label])
+        d1, d2 = by_label[label]
         # the two faces traversing the arc are the ones owning its darts
         sides = (corner[d1], corner[d2])
         if sides[0] == sides[1]:
@@ -266,7 +265,7 @@ def arc_by_label(diagram: FlatDiagram, label: int) -> Arc:
 
 def _strand_orbits(diagram: FlatDiagram) -> list[list[Dart]]:
     """Orbits of the curve-traversal permutation (two per component)."""
-    mate = _mates(diagram)
+    mate = _mates(diagram.crossings)
     orbits = []
     seen: set[Dart] = set()
     for start in sorted(mate):
@@ -334,6 +333,8 @@ def parse_flat_pd(text: str) -> FlatDiagram:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DiagramError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DiagramError("JSON is nested too deeply") from exc
     if not isinstance(doc, dict) or "crossings" not in doc:
         raise DiagramError('document must be an object with a "crossings" key')
     crossings = doc["crossings"]
@@ -421,7 +422,7 @@ def apply_r2(diagram: FlatDiagram, arc1_label: int, arc2_label: int) -> FlatDiag
     # dart of each arc owned by the shared region; its mate is the far end
     e = arc1.darts[0] if corner[arc1.darts[0]] == region.index else arc1.darts[1]
     f = arc2.darts[0] if corner[arc2.darts[0]] == region.index else arc2.darts[1]
-    mate = _mates(diagram)
+    mate = _mates(diagram.crossings)
     (c1, s1), (c2, s2) = e, mate[e]
     (c3, s3), (c4, s4) = f, mate[f]
 
@@ -478,7 +479,7 @@ class _UnionFind:
 
 def _entry_slots(diagram: FlatDiagram, v: int) -> tuple[int, int]:
     """Slots through which the oriented knot enters crossing ``v``."""
-    mate = _mates(diagram)
+    mate = _mates(diagram.crossings)
     entries = []
     d = start = (0, 0)
     while True:
@@ -500,7 +501,7 @@ def splice(diagram: FlatDiagram, v: int) -> ComponentSplit:
         raise DiagramError("splice requires a knot projection")
     if not 0 <= v < diagram.crossing_count:
         raise DiagramError(f"no crossing v{v + 1}")
-    mate = _mates(diagram)
+    mate = _mates(diagram.crossings)
     corner = _region_at_corner(diagram)
     i1, i2 = _entry_slots(diagram, v)
 
@@ -591,7 +592,7 @@ def _build_component(diagram, v, k, comp_of_arc, mate, pair_of,
 
     # side regions of the smoothed strand, in the component's quotient
     side_arc = diagram.crossings[v][strand_pair[0]]
-    d1, d2 = sorted(d for d, lab in _dart_labels(diagram) if lab == side_arc)
+    d1, d2 = _darts_by_label(diagram.crossings)[side_arc]
     raw_sides = (raw_map[corner[d1]], raw_map[corner[d2]])
     if raw_sides[0] == raw_sides[1]:
         raise InternalInvariantError("smoothed strand has equal side regions")
@@ -656,12 +657,6 @@ def _build_component(diagram, v, k, comp_of_arc, mate, pair_of,
     return SplicedComponent(sub, region_map, kept, strand_arc,
                             (class_to_region[raw_sides[0]],
                              class_to_region[raw_sides[1]]))
-
-
-def _dart_labels(diagram: FlatDiagram):
-    for c, tup in enumerate(diagram.crossings):
-        for s, lab in enumerate(tup):
-            yield (c, s), lab
 
 
 D0 = FlatDiagram(((1, 2, 2, 1),), name="d0")

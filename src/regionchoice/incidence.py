@@ -28,9 +28,6 @@ class RegionChoiceMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.entries), len(self.col_labels))
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def permuted(self, row_order, col_order) -> "RegionChoiceMatrix":
         """Reorder rows/columns; entry (i, j) comes from the given indices."""
         return RegionChoiceMatrix(

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from . import incidence, zlinalg
 from .diagram import (CheckerboardColoring, ComponentSplit, FlatDiagram,
-                      InternalInvariantError, arc_by_label, checkerboard,
-                      is_knot, reducible_crossings, regions, splice)
+                      InternalInvariantError, arc_by_label, arcs,
+                      checkerboard, is_knot, splice)
 from .incidence import DOUBLE, SINGLE, RegionChoiceMatrix
 from .zlinalg import NotE00Error, SolutionFamily
 
@@ -52,33 +52,35 @@ class VerificationReport:
     per_crossing: tuple[tuple[str, int], ...]
 
 
-def _matrix(diagram: FlatDiagram, rule: str) -> RegionChoiceMatrix:
-    return incidence.build_matrix(diagram, rule)
+def _reduce_and_solve(diagram: FlatDiagram, rule: str, rhs
+                      ) -> tuple[RegionChoiceMatrix, list[SolutionFamily]]:
+    """The rule's matrix and, from one reduction of it, the solution family
+    of ``A_rule u + b = o`` for each b in ``rhs``."""
+    matrix = incidence.build_matrix(diagram, rule)
+    try:
+        decomp = zlinalg.reduce_to_e00(matrix.entries)
+        families = [zlinalg.solve_with_decomposition(decomp, tuple(b))
+                    for b in rhs]
+    except NotE00Error as exc:
+        raise InternalInvariantError(
+            "region choice matrix failed to reduce to (I | 0 0); "
+            "this contradicts the solvability theorem") from exc
+    for family in families:
+        if any(incidence.residual(matrix, family.particular, family.b)):
+            raise InternalInvariantError("solver returned a nonzero residual")
+    return matrix, families
 
 
 def solve(diagram: FlatDiagram, rule: str, b) -> SolutionFamily:
     """All integral assignments u with ``A_rule u + b = o``."""
     if not is_knot(diagram):
         raise ValueError("solve requires a knot projection")
-    matrix = _matrix(diagram, rule)
-    try:
-        family = zlinalg.solve_integral(matrix.entries, tuple(b))
-    except NotE00Error as exc:
-        raise InternalInvariantError(
-            "region choice matrix failed to reduce to (I | 0 0); "
-            "this contradicts the solvability theorem") from exc
-    if any(incidence.residual(matrix, family.particular, tuple(b))):
-        raise InternalInvariantError("solver returned a nonzero residual")
-    return family
+    return _reduce_and_solve(diagram, rule, [b])[1][0]
 
 
 def kernel_basis(diagram: FlatDiagram, rule: str):
-    matrix = _matrix(diagram, rule)
-    try:
-        return zlinalg.kernel_basis(matrix.entries)
-    except NotE00Error as exc:
-        raise InternalInvariantError(
-            "region choice matrix failed to reduce to (I | 0 0)") from exc
+    zeros = (0,) * diagram.crossing_count
+    return _reduce_and_solve(diagram, rule, [zeros])[1][0].kernel
 
 
 def pinned_kernel(diagram: FlatDiagram, request: PinnedKernelRequest):
@@ -89,7 +91,7 @@ def pinned_kernel(diagram: FlatDiagram, request: PinnedKernelRequest):
     r1, r2 = arc.sides
     k1, k2 = kernel_basis(diagram, request.rule)
     u = _pin(k1, k2, r1, r2, request.a, request.b)
-    matrix = _matrix(diagram, request.rule)
+    matrix = incidence.build_matrix(diagram, request.rule)
     if any(incidence.apply(matrix, u)):
         raise InternalInvariantError("pinned vector left the kernel")
     return u
@@ -97,7 +99,7 @@ def pinned_kernel(diagram: FlatDiagram, request: PinnedKernelRequest):
 
 def _pin(k1, k2, r1: int, r2: int, a: int, b: int):
     """Integer combination of the kernel basis hitting (a, b) on (r1, r2)."""
-    det = k1[r1] * k2[r2] - k2[r1] * k1[r2]
+    det = _minor(k1, k2, r1, r2)
     if det not in (1, -1):
         raise InternalInvariantError(
             f"kernel restriction determinant is {det}, expected +-1")
@@ -106,20 +108,16 @@ def _pin(k1, k2, r1: int, r2: int, a: int, b: int):
     return tuple(c1 * x + c2 * y for x, y in zip(k1, k2))
 
 
+def _minor(k1, k2, r1: int, r2: int) -> int:
+    """Determinant of the kernel basis restricted to regions r1, r2."""
+    return k1[r1] * k2[r2] - k2[r1] * k1[r2]
+
+
 def arc_unimodularity_report(diagram: FlatDiagram, rule: str) -> dict[int, int]:
     """Per arc label, |det| of the kernel basis restricted to its sides."""
     k1, k2 = kernel_basis(diagram, rule)
-    report = {}
-    for arc in sorted({a.label for a in _arcs(diagram)}):
-        sides = arc_by_label(diagram, arc).sides
-        det = (k1[sides[0]] * k2[sides[1]] - k2[sides[0]] * k1[sides[1]])
-        report[arc] = abs(det)
-    return report
-
-
-def _arcs(diagram: FlatDiagram):
-    from .diagram import arcs
-    return arcs(diagram)
+    return {arc.label: abs(_minor(k1, k2, *arc.sides))
+            for arc in arcs(diagram)}
 
 
 def add1_algebraic(diagram: FlatDiagram, rule: str, crossing: int) -> Add1Certificate:
@@ -127,11 +125,13 @@ def add1_algebraic(diagram: FlatDiagram, rule: str, crossing: int) -> Add1Certif
     n = diagram.crossing_count
     if not 0 <= crossing < n:
         raise ValueError(f"no crossing v{crossing + 1}")
-    b = tuple(-1 if i == crossing else 0 for i in range(n))
-    family = solve(diagram, rule, b)
-    u = family.particular
-    res = incidence.apply(_matrix(diagram, rule), u)
+    u = solve(diagram, rule, _unit(n, crossing, -1)).particular
+    res = incidence.apply(incidence.build_matrix(diagram, rule), u)
     return Add1Certificate(crossing, rule, u, ALGEBRAIC, res)
+
+
+def _unit(n: int, crossing: int, value: int) -> tuple[int, ...]:
+    return tuple(value if i == crossing else 0 for i in range(n))
 
 
 def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
@@ -149,9 +149,8 @@ def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
     sign2 = _component_checkerboard(split.second)
     u = tuple(u1[split.first.region_map[r]] * sign2[split.second.region_map[r]]
               for r in range(diagram.region_count))
-    matrix = _matrix(diagram, DOUBLE)
-    target = tuple(1 if i == crossing else 0
-                   for i in range(diagram.crossing_count))
+    matrix = incidence.build_matrix(diagram, DOUBLE)
+    target = _unit(diagram.crossing_count, crossing, 1)
     res = incidence.apply(matrix, u)
     if res == target:
         return Add1Certificate(crossing, DOUBLE, u, GEOMETRIC, res)
@@ -183,26 +182,24 @@ def _component_checkerboard(comp) -> CheckerboardColoring:
 def solve_single_via_double(diagram: FlatDiagram, b):
     """Single-rule solution built from a double-rule one plus add-1 fixes.
 
-    The double-rule assignment overshoots by the region value at every
-    (region, crossing) pair with two corners; each overshoot is cancelled by
-    a single-rule add-1 certificate at that (necessarily reducible) crossing.
+    The double-rule assignment overshoots at each (necessarily reducible)
+    crossing by the values of the regions with two corners there; single-rule
+    add-1 assignments from one reduction cancel the overshoots.
     """
-    family = solve(diagram, DOUBLE, b)
-    gaps = incidence.rule_gap_columns(diagram)
-    certificates: dict[int, tuple[int, ...]] = {}
-    u = list(family.particular)
-    for region, crossings in gaps.items():
-        coeff = family.particular[region]
-        if coeff == 0:
-            continue
+    particular = solve(diagram, DOUBLE, b).particular
+    n = diagram.crossing_count
+    overshoot = [0] * n
+    for region, crossings in incidence.rule_gap_columns(diagram).items():
         for v in crossings:
-            if v not in certificates:
-                certificates[v] = add1_algebraic(diagram, SINGLE, v).assignment
-            cert = certificates[v]
-            for i in range(len(u)):
-                u[i] += coeff * cert[i]
+            overshoot[v] += particular[region]
+    needed = [v for v in range(n) if overshoot[v]]
+    matrix, families = _reduce_and_solve(
+        diagram, SINGLE, [_unit(n, v, -1) for v in needed])
+    u = list(particular)
+    for v, family in zip(needed, families):
+        for i, x in enumerate(family.particular):
+            u[i] += overshoot[v] * x
     u = tuple(u)
-    matrix = _matrix(diagram, SINGLE)
     if any(incidence.residual(matrix, u, tuple(b))):
         raise InternalInvariantError(
             "two-path single-rule construction has nonzero residual")
@@ -211,7 +208,7 @@ def solve_single_via_double(diagram: FlatDiagram, b):
 
 def solve_mod2(diagram: FlatDiagram, b) -> tuple[int, ...]:
     """Region subset solving the classical mod-2 problem; never unsolvable."""
-    matrix = _matrix(diagram, SINGLE)
+    matrix = incidence.build_matrix(diagram, SINGLE)
     bits = zlinalg.solve_gf2(incidence.mod2(matrix),
                              tuple(x % 2 for x in b))
     if bits is None:
@@ -223,7 +220,7 @@ def solve_mod2(diagram: FlatDiagram, b) -> tuple[int, ...]:
 
 def verify(diagram: FlatDiagram, rule: str, u, b) -> VerificationReport:
     """Recompute the matrix and check ``A u + b = o``."""
-    matrix = _matrix(diagram, rule)
+    matrix = incidence.build_matrix(diagram, rule)
     res = incidence.residual(matrix, tuple(u), tuple(b))
     return VerificationReport(
         rule, res, not any(res),

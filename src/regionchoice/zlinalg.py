@@ -21,10 +21,6 @@ class NotE00Error(ValueError):
     """The matrix is not equivalent to (I | 0 0); no solvability guarantee."""
 
 
-class UnsolvableError(ValueError):
-    """An exact linear system has no solution."""
-
-
 @dataclass(frozen=True)
 class Operation:
     """One elementary operation: kind, target indices, optional multiplier."""
@@ -79,20 +75,20 @@ class SolutionFamily:
 # elementary operation bookkeeping
 
 
-def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
+def _swap_rows(m: list[list[int]], i: int, j: int, mult: int) -> None:
     m[i], m[j] = m[j], m[i]
 
 
-def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
+def _swap_cols(m: list[list[int]], i: int, j: int, mult: int) -> None:
     for row in m:
         row[i], row[j] = row[j], row[i]
 
 
-def _negate_row(m: list[list[int]], i: int) -> None:
+def _negate_row(m: list[list[int]], i: int, j: int, mult: int) -> None:
     m[i] = [-x for x in m[i]]
 
 
-def _negate_col(m: list[list[int]], i: int) -> None:
+def _negate_col(m: list[list[int]], i: int, j: int, mult: int) -> None:
     for row in m:
         row[i] = -row[i]
 
@@ -106,26 +102,21 @@ def _add_col(m: list[list[int]], i: int, j: int, mult: int) -> None:
         row[i] += mult * row[j]
 
 
+# every kind of Operation, applied in place with the signature (m, i, j, mult)
+_APPLY = {"swap_rows": _swap_rows, "swap_cols": _swap_cols,
+          "negate_row": _negate_row, "negate_col": _negate_col,
+          "add_row": _add_row, "add_col": _add_col}
+
+
 def replay(matrix: Matrix, log) -> Matrix:
     """Apply an operation log to a fresh copy of the matrix."""
     work = [list(row) for row in matrix]
     for op in log:
         kind, i, j, mult = (op.as_record() if isinstance(op, Operation)
                             else tuple(op))
-        if kind == "swap_rows":
-            _swap_rows(work, i, j)
-        elif kind == "swap_cols":
-            _swap_cols(work, i, j)
-        elif kind == "negate_row":
-            _negate_row(work, i)
-        elif kind == "negate_col":
-            _negate_col(work, i)
-        elif kind == "add_row":
-            _add_row(work, i, j, mult)
-        elif kind == "add_col":
-            _add_col(work, i, j, mult)
-        else:
+        if kind not in _APPLY:
             raise ValueError(f"unknown operation kind {kind!r}")
+        _APPLY[kind](work, i, j, mult)
     return tuple(tuple(row) for row in work)
 
 
@@ -149,23 +140,10 @@ def reduce_to_e00(matrix: Matrix) -> E00Decomposition:
     q = [[int(i == j) for j in range(cols)] for i in range(cols)]
     log: list[Operation] = []
 
-    def row_op(op: Operation) -> None:
-        log.append(op)
-        fn = {"swap_rows": _swap_rows, "negate_row": _negate_row,
-              "add_row": _add_row}[op.kind]
-        args = (op.i,) if op.kind == "negate_row" else (
-            (op.i, op.j) if op.kind == "swap_rows" else (op.i, op.j, op.multiplier))
-        fn(a, *args)
-        fn(p, *args)
-
-    def col_op(op: Operation) -> None:
-        log.append(op)
-        fn = {"swap_cols": _swap_cols, "negate_col": _negate_col,
-              "add_col": _add_col}[op.kind]
-        args = (op.i,) if op.kind == "negate_col" else (
-            (op.i, op.j) if op.kind == "swap_cols" else (op.i, op.j, op.multiplier))
-        fn(a, *args)
-        fn(q, *args)
+    def step(kind: str, i: int, j: int = -1, mult: int = 0) -> None:
+        log.append(Operation(kind, i, j, mult))
+        _APPLY[kind](a, i, j, mult)
+        _APPLY[kind](p if "row" in kind else q, i, j, mult)
 
     def pivot_position(t: int):
         best = None
@@ -182,20 +160,20 @@ def reduce_to_e00(matrix: Matrix) -> E00Decomposition:
             if pos is None:
                 break
             if pos[0] != t:
-                row_op(Operation("swap_rows", t, pos[0]))
+                step("swap_rows", t, pos[0])
             if pos[1] != t:
-                col_op(Operation("swap_cols", t, pos[1]))
+                step("swap_cols", t, pos[1])
             if a[t][t] < 0:
-                row_op(Operation("negate_row", t))
+                step("negate_row", t)
             pivot = a[t][t]
             dirty = False
             for i in range(t + 1, rows):
                 if a[i][t] != 0:
-                    row_op(Operation("add_row", i, t, -(a[i][t] // pivot)))
+                    step("add_row", i, t, -(a[i][t] // pivot))
                     dirty = dirty or a[i][t] != 0
             for j in range(t + 1, cols):
                 if a[t][j] != 0:
-                    col_op(Operation("add_col", j, t, -(a[t][j] // pivot)))
+                    step("add_col", j, t, -(a[t][j] // pivot))
                     dirty = dirty or a[t][j] != 0
             if dirty:
                 continue
@@ -210,7 +188,7 @@ def reduce_to_e00(matrix: Matrix) -> E00Decomposition:
                     break
             if offender is None:
                 break
-            row_op(Operation("add_row", t, offender, 1))
+            step("add_row", t, offender, 1)
 
     decomp = E00Decomposition(
         tuple(tuple(row) for row in matrix),
@@ -290,12 +268,7 @@ def solve_with_decomposition(decomp: E00Decomposition, b: Vector) -> SolutionFam
 
 def kernel_basis(matrix: Matrix) -> tuple[Vector, Vector]:
     """Two vectors generating the full integer kernel lattice."""
-    decomp = reduce_to_e00(matrix)
-    cols = len(matrix[0])
-    if cols != len(matrix) + 2 or not decomp.is_e00:
-        raise NotE00Error("matrix is not Z-equivalent to (I | 0 0)")
-    return (tuple(row[cols - 2] for row in decomp.q),
-            tuple(row[cols - 1] for row in decomp.q))
+    return solve_integral(matrix, (0,) * len(matrix)).kernel
 
 
 # ---------------------------------------------------------------------------

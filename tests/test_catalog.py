@@ -1,3 +1,5 @@
+import types
+
 import pytest
 
 from regionchoice.catalog import (REFERENCE_DOUBLE, REFERENCE_SINGLE,
@@ -5,6 +7,14 @@ from regionchoice.catalog import (REFERENCE_DOUBLE, REFERENCE_SINGLE,
                                   match_labeling, names)
 from regionchoice.diagram import is_knot, reducible_crossings
 from regionchoice.incidence import DOUBLE, SINGLE, build_matrix
+
+
+def test_catalog_name_is_the_module():
+    import regionchoice
+    import regionchoice.catalog as module
+    assert isinstance(module, types.ModuleType)
+    assert regionchoice.catalog is module
+    assert module.catalog is catalog
 
 
 def test_names_are_stable():

@@ -161,3 +161,36 @@ def test_checkerboard_output(capsys):
     code, out, _ = run(capsys, "checkerboard", "--diagram", "4_1")
     assert code == 0
     assert out.count("+") == 3 and out.count("-") == 3
+
+
+@pytest.mark.parametrize("document", [
+    '{"crossings": [[true, 2, 2, 1]]}',
+    '{"crossings": ' + "[" * 100000 + "]" * 100000 + "}",
+], ids=["bool-label", "deep-nesting"])
+def test_malformed_document_exits_2(capsys, tmp_path, document):
+    path = tmp_path / "d.json"
+    path.write_text(document)
+    code, _, err = run(capsys, "validate", "--file", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--diagram", "3_1", "--b", "1,0,0", "--reference-labels"),
+    ("validate", "--diagram", "3_1", "--reference-labels"),
+    ("dot", "--diagram", "3_1", "--format", "json"),
+])
+def test_option_not_read_by_subcommand_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["matrix", "rref"])
+def test_reference_labels_need_a_catalog_diagram(capsys, tmp_path, command):
+    path = tmp_path / "d.json"
+    path.write_text('{"crossings": [[1, 2, 2, 1]]}')
+    code, _, err = run(capsys, command, "--file", str(path),
+                       "--reference-labels")
+    assert code == 2
+    assert "--diagram" in err

@@ -35,6 +35,18 @@ def test_label_out_of_range_rejected():
         FlatDiagram(((1, 2, 2, 5),))
 
 
+def test_bool_label_rejected():
+    with pytest.raises(DiagramError):
+        FlatDiagram(((True, 2, 2, 1),))
+    with pytest.raises(DiagramError):
+        parse_flat_pd('{"crossings": [[true, 2, 2, 1]]}')
+
+
+def test_deeply_nested_json_rejected():
+    with pytest.raises(DiagramError, match="nested"):
+        parse_flat_pd('{"crossings": ' + "[" * 100000 + "]" * 100000 + "}")
+
+
 def test_nonspherical_code_rejected():
     # a gluing whose face count violates Euler's formula on the sphere
     with pytest.raises(DiagramError, match="spher"):

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from regionchoice import zlinalg
 from regionchoice.catalog import catalog
 from regionchoice.diagram import (D0, FlatDiagram, InternalInvariantError,
                                   random_diagram)
-from regionchoice.incidence import DOUBLE, SINGLE, apply, build_matrix, residual
+from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
+                                    residual, rule_gap_columns)
 from regionchoice.solvers import (PinnedKernelRequest, add1_algebraic,
                                   add1_geometric, arc_unimodularity_report,
                                   kernel_basis, pinned_kernel, solve,
@@ -114,17 +116,51 @@ def test_add1_paths_differ_by_kernel():
         assert apply(M, diff) == (0, 0, 0)
 
 
+def single_via_double_per_certificate(D, b):
+    """The two-path construction with one add-1 solve per needed crossing."""
+    particular = solve(D, DOUBLE, b).particular
+    u = list(particular)
+    certificates = {}
+    for region, crossings in rule_gap_columns(D).items():
+        coeff = particular[region]
+        if coeff == 0:
+            continue
+        for v in crossings:
+            if v not in certificates:
+                certificates[v] = add1_algebraic(D, SINGLE, v).assignment
+            for i, x in enumerate(certificates[v]):
+                u[i] += coeff * x
+    return tuple(u)
+
+
 def test_single_via_double_matches_direct():
-    D = catalog("example2_4")
-    M = build_matrix(D, SINGLE)
     rng = random.Random(11)
-    for _ in range(10):
-        b = tuple(rng.randint(-20, 20) for _ in range(4))
-        u = solve_single_via_double(D, b)
-        assert residual(M, u, b) == (0, 0, 0, 0)
-        direct = solve(D, SINGLE, b).particular
-        diff = tuple(x - y for x, y in zip(u, direct))
-        assert apply(M, diff) == (0, 0, 0, 0)
+    for D in (catalog("example2_4"), random_diagram(5, 12)):
+        M = build_matrix(D, SINGLE)
+        zero = (0,) * D.crossing_count
+        for _ in range(10):
+            b = tuple(rng.randint(-20, 20) for _ in range(D.crossing_count))
+            u = solve_single_via_double(D, b)
+            assert residual(M, u, b) == zero
+            assert u == single_via_double_per_certificate(D, b)
+            direct = solve(D, SINGLE, b).particular
+            diff = tuple(x - y for x, y in zip(u, direct))
+            assert apply(M, diff) == zero
+
+
+def test_single_via_double_reduces_twice(monkeypatch):
+    D = random_diagram(5, 12)
+    b = tuple(range(1, D.crossing_count + 1))
+    calls = []
+    reduce_to_e00 = zlinalg.reduce_to_e00
+
+    def counting(matrix):
+        calls.append(matrix)
+        return reduce_to_e00(matrix)
+
+    monkeypatch.setattr(zlinalg, "reduce_to_e00", counting)
+    solve_single_via_double(D, b)
+    assert len(calls) == 2
 
 
 def test_mod2_solutions_verify():
