@@ -19,15 +19,13 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .zlinalg import InternalInvariantError
+
 Dart = tuple[int, int]
 
 
 class DiagramError(ValueError):
     """The given PD code does not describe a valid spherical projection."""
-
-
-class InternalInvariantError(RuntimeError):
-    """A structural property guaranteed by construction failed to hold."""
 
 
 @dataclass(frozen=True)

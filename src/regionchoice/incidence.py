@@ -44,15 +44,14 @@ def build_matrix(diagram: FlatDiagram, rule: str) -> RegionChoiceMatrix:
         raise ValueError(f"unknown rule {rule!r}")
     regs = regions(diagram)
     n = diagram.crossing_count
-    entries = []
-    for v in range(n):
-        row = []
-        for reg in regs:
-            k = reg.corner_count(v)
-            row.append(min(k, 1) if rule == SINGLE else k)
-        entries.append(tuple(row))
+    rows = [[0] * len(regs) for _ in range(n)]
+    # one step per corner: a corner at crossing v puts region j in row v
+    for reg in regs:
+        j = reg.index
+        for v, _ in reg.corners:
+            rows[v][j] = 1 if rule == SINGLE else rows[v][j] + 1
     return RegionChoiceMatrix(
-        rule, tuple(entries),
+        rule, tuple(map(tuple, rows)),
         tuple(f"v{i + 1}" for i in range(n)),
         tuple(f"r{j + 1}" for j in range(len(regs))))
 

@@ -1,9 +1,10 @@
 """Region choice solvers: both counting rules, pinned kernels, add-1.
 
 These couple the diagram geometry to the integer algebra.  Solvability for
-every integral point vector is a theorem for valid knot projections, so a
-failure of the underlying reduction to reach (I | 0 0) is reported as an
-internal invariant violation rather than an input error.
+every integral point vector is a theorem for valid knot projections: deleting
+the two side columns of an arc leaves a unimodular matrix.  Every solve
+factors that matrix once and checks a certificate, and a failure of either is
+reported as an internal invariant violation rather than an input error.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from dataclasses import dataclass
 
 from . import incidence, zlinalg
 from .diagram import (CheckerboardColoring, ComponentSplit, FlatDiagram,
-                      InternalInvariantError, arc_by_label, arcs,
-                      checkerboard, is_knot, splice)
+                      InternalInvariantError, _darts_by_label, arc_by_label,
+                      arcs, checkerboard, is_knot, regions, splice)
 from .incidence import DOUBLE, SINGLE, RegionChoiceMatrix
-from .zlinalg import NotE00Error, SolutionFamily
+from .zlinalg import SolutionFamily
 
 ALGEBRAIC = "algebraic"
 GEOMETRIC = "geometric"
@@ -54,21 +55,26 @@ class VerificationReport:
 
 def _reduce_and_solve(diagram: FlatDiagram, rule: str, rhs
                       ) -> tuple[RegionChoiceMatrix, list[SolutionFamily]]:
-    """The rule's matrix and, from one reduction of it, the solution family
-    of ``A_rule u + b = o`` for each b in ``rhs``."""
+    """The rule's matrix and, from one factorisation of it, the solution
+    family of ``A_rule u + b = o`` for each b in ``rhs``: canonical, that is
+    zero on the pin pair with the kernel pinned to (1, 0) and (0, 1) there."""
     matrix = incidence.build_matrix(diagram, rule)
-    try:
-        decomp = zlinalg.reduce_to_e00(matrix.entries)
-        families = [zlinalg.solve_with_decomposition(decomp, tuple(b))
-                    for b in rhs]
-    except NotE00Error as exc:
-        raise InternalInvariantError(
-            "region choice matrix failed to reduce to (I | 0 0); "
-            "this contradicts the solvability theorem") from exc
-    for family in families:
-        if any(incidence.residual(matrix, family.particular, family.b)):
-            raise InternalInvariantError("solver returned a nonzero residual")
-    return matrix, families
+    return matrix, zlinalg.solve_pinned(matrix.entries, _pin_pair(diagram),
+                                        rhs)
+
+
+def _pin_pair(diagram: FlatDiagram) -> tuple[int, int]:
+    """Side regions ``(lo, hi)`` of the arc whose sorted sides are largest
+    by ``(hi, lo)``.  Deleting any arc's two side columns leaves a
+    unimodular matrix; this fixes one arc without filling the ``arcs``
+    cache."""
+    region_of = {corner: reg.index
+                 for reg in regions(diagram) for corner in reg.corners}
+    best = (-1, -1)
+    for d1, d2 in _darts_by_label(diagram.crossings).values():
+        lo, hi = sorted((region_of[d1], region_of[d2]))
+        best = max(best, (hi, lo))
+    return best[1], best[0]
 
 
 def solve(diagram: FlatDiagram, rule: str, b) -> SolutionFamily:

@@ -6,15 +6,25 @@ row/column operations while tracking the unimodular factors P and Q and a
 replayable operation log.  Region choice matrices of valid projections reduce
 to the identity block followed by two zero columns, which certifies integral
 solvability for every right-hand side.
+
+The solvers use ``solve_pinned`` instead: deleting two suitable columns
+leaves a square unimodular matrix, which sparse elimination with +-1 pivots
+factors exactly, and every right-hand side is solved from that one
+factorisation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
+
+
+class InternalInvariantError(RuntimeError):
+    """A structural property guaranteed by construction failed to hold."""
 
 
 class NotE00Error(ValueError):
@@ -207,7 +217,7 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def _check_decomposition(d: E00Decomposition) -> None:
     if _mat_mul(_mat_mul(d.p, d.matrix), d.q) != d.s:
-        raise AssertionError("P A Q != S")
+        raise InternalInvariantError("reduce_to_e00 self-check: P A Q != S")
 
 
 def determinant(matrix: Matrix) -> int:
@@ -262,13 +272,179 @@ def solve_with_decomposition(decomp: E00Decomposition, b: Vector) -> SolutionFam
     res = [sum(x * y for x, y in zip(row, particular)) + bv
            for row, bv in zip(decomp.matrix, b)]
     if any(res):
-        raise AssertionError("particular solution has nonzero residual")
+        raise InternalInvariantError(
+            "solve_with_decomposition: particular solution has nonzero "
+            "residual")
     return family
 
 
 def kernel_basis(matrix: Matrix) -> tuple[Vector, Vector]:
     """Two vectors generating the full integer kernel lattice."""
     return solve_integral(matrix, (0,) * len(matrix)).kernel
+
+
+# ---------------------------------------------------------------------------
+# pinned solving: sparse elimination of a unimodular square block
+
+
+def solve_pinned(matrix: Matrix, pins: tuple[int, int],
+                 rhs) -> list[SolutionFamily]:
+    """The solution family of ``A u + b = o`` for each b in ``rhs``, all from
+    one factorisation of the square matrix ``B`` left when the two ``pins``
+    columns of the n x (n+2) matrix ``A`` are deleted.
+
+    Every particular solution is zero on ``pins`` and the kernel basis is
+    (1, 0) and (0, 1) there, so the answer does not depend on the
+    elimination order.  The kernel vectors solve ``B x = -A[:, pin]``.
+    ``B`` must be unimodular; each call checks the certificate (pivot
+    product +-1, zero residuals, both kernel vectors in the kernel, unit
+    kernel minor on ``pins``) and raises ``InternalInvariantError``, naming
+    the failed stage, if any part of it fails.
+    """
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    if cols != rows + 2:
+        raise ValueError(f"expected an n x (n+2) matrix, got {rows} x {cols}")
+    r1, r2 = pins
+    if r1 == r2 or not (0 <= r1 < cols and 0 <= r2 < cols):
+        raise ValueError(f"pins must be two distinct columns, got {pins!r}")
+    rhs = [tuple(b) for b in rhs]
+    for b in rhs:
+        if len(b) != rows:
+            raise ValueError(f"b has length {len(b)}, expected {rows}")
+    a = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+    ops, pivots = _factor_unit(
+        [{j: x for j, x in row.items() if j != r1 and j != r2} for row in a],
+        [j for j in range(cols) if j != r1 and j != r2])
+
+    product = 1
+    for _, _, p, _ in pivots:
+        product *= p
+    if product not in (1, -1):
+        raise InternalInvariantError(
+            f"pinned solve, certificate: pivot product is {product}")
+
+    def solve_b(y: list[int], pinned: tuple[int, int]) -> Vector:
+        x = _substitute(ops, pivots, y, cols)
+        x[r1], x[r2] = pinned
+        return tuple(x)
+
+    k1 = solve_b([-row.get(r1, 0) for row in a], (1, 0))
+    k2 = solve_b([-row.get(r2, 0) for row in a], (0, 1))
+    families = [SolutionFamily(matrix, b, solve_b([-v for v in b], (0, 0)),
+                               (k1, k2)) for b in rhs]
+
+    def image(u: Vector) -> list[int]:
+        return [sum(x * u[j] for j, x in row.items()) for row in a]
+
+    if any(image(k1)) or any(image(k2)):
+        raise InternalInvariantError(
+            "pinned solve, certificate: kernel vector outside the kernel")
+    if k1[r1] * k2[r2] - k2[r1] * k1[r2] != 1:
+        raise InternalInvariantError(
+            "pinned solve, certificate: kernel minor on the pins is not 1")
+    for family in families:
+        if any(x + y for x, y in zip(image(family.particular), family.b)):
+            raise InternalInvariantError(
+                "pinned solve, certificate: particular solution has nonzero "
+                "residual")
+    return families
+
+
+def _factor_unit(rows: list[dict[int, int]], columns: list[int]):
+    """Eliminate a square sparse integer matrix in place with +-1 pivots.
+
+    ``rows`` maps column index to nonzero entry; ``columns`` are the column
+    indices in use.  A pivot is the +-1 entry of a live row with the least
+    Markowitz cost (other entries in its row times other live entries in its
+    column); the scan stops at the first row holding a cost-0 pivot.  When
+    no +-1 entry is live, ``_make_unit`` makes one.  Returns the row
+    operations ``(target, source, m)``, meaning
+    ``row[target] += m * row[source]``, and the pivots in order as
+    ``(row, column, pivot, rest of the pivot row)``.
+    """
+    live_rows = set(range(len(rows)))
+    live_cols = set(columns)
+    col_rows: dict[int, set[int]] = {j: set() for j in columns}
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].add(i)
+    ops: list[tuple[int, int, int]] = []
+    pivots: list[tuple[int, int, int, dict[int, int]]] = []
+
+    def add_row(target: int, source: int, m: int) -> None:
+        ops.append((target, source, m))
+        row = rows[target]
+        for j, x in rows[source].items():
+            new = row.get(j, 0) + m * x
+            if new:
+                if j not in row:
+                    col_rows[j].add(target)
+                row[j] = new
+            else:
+                del row[j]
+                col_rows[j].discard(target)
+
+    while live_rows:
+        best = None
+        for i in live_rows:
+            row = rows[i]
+            others = len(row) - 1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    cost = others * (len(col_rows[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            _make_unit(rows, col_rows, live_cols, add_row)
+            continue
+        _, i, j = best
+        p = rows[i][j]
+        for k in sorted(col_rows[j] - {i}):
+            add_row(k, i, -p * rows[k][j])
+        live_rows.discard(i)
+        live_cols.discard(j)
+        for c in rows[i]:
+            col_rows[c].discard(i)
+        pivots.append((i, j, p, {c: x for c, x in rows[i].items() if c != j}))
+    return ops, pivots
+
+
+def _make_unit(rows, col_rows, live_cols, add_row) -> None:
+    """Euclid row steps on the sparsest live column until one of its entries
+    is +-1; a gcd other than 1 there means the matrix is not unimodular."""
+    j = min(live_cols, key=lambda c: (len(col_rows[c]), c))
+    while True:
+        holders = sorted(col_rows[j], key=lambda k: (abs(rows[k][j]), k))
+        if not holders:
+            raise InternalInvariantError(
+                f"pinned solve, elimination: column {j} has no live entry, "
+                "so the pinned block is singular")
+        source = holders[0]
+        e = rows[source][j]
+        if e in (1, -1):
+            return
+        if len(holders) == 1:
+            raise InternalInvariantError(
+                f"pinned solve, elimination: column {j} has gcd {abs(e)}, "
+                "so the pinned block is not unimodular")
+        for k in holders[1:]:
+            add_row(k, source, -(rows[k][j] // e))
+
+
+def _substitute(ops, pivots, y: list[int], cols: int) -> list[int]:
+    """Solve ``B x = y`` from ``_factor_unit``'s output; ``x`` is returned
+    as a length-``cols`` list indexed by the original column numbers."""
+    for target, source, m in ops:
+        if y[source]:
+            y[target] += m * y[source]
+    x = [0] * cols
+    for i, j, p, rest in reversed(pivots):
+        # p is +-1, so dividing by it is multiplying by it
+        x[j] = p * (y[i] - sum(v * x[c] for c, v in rest.items()))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -301,28 +477,33 @@ def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
     """Member of the family with minimal norm (deterministic tie-break)."""
     if norm not in ("Linf", "L2"):
         raise ValueError(f"norm must be 'Linf' or 'L2', got {norm!r}")
-    k1, k2 = _gauss_reduce(*family.kernel)
 
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
 
+    # checked before the lattice reduction, which divides by zero on a
+    # degenerate basis; the reduction leaves the Gram determinant unchanged
+    k1, k2 = family.kernel
+    if dot(k1, k1) * dot(k2, k2) - dot(k1, k2) ** 2 == 0:
+        raise InternalInvariantError(
+            "minimize_in_family: kernel basis is degenerate")
+    k1, k2 = _gauss_reduce(k1, k2)
+
     # real least-squares for u0 + a k1 + b k2 = 0, then a bounded search
+    u0 = family.particular
     g11, g12, g22 = dot(k1, k1), dot(k1, k2), dot(k2, k2)
-    r1, r2 = dot(family.particular, k1), dot(family.particular, k2)
+    r1, r2 = dot(u0, k1), dot(u0, k2)
     det = g11 * g22 - g12 * g12
-    if det == 0:
-        raise AssertionError("kernel basis is degenerate")
     a0 = Fraction(r2 * g12 - r1 * g22, det)
     b0 = Fraction(r1 * g12 - r2 * g11, det)
     ca, cb = round(a0), round(b0)
 
     def key_at(a: int, b: int):
-        u = tuple(x + a * y + b * z
-                  for x, y, z in zip(family.particular, k1, k2))
+        u = tuple(x + a * y + b * z for x, y, z in zip(u0, k1, k2))
         return (_norm(u, norm), u)
 
-    # the norm is convex in the real coefficients, so grow square rings
-    # around the least-squares point until a whole ring stops helping
+    # grow square rings around the least-squares point until two whole
+    # rings stop helping
     best = key_at(ca, cb)
     stale = 0
     radius = 1
@@ -342,7 +523,52 @@ def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
         if ring_best < best:
             best = ring_best
         radius += 1
+
+    # The rings can stop on a plateau of the Linf norm short of the
+    # minimum, so search exhaustively for a strictly smaller member.  Each
+    # member v of norm below best has |v|_2^2 <= bound, so none exists if
+    # bound is below the least-squares value, and otherwise its a lies in
+    # the projection of that ellipse: (a - a0)^2 <= reach^2.
+    limit = best[0] - 1
+    bound = limit if norm == "L2" else len(u0) * limit ** 2
+    least = dot(u0, u0) + a0 * r1 + b0 * r2
+    if limit < 0 or bound < least:
+        return best[1]
+    reach = math.isqrt(math.floor((bound - least) * g22 / det)) + 1
+    for a in range(math.floor(a0) - reach, math.ceil(a0) + reach + 1):
+        w = [x + a * y for x, y in zip(u0, k1)]
+        for b in _coefficients_within(w, k2, limit, norm):
+            key = key_at(a, b)
+            if key[0] <= limit and key < best:
+                best = key
+                limit = key[0]
     return best[1]
+
+
+def _coefficients_within(w: list[int], k: Vector, limit: int,
+                         norm: str) -> range:
+    """A range of integers b holding every b with norm(w + b k) <= limit."""
+    if norm == "L2":
+        # |k|^2 b^2 + 2 (w.k) b + |w|^2 - limit <= 0
+        g = sum(x * x for x in k)
+        p = sum(x * y for x, y in zip(w, k))
+        disc = p * p - g * (sum(x * x for x in w) - limit)
+        if disc < 0:
+            return range(0)
+        s = math.isqrt(disc) + 1
+        return range((-p - s) // g, (-p + s) // g + 1)
+    lo, hi = None, None
+    for c, d in zip(w, k):
+        if d == 0:
+            if abs(c) > limit:
+                return range(0)
+            continue
+        # |c + b d| <= limit: b d lies in [-limit - c, limit - c]
+        x, y = (-limit - c, limit - c) if d > 0 else (limit - c, -limit - c)
+        b_lo, b_hi = -(-x // d), y // d
+        lo = b_lo if lo is None else max(lo, b_lo)
+        hi = b_hi if hi is None else min(hi, b_hi)
+    return range(lo, hi + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +678,8 @@ def rref_rational(matrix: Matrix) -> EchelonForm:
             break
     for i in range(r, rows):
         if any(work[i][:cols]):
-            raise AssertionError("rows below rank are not zero")
+            raise InternalInvariantError(
+                "rref_rational: rows below rank are not zero")
     return EchelonForm(
         tuple(pivot_cols),
         tuple(tuple(row[:cols]) for row in work[:r]),

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from regionchoice import solvers
 from regionchoice.cli import main
 
 
@@ -89,6 +90,25 @@ def test_solve_minimized(capsys):
     doc = json.loads(out)
     assert doc["verified"]
     assert max(abs(x) for x in doc["solution"]) <= 1
+
+
+def test_internal_check_exits_4_without_traceback(capsys, monkeypatch):
+    solve = solvers.solve
+
+    def degenerate(diagram, rule, b):
+        family = solve(diagram, rule, b)
+        k1, _ = family.kernel
+        return type(family)(family.matrix, family.b, family.particular,
+                            (k1, k1))
+
+    # minimize_in_family's own check must fail as an invariant violation
+    monkeypatch.setattr(solvers, "solve", degenerate)
+    code, out, err = run(capsys, "solve", "--diagram", "3_1", "--b", "1,0,0",
+                         "--minimize", "Linf")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: minimize_in_family")
+    assert "Traceback" not in err
 
 
 def test_solve_wrong_b_length(capsys):

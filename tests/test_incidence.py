@@ -3,7 +3,8 @@ import json
 import pytest
 
 from regionchoice.catalog import catalog
-from regionchoice.diagram import D0, FlatDiagram, reducible_crossings
+from regionchoice.diagram import (D0, FlatDiagram, random_diagram,
+                                  reducible_crossings, regions)
 from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
                                     from_document, mod2, render_text,
                                     residual, rule_gap_columns, to_document)
@@ -98,3 +99,15 @@ def test_render_text_shape():
     lines = out.splitlines()
     assert len(lines) == 2  # header plus one crossing row
     assert "v1" in lines[1]
+
+
+def test_build_matrix_equals_corner_counts():
+    # the matrix is filled from the corner lists; it must equal the
+    # per-(crossing, region) corner count definition entry for entry
+    for D in [D0, TREFOIL] + [random_diagram(s, 3 * s) for s in range(12)]:
+        regs = regions(D)
+        double = tuple(tuple(reg.corner_count(v) for reg in regs)
+                       for v in range(D.crossing_count))
+        assert build_matrix(D, DOUBLE).entries == double
+        assert build_matrix(D, SINGLE).entries == tuple(
+            tuple(min(k, 1) for k in row) for row in double)

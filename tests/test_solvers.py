@@ -152,13 +152,13 @@ def test_single_via_double_reduces_twice(monkeypatch):
     D = random_diagram(5, 12)
     b = tuple(range(1, D.crossing_count + 1))
     calls = []
-    reduce_to_e00 = zlinalg.reduce_to_e00
+    solve_pinned = zlinalg.solve_pinned
 
-    def counting(matrix):
+    def counting(matrix, pins, rhs):
         calls.append(matrix)
-        return reduce_to_e00(matrix)
+        return solve_pinned(matrix, pins, rhs)
 
-    monkeypatch.setattr(zlinalg, "reduce_to_e00", counting)
+    monkeypatch.setattr(zlinalg, "solve_pinned", counting)
     solve_single_via_double(D, b)
     assert len(calls) == 2
 
@@ -184,3 +184,14 @@ def test_kernel_basis_spans_for_random_diagrams():
             M = build_matrix(D, rule)
             assert apply(M, k1) == (0,) * D.crossing_count
             assert apply(M, k2) == (0,) * D.crossing_count
+
+
+def test_minimize_is_not_stopped_by_a_plateau():
+    # the square-ring search alone stops at Linf 12 on this family
+    D = random_diagram(13, 5)
+    fam = solve(D, DOUBLE, (-6, -7, -1, -5, -5, -5, 9, 9, 8))
+    best = zlinalg.minimize_in_family(fam, "Linf")
+    assert residual(build_matrix(D, DOUBLE), best, fam.b) == (0,) * 9
+    window = range(-25, 26)
+    assert max(map(abs, best)) == 11 == min(
+        max(map(abs, fam.member(a, c))) for a in window for c in window)

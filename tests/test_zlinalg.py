@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from regionchoice.zlinalg import (EchelonForm, NotE00Error, determinant,
-                                  kernel_basis, minimize_in_family,
-                                  reduce_to_e00, replay, rref_rational,
-                                  solve_gf2, solve_integral)
+from regionchoice.zlinalg import (EchelonForm, InternalInvariantError,
+                                  NotE00Error, determinant, kernel_basis,
+                                  minimize_in_family, reduce_to_e00, replay,
+                                  rref_rational, solve_gf2, solve_integral,
+                                  solve_pinned)
 
 CURL = ((2, 1, 1),)
 TREFOIL = ((1, 1, 1, 1, 0),
@@ -145,3 +146,67 @@ def test_rref_wrong_free_count():
     e = rref_rational(TREFOIL)
     with pytest.raises(ValueError):
         e.evaluate((0, 0, 0), (1,))
+
+
+def product(matrix, u):
+    return tuple(sum(a * x for a, x in zip(row, u)) for row in matrix)
+
+
+def test_solve_pinned_trefoil_is_canonical():
+    (fam,) = solve_pinned(TREFOIL, (3, 4), [(1, 0, 0)])
+    assert fam.particular == (-1, 1, -1, 0, 0)
+    assert fam.kernel == ((0, -1, 0, 1, 0), (1, -2, 1, 0, 1))
+
+
+def test_solve_pinned_makes_a_unit_pivot_by_euclid_steps():
+    # the pinned block [[2, 3], [3, 5]] has det 1 but no +-1 entry
+    a = ((2, 3, 1, 0), (3, 5, 0, 1))
+    b1, b2 = (1, 1), (-4, 7)
+    f1, f2 = solve_pinned(a, (2, 3), [b1, b2])
+    # [[2, 3], [3, 5]]^-1 = [[5, -3], [-3, 2]]
+    assert f1.particular == (-2, 1, 0, 0)
+    assert f2.particular == (41, -26, 0, 0)
+    assert f1.kernel == f2.kernel == ((-5, 3, 1, 0), (3, -2, 0, 1))
+    for fam in (f1, f2):
+        assert product(a, fam.particular) == tuple(-x for x in fam.b)
+        assert product(a, fam.kernel[0]) == product(a, fam.kernel[1]) == (0, 0)
+
+
+def test_solve_pinned_refuses_a_block_with_det_2():
+    with pytest.raises(InternalInvariantError,
+                       match="elimination: column .* gcd 2"):
+        solve_pinned(((2, 0, 1, 0), (1, 1, 0, 1)), (2, 3), [(1, 1)])
+
+
+def test_solve_pinned_refuses_a_singular_block():
+    with pytest.raises(InternalInvariantError,
+                       match="elimination: .*singular"):
+        solve_pinned(((1, 1, 1, 0), (1, 1, 0, 1)), (2, 3), [(0, 0)])
+
+
+@pytest.mark.parametrize("matrix, pins, b", [
+    (TREFOIL, (0, 5), (0, 0, 0)),
+    (TREFOIL, (2, 2), (0, 0, 0)),
+    (TREFOIL, (0, 1), (0, 0)),
+    (((1, 0), (0, 1)), (0, 1), (0, 0)),
+])
+def test_solve_pinned_rejects_bad_arguments(matrix, pins, b):
+    with pytest.raises(ValueError):
+        solve_pinned(matrix, pins, [b])
+
+
+def test_degenerate_kernel_is_an_invariant_violation():
+    fam = solve_integral(TREFOIL, (0, 0, 0))
+    k1, _ = fam.kernel
+    for kernel in ((k1, k1), (k1, (0,) * 5)):
+        with pytest.raises(InternalInvariantError, match="degenerate"):
+            minimize_in_family(type(fam)(TREFOIL, fam.b, fam.particular,
+                                         kernel))
+
+
+def test_bad_decomposition_is_an_invariant_violation():
+    from regionchoice.zlinalg import _check_decomposition
+    d = reduce_to_e00(TREFOIL)
+    wrong = type(d)(d.matrix, d.p, d.q, ((1, 0, 0, 0, 0),) * 3, d.log)
+    with pytest.raises(InternalInvariantError, match="P A Q != S"):
+        _check_decomposition(wrong)
