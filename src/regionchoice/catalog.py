@@ -3,8 +3,8 @@
 Each entry ships a flat PD code together with a relabeling (row and column
 orders) under which the computed region choice matrices equal the reference
 matrices entry-for-entry.  The relabeling is found by permutation search and
-asserted at load time, so a catalog entry that stops matching its table fails
-loudly rather than silently drifting.
+checked at load time, so a catalog entry that stops matching its table raises
+``InternalInvariantError`` rather than silently drifting.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .diagram import FlatDiagram, apply_r1, arcs
+from .diagram import FlatDiagram, InternalInvariantError, apply_r1, arcs
 from .incidence import DOUBLE, SINGLE, RegionChoiceMatrix, build_matrix
 
 # reference tables: single-rule matrices, rows v1..vn, columns r1..r_{n+2}
@@ -146,7 +146,9 @@ def _example2_4_diagram() -> FlatDiagram:
             got = build_matrix(candidate, DOUBLE).entries
             if match_labeling(got, target) is not None:
                 return FlatDiagram(candidate.crossings, "example2_4")
-    raise AssertionError("no kink placement reproduces the reference tables")
+    raise InternalInvariantError(
+        "catalog entry example2_4: no kink placement reproduces the "
+        "reference tables")
 
 
 @lru_cache(maxsize=None)
@@ -162,14 +164,16 @@ def catalog_entry(name: str) -> CatalogEntry:
     reference = (REFERENCE_DOUBLE.get(name) or REFERENCE_SINGLE[name])
     found = match_labeling(build_matrix(diagram, rule).entries, reference)
     if found is None:
-        raise AssertionError(
+        raise InternalInvariantError(
             f"catalog entry {name} does not reproduce its reference matrix")
     entry = CatalogEntry(name, diagram, *found)
     if entry.matrix(rule).entries != reference:
-        raise AssertionError(f"relabeled matrix mismatch for {name}")
+        raise InternalInvariantError(
+            f"catalog entry {name}: relabeled matrix mismatch")
     if name in REFERENCE_SINGLE and name in REFERENCE_DOUBLE:
         if entry.matrix(SINGLE).entries != REFERENCE_SINGLE[name]:
-            raise AssertionError(f"{name} single-rule matrix mismatch")
+            raise InternalInvariantError(
+                f"catalog entry {name}: single-rule matrix mismatch")
     return entry
 
 

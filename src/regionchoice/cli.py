@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 input or validation error, 3 unsolvable (a bug
-signal for valid knot inputs), 4 internal invariant violation.
+Exit codes: 0 success, 2 input or validation error, 3 reserved (no
+subcommand returns it), 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -10,14 +10,13 @@ import argparse
 import json
 import sys
 
-from . import incidence, oracle, solvers, zlinalg
+from . import incidence, solvers, zlinalg
 from .catalog import CatalogError, catalog_entry, names as catalog_names
 from .diagram import (DiagramError, FlatDiagram, InternalInvariantError,
                       checkerboard, parse_flat_pd, random_diagram, regions,
                       to_dot, to_flat_pd)
 
 EXIT_INPUT = 2
-EXIT_UNSOLVABLE = 3
 EXIT_INVARIANT = 4
 
 
@@ -312,9 +311,6 @@ def main(argv=None) -> int:
     except (CliError, DiagramError, CatalogError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_INPUT)
-    except oracle.OracleMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSOLVABLE
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -53,14 +53,16 @@ class VerificationReport:
     per_crossing: tuple[tuple[str, int], ...]
 
 
-def _reduce_and_solve(diagram: FlatDiagram, rule: str, rhs
+def _reduce_and_solve(diagram: FlatDiagram, rule: str, rhs, pins=None
                       ) -> tuple[RegionChoiceMatrix, list[SolutionFamily]]:
     """The rule's matrix and, from one factorisation of it, the solution
     family of ``A_rule u + b = o`` for each b in ``rhs``: canonical, that is
-    zero on the pin pair with the kernel pinned to (1, 0) and (0, 1) there."""
+    zero on the pin pair with the kernel pinned to (1, 0) and (0, 1) there.
+    The pin pair is ``pins``, two side regions of one arc, or by default
+    ``_pin_pair(diagram)``."""
     matrix = incidence.build_matrix(diagram, rule)
-    return matrix, zlinalg.solve_pinned(matrix.entries, _pin_pair(diagram),
-                                        rhs)
+    return matrix, zlinalg.solve_pinned(
+        matrix.entries, pins or _pin_pair(diagram), rhs)
 
 
 def _pin_pair(diagram: FlatDiagram) -> tuple[int, int]:
@@ -93,25 +95,14 @@ def pinned_kernel(diagram: FlatDiagram, request: PinnedKernelRequest):
     """Kernel solution with prescribed values on the two sides of an arc."""
     if request.rule == SINGLE and not is_knot(diagram):
         raise ValueError("single-rule pinning requires a knot projection")
-    arc = arc_by_label(diagram, request.arc)
-    r1, r2 = arc.sides
-    k1, k2 = kernel_basis(diagram, request.rule)
-    u = _pin(k1, k2, r1, r2, request.a, request.b)
-    matrix = incidence.build_matrix(diagram, request.rule)
+    sides = arc_by_label(diagram, request.arc).sides
+    zeros = (0,) * diagram.crossing_count
+    matrix, (family,) = _reduce_and_solve(diagram, request.rule, [zeros],
+                                          sides)
+    u = family.member(request.a, request.b)
     if any(incidence.apply(matrix, u)):
         raise InternalInvariantError("pinned vector left the kernel")
     return u
-
-
-def _pin(k1, k2, r1: int, r2: int, a: int, b: int):
-    """Integer combination of the kernel basis hitting (a, b) on (r1, r2)."""
-    det = _minor(k1, k2, r1, r2)
-    if det not in (1, -1):
-        raise InternalInvariantError(
-            f"kernel restriction determinant is {det}, expected +-1")
-    c1 = (a * k2[r2] - b * k2[r1]) // det
-    c2 = (b * k1[r1] - a * k1[r2]) // det
-    return tuple(c1 * x + c2 * y for x, y in zip(k1, k2))
 
 
 def _minor(k1, k2, r1: int, r2: int) -> int:
@@ -175,8 +166,9 @@ def _component_pinned_kernel(split: ComponentSplit):
         values = [0, 0]
         values[r1], values[r2] = 0, 1
         return tuple(values)
-    k1, k2 = kernel_basis(comp.diagram, DOUBLE)
-    return _pin(k1, k2, r1, r2, 0, 1)
+    zeros = (0,) * comp.diagram.crossing_count
+    _, (family,) = _reduce_and_solve(comp.diagram, DOUBLE, [zeros], (r1, r2))
+    return family.kernel[1]
 
 
 def _component_checkerboard(comp) -> CheckerboardColoring:

@@ -474,7 +474,12 @@ def _gauss_reduce(k1: Vector, k2: Vector) -> tuple[Vector, Vector]:
 
 
 def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
-    """Member of the family with minimal norm (deterministic tie-break)."""
+    """The member of the family with the least norm and, among those, the
+    lexicographically smallest vector.
+
+    The answer depends only on the set of solutions, not on the particular
+    solution or the kernel basis that describe it.
+    """
     if norm not in ("Linf", "L2"):
         raise ValueError(f"norm must be 'Linf' or 'L2', got {norm!r}")
 
@@ -489,59 +494,30 @@ def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
             "minimize_in_family: kernel basis is degenerate")
     k1, k2 = _gauss_reduce(k1, k2)
 
-    # real least-squares for u0 + a k1 + b k2 = 0, then a bounded search
+    # real least-squares for u0 + a k1 + b k2 = 0
     u0 = family.particular
     g11, g12, g22 = dot(k1, k1), dot(k1, k2), dot(k2, k2)
     r1, r2 = dot(u0, k1), dot(u0, k2)
     det = g11 * g22 - g12 * g12
     a0 = Fraction(r2 * g12 - r1 * g22, det)
     b0 = Fraction(r1 * g12 - r2 * g11, det)
-    ca, cb = round(a0), round(b0)
 
     def key_at(a: int, b: int):
         u = tuple(x + a * y + b * z for x, y, z in zip(u0, k1, k2))
         return (_norm(u, norm), u)
 
-    # grow square rings around the least-squares point until two whole
-    # rings stop helping
-    best = key_at(ca, cb)
-    stale = 0
-    radius = 1
-    while stale < 2:
-        ring_best = None
-        for da in range(-radius, radius + 1):
-            for db in range(-radius, radius + 1):
-                if max(abs(da), abs(db)) != radius:
-                    continue
-                key = key_at(ca + da, cb + db)
-                if ring_best is None or key < ring_best:
-                    ring_best = key
-        if ring_best[0] < best[0]:
-            stale = 0
-        else:
-            stale += 1
-        if ring_best < best:
-            best = ring_best
-        radius += 1
-
-    # The rings can stop on a plateau of the Linf norm short of the
-    # minimum, so search exhaustively for a strictly smaller member.  Each
-    # member v of norm below best has |v|_2^2 <= bound, so none exists if
-    # bound is below the least-squares value, and otherwise its a lies in
-    # the projection of that ellipse: (a - a0)^2 <= reach^2.
-    limit = best[0] - 1
-    bound = limit if norm == "L2" else len(u0) * limit ** 2
+    # Start from the member at the rounded least-squares coefficients.
+    # Every member v no larger has |v|_2^2 <= bound, so its a lies in the
+    # projection of that ellipse, (a - a0)^2 <= reach^2; scan it all, ties
+    # included.
+    best = key_at(round(a0), round(b0))
+    bound = best[0] if norm == "L2" else len(u0) * best[0] ** 2
     least = dot(u0, u0) + a0 * r1 + b0 * r2
-    if limit < 0 or bound < least:
-        return best[1]
     reach = math.isqrt(math.floor((bound - least) * g22 / det)) + 1
     for a in range(math.floor(a0) - reach, math.ceil(a0) + reach + 1):
         w = [x + a * y for x, y in zip(u0, k1)]
-        for b in _coefficients_within(w, k2, limit, norm):
-            key = key_at(a, b)
-            if key[0] <= limit and key < best:
-                best = key
-                limit = key[0]
+        for b in _coefficients_within(w, k2, best[0], norm):
+            best = min(best, key_at(a, b))
     return best[1]
 
 
@@ -568,6 +544,8 @@ def _coefficients_within(w: list[int], k: Vector, limit: int,
         b_lo, b_hi = -(-x // d), y // d
         lo = b_lo if lo is None else max(lo, b_lo)
         hi = b_hi if hi is None else min(hi, b_hi)
+        if lo > hi:
+            return range(0)
     return range(lo, hi + 1)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from regionchoice import solvers
+from regionchoice import catalog, solvers
 from regionchoice.cli import main
 
 
@@ -108,6 +108,20 @@ def test_internal_check_exits_4_without_traceback(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("internal error: minimize_in_family")
+    assert "Traceback" not in err
+
+
+def test_catalog_check_exits_4_without_traceback(capsys, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setitem(catalog.REFERENCE_SINGLE, "3_1",
+                      ((1, 1, 1, 1, 1),) * 3)
+        catalog.catalog_entry.cache_clear()
+        code, out, err = run(capsys, "solve", "--diagram", "3_1",
+                             "--b", "1,0,0")
+    catalog.catalog_entry.cache_clear()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: catalog entry 3_1")
     assert "Traceback" not in err
 
 

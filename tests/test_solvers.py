@@ -187,7 +187,8 @@ def test_kernel_basis_spans_for_random_diagrams():
 
 
 def test_minimize_is_not_stopped_by_a_plateau():
-    # the square-ring search alone stops at Linf 12 on this family
+    # a search that stops once a neighbourhood of the least-squares point
+    # stops improving returns Linf 12 here; the minimum is 11
     D = random_diagram(13, 5)
     fam = solve(D, DOUBLE, (-6, -7, -1, -5, -5, -5, 9, 9, 8))
     best = zlinalg.minimize_in_family(fam, "Linf")
@@ -195,3 +196,14 @@ def test_minimize_is_not_stopped_by_a_plateau():
     window = range(-25, 26)
     assert max(map(abs, best)) == 11 == min(
         max(map(abs, fam.member(a, c))) for a in window for c in window)
+
+
+def test_minimize_does_not_depend_on_how_the_family_is_written():
+    D = random_diagram(11, 8)
+    fam = solve(D, SINGLE, (-3, -2, -9, 5, 1, 5, 9, -3, 7, -2, 0, 6, -9))
+    k1, k2 = fam.kernel
+    rebased = zlinalg.SolutionFamily(
+        fam.matrix, fam.b, fam.member(3, -2),
+        (tuple(x + y for x, y in zip(k1, k2)), k2))
+    assert (zlinalg.minimize_in_family(fam, "Linf")
+            == zlinalg.minimize_in_family(rebased, "Linf"))

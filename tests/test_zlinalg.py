@@ -96,9 +96,15 @@ def test_minimize_improves_or_matches():
                 measure = lambda u: sum(x * x for x in u)
             assert measure(best) <= measure(fam.particular)
             # at least as good as everything in a coefficient window
+            window = [(a, c) for a in range(-8, 9) for c in range(-8, 9)]
             assert measure(best) <= min(
-                measure(fam.member(a, c))
-                for a in range(-8, 9) for c in range(-8, 9))
+                measure(fam.member(a, c)) for a, c in window)
+            # and the least (norm, vector) in that window around itself, so
+            # ties go to the lexicographically smaller vector
+            around = type(fam)(fam.matrix, fam.b, best, fam.kernel)
+            assert (measure(best), best) == min(
+                (measure(u), u) for u in (around.member(a, c)
+                                          for a, c in window))
 
 
 def test_minimize_rejects_unknown_norm():
