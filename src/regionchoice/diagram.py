@@ -38,7 +38,10 @@ class FlatDiagram:
     def __post_init__(self) -> None:
         object.__setattr__(self, "crossings",
                            tuple(tuple(c) for c in self.crossings))
-        _validate(self)
+        # the faces traced by the validation, kept so that nothing traces
+        # them again; an attribute, not a field, so ==, hash and repr
+        # ignore it
+        object.__setattr__(self, "_faces", _validate(self))
 
     @property
     def crossing_count(self) -> int:
@@ -166,7 +169,8 @@ def _trace_faces(crossings: tuple[tuple[int, int, int, int], ...]):
     return faces
 
 
-def _validate(diagram: FlatDiagram) -> None:
+def _validate(diagram: FlatDiagram) -> tuple[tuple[Dart, ...], ...]:
+    """Check the diagram and return its faces, as ``_trace_faces`` gives them."""
     n = len(diagram.crossings)
     if n == 0:
         raise DiagramError("diagram has no crossings")
@@ -201,20 +205,28 @@ def _validate(diagram: FlatDiagram) -> None:
                 raise DiagramError(
                     f"region touches crossing v{c + 1} {k} times "
                     "(more than twice is outside the supported domain)")
+    return tuple(faces)
+
+
+def _sorted_faces(diagram: FlatDiagram) -> list[tuple[Dart, ...]]:
+    """The stored faces in canonical region order (by smallest dart)."""
+    return sorted(diagram._faces, key=min)
+
+
+def _corner_regions(diagram: FlatDiagram) -> dict[Dart, int]:
+    """Region index of every corner, numbered as ``regions`` numbers them."""
+    return {corner: i for i, face in enumerate(_sorted_faces(diagram))
+            for corner in face}
 
 
 @lru_cache(maxsize=None)
 def regions(diagram: FlatDiagram) -> tuple[Region, ...]:
     """The ``n + 2`` faces of the diagram in canonical order."""
-    faces = _trace_faces(diagram.crossings)
-    faces.sort(key=lambda orbit: min(orbit))
-    return tuple(Region(i, orbit) for i, orbit in enumerate(faces))
+    return tuple(Region(i, orbit)
+                 for i, orbit in enumerate(_sorted_faces(diagram)))
 
 
-@lru_cache(maxsize=None)
-def _region_at_corner(diagram: FlatDiagram) -> dict[Dart, int]:
-    return {corner: reg.index
-            for reg in regions(diagram) for corner in reg.corners}
+_region_at_corner = lru_cache(maxsize=None)(_corner_regions)
 
 
 def region_at_corner(diagram: FlatDiagram, crossing: int, slot: int) -> int:
@@ -382,14 +394,22 @@ def _relabel(crossings: list[list[int]], name: str | None) -> FlatDiagram:
         tuple(tuple(new_label[x] for x in tup) for tup in crossings), name)
 
 
-def apply_r1(diagram: FlatDiagram, arc_label: int, side: str) -> FlatDiagram:
-    """Insert a kink on the arc, on the chosen side of its traversal."""
-    if side not in ("left", "right"):
-        raise DiagramError(f"side must be 'left' or 'right', got {side!r}")
-    arc = arc_by_label(diagram, arc_label)
-    (c1, s1), (c2, s2) = arc.darts
-    base = max(lab for tup in diagram.crossings for lab in tup)
-    p, q, loop = base + 1, base + 2, base + 3
+# The move bodies read plain tables built from the diagram's stored faces,
+# not the lru_cache'd functions: a grown diagram's intermediate steps are
+# not kept alive in those caches.
+
+
+def _arc_darts(darts: dict[int, list[Dart]], label: int) -> list[Dart]:
+    if label not in darts:
+        raise DiagramError(f"no arc labelled {label}")
+    return darts[label]
+
+
+def _r1(diagram: FlatDiagram, darts: dict[int, list[Dart]], arc_label: int,
+        side: str) -> FlatDiagram:
+    (c1, s1), (c2, s2) = _arc_darts(darts, arc_label)
+    # a valid diagram's labels are exactly 1..2n
+    p, q, loop = range(diagram.arc_count + 1, diagram.arc_count + 4)
     crossings = [list(tup) for tup in diagram.crossings]
     crossings[c1][s1] = p
     crossings[c2][s2] = q
@@ -400,32 +420,23 @@ def apply_r1(diagram: FlatDiagram, arc_label: int, side: str) -> FlatDiagram:
     return _relabel(crossings, diagram.name)
 
 
-def _shared_regions(diagram: FlatDiagram, arc1: Arc, arc2: Arc) -> list[int]:
-    return sorted(set(arc1.sides) & set(arc2.sides))
-
-
-def apply_r2(diagram: FlatDiagram, arc1_label: int, arc2_label: int) -> FlatDiagram:
-    """Push the first arc across the second through a shared region."""
-    if arc1_label == arc2_label:
-        raise DiagramError("cannot push an arc across itself")
-    arc1 = arc_by_label(diagram, arc1_label)
-    arc2 = arc_by_label(diagram, arc2_label)
-    shared = _shared_regions(diagram, arc1, arc2)
+def _r2(diagram: FlatDiagram, darts: dict[int, list[Dart]],
+        corner: dict[Dart, int], arc1_label: int,
+        arc2_label: int) -> FlatDiagram:
+    arc1 = _arc_darts(darts, arc1_label)
+    arc2 = _arc_darts(darts, arc2_label)
+    shared = {corner[d] for d in arc1} & {corner[d] for d in arc2}
     if not shared:
         raise DiagramError(
             f"arcs {arc1_label} and {arc2_label} share no region")
-    region = regions(diagram)[shared[0]]
-    corner = _region_at_corner(diagram)
+    region = min(shared)
 
-    # dart of each arc owned by the shared region; its mate is the far end
-    e = arc1.darts[0] if corner[arc1.darts[0]] == region.index else arc1.darts[1]
-    f = arc2.darts[0] if corner[arc2.darts[0]] == region.index else arc2.darts[1]
-    mate = _mates(diagram.crossings)
-    (c1, s1), (c2, s2) = e, mate[e]
-    (c3, s3), (c4, s4) = f, mate[f]
+    # each arc's dart owned by the shared region first, then its far end
+    (c1, s1), (c2, s2) = arc1 if corner[arc1[0]] == region else arc1[::-1]
+    (c3, s3), (c4, s4) = arc2 if corner[arc2[0]] == region else arc2[::-1]
 
-    base = max(lab for tup in diagram.crossings for lab in tup)
-    p0, p1, p2, q_l, q_m, q_r = range(base + 1, base + 7)
+    p0, p1, p2, q_l, q_m, q_r = range(diagram.arc_count + 1,
+                                      diagram.arc_count + 7)
     crossings = [list(tup) for tup in diagram.crossings]
     crossings[c1][s1] = p0
     crossings[c2][s2] = p2
@@ -436,23 +447,63 @@ def apply_r2(diagram: FlatDiagram, arc1_label: int, arc2_label: int) -> FlatDiag
     return _relabel(crossings, diagram.name)
 
 
+def _r2_pairs(diagram: FlatDiagram, darts: dict[int, list[Dart]],
+              corner: dict[Dart, int]) -> list[tuple[int, int]]:
+    """Every ordered pair of distinct arcs that share a region.
+
+    Arcs come in label order; an arc's partners are the labels on its two
+    side regions, sorted, itself left out.
+    """
+    on_region: list[set[int]] = [set() for _ in range(diagram.region_count)]
+    for (c, s), r in corner.items():
+        on_region[r].add(diagram.crossings[c][s])
+    pairs = []
+    for label in range(1, diagram.arc_count + 1):
+        d1, d2 = darts[label]
+        partners = on_region[corner[d1]] | on_region[corner[d2]]
+        partners.discard(label)
+        pairs.extend((label, b) for b in sorted(partners))
+    return pairs
+
+
+def apply_r1(diagram: FlatDiagram, arc_label: int, side: str) -> FlatDiagram:
+    """Insert a kink on the arc, on the chosen side of its traversal."""
+    if side not in ("left", "right"):
+        raise DiagramError(f"side must be 'left' or 'right', got {side!r}")
+    return _r1(diagram, _darts_by_label(diagram.crossings), arc_label, side)
+
+
+def apply_r2(diagram: FlatDiagram, arc1_label: int, arc2_label: int) -> FlatDiagram:
+    """Push the first arc across the second through a shared region."""
+    if arc1_label == arc2_label:
+        raise DiagramError("cannot push an arc across itself")
+    return _r2(diagram, _darts_by_label(diagram.crossings),
+               _corner_regions(diagram), arc1_label, arc2_label)
+
+
 def random_diagram(seed: int, move_count: int) -> FlatDiagram:
-    """Grow a knot projection from the one-crossing curl by random moves."""
+    """Grow a knot projection from the one-crossing curl by random moves.
+
+    Each move is R1 on a random arc and side, or R2 on a random pair from
+    ``_r2_pairs``.  The order of that list is part of the seeded-output
+    contract: ``rng.choice`` picks by position, so reordering it changes
+    every seeded diagram (the golden digest in ``tests/test_diagram.py``).
+    """
     if move_count < 0:
         raise DiagramError("move_count must be non-negative")
     rng = random.Random(seed)
     diagram = FlatDiagram(((1, 2, 2, 1),), name=f"random-{seed}-{move_count}")
     for _ in range(move_count):
-        labels = [arc.label for arc in arcs(diagram)]
+        darts = _darts_by_label(diagram.crossings)
         if rng.random() < 0.5:
-            diagram = apply_r1(diagram, rng.choice(labels),
-                               rng.choice(("left", "right")))
+            label = rng.choice(range(1, diagram.arc_count + 1))
+            diagram = _r1(diagram, darts, label,
+                          rng.choice(("left", "right")))
         else:
-            pairs = [(a.label, b.label)
-                     for a in arcs(diagram) for b in arcs(diagram)
-                     if a.label != b.label and _shared_regions(diagram, a, b)]
-            diagram = apply_r2(diagram, *rng.choice(pairs))
-    return FlatDiagram(diagram.crossings, f"random-{seed}-{move_count}")
+            corner = _corner_regions(diagram)
+            pair = rng.choice(_r2_pairs(diagram, darts, corner))
+            diagram = _r2(diagram, darts, corner, *pair)
+    return diagram
 
 
 # ---------------------------------------------------------------------------

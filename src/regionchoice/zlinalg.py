@@ -510,15 +510,64 @@ def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
     # Every member v no larger has |v|_2^2 <= bound, so its a lies in the
     # projection of that ellipse, (a - a0)^2 <= reach^2; scan it all, ties
     # included.
-    best = key_at(round(a0), round(b0))
+    start = round(a0)
+    best = key_at(start, round(b0))
     bound = best[0] if norm == "L2" else len(u0) * best[0] ** 2
     least = dot(u0, u0) + a0 * r1 + b0 * r2
     reach = math.isqrt(math.floor((bound - least) * g22 / det)) + 1
-    for a in range(math.floor(a0) - reach, math.ceil(a0) + reach + 1):
+    a_lo, a_hi = math.floor(a0) - reach, math.ceil(a0) + reach
+    if norm == "Linf":
+        # For Linf the ellipse is loose.  The members no larger lie in the
+        # polygon |u0 + a k1 + b k2|_inf <= best, whose real projection
+        # onto a is an interval holding start; bisect for its integer ends.
+        def inside(a: int) -> bool:
+            w = [x + a * y for x, y in zip(u0, k1)]
+            return _has_real_coefficient(w, k2, best[0])
+
+        a_lo = _last_inside(inside, start, a_lo)
+        a_hi = _last_inside(inside, start, a_hi)
+    for a in range(a_lo, a_hi + 1):
         w = [x + a * y for x, y in zip(u0, k1)]
         for b in _coefficients_within(w, k2, best[0], norm):
             best = min(best, key_at(a, b))
     return best[1]
+
+
+def _last_inside(inside, a_in: int, a_out: int) -> int:
+    """The integer nearest ``a_out`` with ``inside`` true, by bisection.
+
+    ``inside(a_in)`` holds, ``inside(a_out)`` does not, and ``inside`` is
+    true on an interval (the projection of a convex set).
+    """
+    while abs(a_out - a_in) > 1:
+        mid = (a_in + a_out) // 2
+        if inside(mid):
+            a_in = mid
+        else:
+            a_out = mid
+    return a_in
+
+
+def _has_real_coefficient(w: list[int], k: Vector, limit: int) -> bool:
+    """True iff some real b has |w + b k|_inf <= limit.
+
+    Each coordinate bounds b to [(-limit - c) / d, (limit - c) / d]; the
+    rational bounds are kept as (numerator, positive denominator) pairs and
+    compared exactly by cross-multiplication.
+    """
+    lo = hi = None
+    for c, d in zip(w, k):
+        if d == 0:
+            if abs(c) > limit:
+                return False
+            continue
+        if d < 0:
+            c, d = -c, -d       # |c + b d| = |-c - b d|
+        if lo is None or (-limit - c) * lo[1] > lo[0] * d:
+            lo = (-limit - c, d)
+        if hi is None or (limit - c) * hi[1] < hi[0] * d:
+            hi = (limit - c, d)
+    return lo is None or lo[0] * hi[1] <= hi[0] * lo[1]
 
 
 def _coefficients_within(w: list[int], k: Vector, limit: int,

@@ -179,6 +179,15 @@ def test_random_emits_parseable_document(capsys, tmp_path):
     assert code == 0
 
 
+def test_random_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "random", "--seed", "7", "--moves", "5")
+    assert code == 0
+    assert out == (
+        '{"crossings": [[1, 2, 2, 3], [4, 5, 5, 6], [7, 8, 3, 9], '
+        '[6, 10, 11, 4], [12, 13, 10, 9], [8, 13, 12, 14], [1, 14, 15, 15], '
+        '[7, 16, 16, 11]], "name": "random-7-5"}\n')
+
+
 def test_rref_text(capsys):
     code, out, _ = run(capsys, "rref", "--diagram", "3_1", "--reference-labels")
     assert code == 0

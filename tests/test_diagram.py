@@ -1,13 +1,19 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from regionchoice.diagram import (D0, DiagramError, FlatDiagram, apply_r1,
-                                  apply_r2, arc_by_label, arcs, checkerboard,
-                                  component_count, corner_count, is_knot,
-                                  is_reducible, parse_flat_pd, random_diagram,
-                                  reducible_crossings, region_at_corner,
-                                  regions, splice, to_dot, to_flat_pd)
+from regionchoice.catalog import catalog, names
+from regionchoice.diagram import (D0, DiagramError, FlatDiagram, _corner_regions,
+                                  _darts_by_label, _r2_pairs, _trace_faces,
+                                  apply_r1, apply_r2, arc_by_label, arcs,
+                                  checkerboard, component_count, corner_count,
+                                  is_knot, is_reducible, parse_flat_pd,
+                                  random_diagram, reducible_crossings,
+                                  region_at_corner, regions, splice, to_dot,
+                                  to_flat_pd)
 
 TREFOIL = ((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3))
 
@@ -173,6 +179,71 @@ def test_random_diagram_deterministic():
 
 def test_random_diagram_zero_moves_is_curl():
     assert random_diagram(42, 0).crossings == D0.crossings
+
+
+# sha256 of to_flat_pd(random_diagram(s, m)) + "\n" over the cases below, as
+# the O(arcs^2) pair filter produced them before R2 pairs came from region
+# incidence: every seeded diagram must stay byte-for-byte the same
+GOLDEN_SEEDS = range(30)
+GOLDEN_MOVES = (0, 1, 2, 5, 11, 21, 43)
+GOLDEN_SHA256 = \
+    "6f2078ec23059c42330a2c31e5dfcee804d654c88ce14045425351ad8d9220a7"
+
+
+def test_seeded_diagrams_match_the_golden_digest():
+    h = hashlib.sha256()
+    for s in GOLDEN_SEEDS:
+        for m in GOLDEN_MOVES:
+            h.update((to_flat_pd(random_diagram(s, m)) + "\n").encode())
+    assert h.hexdigest() == GOLDEN_SHA256
+
+
+def grown():
+    return [random_diagram(seed, moves)
+            for seed in range(12) for moves in (0, 1, 3, 8, 20)]
+
+
+def test_r2_pairs_from_incidence_equal_the_quadratic_filter():
+    for D in grown() + [catalog(name) for name in names()]:
+        oracle = [(a.label, b.label) for a in arcs(D) for b in arcs(D)
+                  if a.label != b.label and set(a.sides) & set(b.sides)]
+        pairs = _r2_pairs(D, _darts_by_label(D.crossings), _corner_regions(D))
+        assert pairs == oracle
+
+
+def test_regions_come_from_the_stored_faces():
+    for D in grown() + [catalog(name) for name in names()]:
+        fresh = sorted(_trace_faces(D.crossings), key=min)
+        assert [reg.corners for reg in regions(D)] == fresh
+        assert [reg.index for reg in regions(D)] == list(range(len(fresh)))
+
+
+def test_stored_faces_are_not_a_field():
+    D = FlatDiagram(TREFOIL, "t")
+    assert [f.name for f in dataclasses.fields(D)] == ["crossings", "name"]
+    assert D == FlatDiagram(TREFOIL, "t")
+    assert hash(D) == hash(FlatDiagram(TREFOIL, "t"))
+    assert repr(D) == "FlatDiagram([[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]] 't')"
+
+
+def test_moves_leave_the_diagram_caches_alone():
+    before = (arcs.cache_info().currsize, regions.cache_info().currsize)
+    for seed in range(3):
+        D = random_diagram(1000 + seed, 43)
+    apply_r1(D, 1, "left")
+    apply_r2(D, *_r2_pairs(D, _darts_by_label(D.crossings),
+                           _corner_regions(D))[0])
+    assert (arcs.cache_info().currsize,
+            regions.cache_info().currsize) == before
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), moves=st.integers(0, 30))
+def test_flat_pd_round_trip_keeps_diagram_and_faces(seed, moves):
+    D = random_diagram(seed, moves)
+    back = parse_flat_pd(to_flat_pd(D))
+    assert back == D
+    assert back._faces == D._faces
 
 
 def test_random_diagram_stays_valid_knot():

@@ -1,13 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from regionchoice.zlinalg import (EchelonForm, InternalInvariantError,
-                                  NotE00Error, determinant, kernel_basis,
-                                  minimize_in_family, reduce_to_e00, replay,
-                                  rref_rational, solve_gf2, solve_integral,
-                                  solve_pinned)
+                                  NotE00Error, SolutionFamily, determinant,
+                                  kernel_basis, minimize_in_family,
+                                  reduce_to_e00, replay, rref_rational,
+                                  solve_gf2, solve_integral, solve_pinned)
 
 CURL = ((2, 1, 1),)
 TREFOIL = ((1, 1, 1, 1, 0),
@@ -105,6 +106,58 @@ def test_minimize_improves_or_matches():
             assert (measure(best), best) == min(
                 (measure(u), u) for u in (around.member(a, c)
                                           for a, c in window))
+
+
+def _ellipse_scan(family, norm):
+    """Least (norm, member) over every a in the L2 ellipse's projection.
+
+    The scan minimize_in_family ran before its Linf window came from the
+    polygon's projection; kept as an oracle for that window.
+    """
+    from regionchoice.zlinalg import (_coefficients_within, _gauss_reduce,
+                                      _norm)
+    k1, k2 = _gauss_reduce(*family.kernel)
+    u0 = family.particular
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    g11, g12, g22 = dot(k1, k1), dot(k1, k2), dot(k2, k2)
+    r1, r2 = dot(u0, k1), dot(u0, k2)
+    det = g11 * g22 - g12 * g12
+    a0 = Fraction(r2 * g12 - r1 * g22, det)
+    b0 = Fraction(r1 * g12 - r2 * g11, det)
+
+    def key_at(a, b):
+        u = tuple(x + a * y + b * z for x, y, z in zip(u0, k1, k2))
+        return (_norm(u, norm), u)
+
+    best = key_at(round(a0), round(b0))
+    bound = best[0] if norm == "L2" else len(u0) * best[0] ** 2
+    least = dot(u0, u0) + a0 * r1 + b0 * r2
+    reach = math.isqrt(math.floor((bound - least) * g22 / det)) + 1
+    for a in range(math.floor(a0) - reach, math.ceil(a0) + reach + 1):
+        w = [x + a * y for x, y in zip(u0, k1)]
+        for b in _coefficients_within(w, k2, best[0], norm):
+            best = min(best, key_at(a, b))
+    return best[1]
+
+
+def test_minimize_matches_the_full_ellipse_scan():
+    rng = random.Random(17)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(2, 12)
+        u0 = tuple(rng.randint(-60, 60) for _ in range(n))
+        k1 = tuple(rng.randint(-5, 5) for _ in range(n))
+        k2 = tuple(rng.randint(-5, 5) for _ in range(n))
+        if (sum(x * x for x in k1) * sum(y * y for y in k2)
+                == sum(x * y for x, y in zip(k1, k2)) ** 2):
+            continue
+        fam = SolutionFamily((), (), u0, (k1, k2))
+        for norm in ("Linf", "L2"):
+            assert minimize_in_family(fam, norm) == _ellipse_scan(fam, norm)
+        checked += 1
 
 
 def test_minimize_rejects_unknown_norm():
