@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 from .zlinalg import InternalInvariantError
@@ -34,14 +34,17 @@ class FlatDiagram:
 
     crossings: tuple[tuple[int, int, int, int], ...]
     name: str | None = None
+    # ``_darts_by_label(crossings)`` when the caller already built it (the
+    # random moves do); init-only, never stored
+    _darts: InitVar[dict[int, list[Dart]] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, darts) -> None:
         object.__setattr__(self, "crossings",
                            tuple(tuple(c) for c in self.crossings))
         # the faces traced by the validation, kept so that nothing traces
         # them again; an attribute, not a field, so ==, hash and repr
         # ignore it
-        object.__setattr__(self, "_faces", _validate(self))
+        object.__setattr__(self, "_faces", _validate(self, darts))
 
     @property
     def crossing_count(self) -> int:
@@ -140,15 +143,19 @@ def _darts_by_label(crossings) -> dict[int, list[Dart]]:
     return by_label
 
 
-def _mates(crossings) -> dict[Dart, Dart]:
-    """Each dart's partner: the other end of its arc."""
+def _mates(crossings, darts=None) -> dict[Dart, Dart]:
+    """Each dart's partner: the other end of its arc.  ``darts`` is
+    ``_darts_by_label(crossings)``, built here when not given."""
+    if darts is None:
+        darts = _darts_by_label(crossings)
     return {d: (pair[0] if d == pair[1] else pair[1])
-            for pair in _darts_by_label(crossings).values() for d in pair}
+            for pair in darts.values() for d in pair}
 
 
-def _trace_faces(crossings: tuple[tuple[int, int, int, int], ...]):
+def _trace_faces(crossings: tuple[tuple[int, int, int, int], ...],
+                 darts=None):
     """Face orbits of the map, each started at its smallest dart."""
-    mate = _mates(crossings)
+    mate = _mates(crossings, darts)
     faces = []
     seen: set[Dart] = set()
     for start in sorted(mate):
@@ -169,7 +176,8 @@ def _trace_faces(crossings: tuple[tuple[int, int, int, int], ...]):
     return faces
 
 
-def _validate(diagram: FlatDiagram) -> tuple[tuple[Dart, ...], ...]:
+def _validate(diagram: FlatDiagram, darts=None
+              ) -> tuple[tuple[Dart, ...], ...]:
     """Check the diagram and return its faces, as ``_trace_faces`` gives them."""
     n = len(diagram.crossings)
     if n == 0:
@@ -191,7 +199,7 @@ def _validate(diagram: FlatDiagram) -> tuple[tuple[Dart, ...], ...]:
         if got != 2:
             raise DiagramError(f"unpaired arc label {label} (appears {got}x)")
 
-    faces = _trace_faces(diagram.crossings)
+    faces = _trace_faces(diagram.crossings, darts)
     if len(faces) != n + 2:
         raise DiagramError(
             f"non-spherical map: {n} crossings but {len(faces)} faces "
@@ -382,16 +390,21 @@ def to_dot(diagram: FlatDiagram) -> str:
 # Reidemeister edits
 
 
-def _relabel(crossings: list[list[int]], name: str | None) -> FlatDiagram:
-    """Renumber arc labels to 1..2n by smallest incident dart."""
-    first_seen: dict[int, Dart] = {}
-    for c, tup in enumerate(crossings):
-        for s, label in enumerate(tup):
-            first_seen.setdefault(label, (c, s))
-    order = sorted(first_seen, key=lambda lab: first_seen[lab])
-    new_label = {old: i + 1 for i, old in enumerate(order)}
+def _relabel(crossings: list[list[int]], name: str | None
+             ) -> tuple[FlatDiagram, dict[int, list[Dart]]]:
+    """Renumber arc labels to 1..2n by smallest incident dart.
+
+    Returns the diagram and its darts by label, the one table both its
+    validation and the next move read.
+    """
+    old = _darts_by_label(crossings)
+    # each list is in (crossing, slot) order, so its head is the first dart
+    order = sorted(old, key=lambda lab: old[lab][0])
+    new_label = {label: i + 1 for i, label in enumerate(order)}
+    darts = {new_label[label]: old[label] for label in order}
     return FlatDiagram(
-        tuple(tuple(new_label[x] for x in tup) for tup in crossings), name)
+        tuple(tuple(new_label[x] for x in tup) for tup in crossings), name,
+        darts), darts
 
 
 # The move bodies read plain tables built from the diagram's stored faces,
@@ -406,7 +419,7 @@ def _arc_darts(darts: dict[int, list[Dart]], label: int) -> list[Dart]:
 
 
 def _r1(diagram: FlatDiagram, darts: dict[int, list[Dart]], arc_label: int,
-        side: str) -> FlatDiagram:
+        side: str) -> tuple[FlatDiagram, dict[int, list[Dart]]]:
     (c1, s1), (c2, s2) = _arc_darts(darts, arc_label)
     # a valid diagram's labels are exactly 1..2n
     p, q, loop = range(diagram.arc_count + 1, diagram.arc_count + 4)
@@ -422,7 +435,7 @@ def _r1(diagram: FlatDiagram, darts: dict[int, list[Dart]], arc_label: int,
 
 def _r2(diagram: FlatDiagram, darts: dict[int, list[Dart]],
         corner: dict[Dart, int], arc1_label: int,
-        arc2_label: int) -> FlatDiagram:
+        arc2_label: int) -> tuple[FlatDiagram, dict[int, list[Dart]]]:
     arc1 = _arc_darts(darts, arc1_label)
     arc2 = _arc_darts(darts, arc2_label)
     shared = {corner[d] for d in arc1} & {corner[d] for d in arc2}
@@ -470,7 +483,8 @@ def apply_r1(diagram: FlatDiagram, arc_label: int, side: str) -> FlatDiagram:
     """Insert a kink on the arc, on the chosen side of its traversal."""
     if side not in ("left", "right"):
         raise DiagramError(f"side must be 'left' or 'right', got {side!r}")
-    return _r1(diagram, _darts_by_label(diagram.crossings), arc_label, side)
+    return _r1(diagram, _darts_by_label(diagram.crossings), arc_label,
+               side)[0]
 
 
 def apply_r2(diagram: FlatDiagram, arc1_label: int, arc2_label: int) -> FlatDiagram:
@@ -478,7 +492,7 @@ def apply_r2(diagram: FlatDiagram, arc1_label: int, arc2_label: int) -> FlatDiag
     if arc1_label == arc2_label:
         raise DiagramError("cannot push an arc across itself")
     return _r2(diagram, _darts_by_label(diagram.crossings),
-               _corner_regions(diagram), arc1_label, arc2_label)
+               _corner_regions(diagram), arc1_label, arc2_label)[0]
 
 
 def random_diagram(seed: int, move_count: int) -> FlatDiagram:
@@ -492,17 +506,16 @@ def random_diagram(seed: int, move_count: int) -> FlatDiagram:
     if move_count < 0:
         raise DiagramError("move_count must be non-negative")
     rng = random.Random(seed)
-    diagram = FlatDiagram(((1, 2, 2, 1),), name=f"random-{seed}-{move_count}")
+    diagram, darts = _relabel([[1, 2, 2, 1]], f"random-{seed}-{move_count}")
     for _ in range(move_count):
-        darts = _darts_by_label(diagram.crossings)
         if rng.random() < 0.5:
             label = rng.choice(range(1, diagram.arc_count + 1))
-            diagram = _r1(diagram, darts, label,
-                          rng.choice(("left", "right")))
+            diagram, darts = _r1(diagram, darts, label,
+                                 rng.choice(("left", "right")))
         else:
             corner = _corner_regions(diagram)
             pair = rng.choice(_r2_pairs(diagram, darts, corner))
-            diagram = _r2(diagram, darts, corner, *pair)
+            diagram, darts = _r2(diagram, darts, corner, *pair)
     return diagram
 
 

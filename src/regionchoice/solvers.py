@@ -181,23 +181,19 @@ def solve_single_via_double(diagram: FlatDiagram, b):
     """Single-rule solution built from a double-rule one plus add-1 fixes.
 
     The double-rule assignment overshoots at each (necessarily reducible)
-    crossing by the values of the regions with two corners there; single-rule
-    add-1 assignments from one reduction cancel the overshoots.
+    crossing by the values of the regions with two corners there.  The
+    canonical single-rule particular is linear in the right-hand side, so
+    the sum of the add-1 fixes for all overshoots is the one particular for
+    ``-overshoot``.
     """
     particular = solve(diagram, DOUBLE, b).particular
-    n = diagram.crossing_count
-    overshoot = [0] * n
+    overshoot = [0] * diagram.crossing_count
     for region, crossings in incidence.rule_gap_columns(diagram).items():
         for v in crossings:
             overshoot[v] += particular[region]
-    needed = [v for v in range(n) if overshoot[v]]
-    matrix, families = _reduce_and_solve(
-        diagram, SINGLE, [_unit(n, v, -1) for v in needed])
-    u = list(particular)
-    for v, family in zip(needed, families):
-        for i, x in enumerate(family.particular):
-            u[i] += overshoot[v] * x
-    u = tuple(u)
+    matrix, (fix,) = _reduce_and_solve(
+        diagram, SINGLE, [tuple(-x for x in overshoot)])
+    u = tuple(x + y for x, y in zip(particular, fix.particular))
     if any(incidence.residual(matrix, u, tuple(b))):
         raise InternalInvariantError(
             "two-path single-rule construction has nonzero residual")

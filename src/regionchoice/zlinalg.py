@@ -10,7 +10,11 @@ solvability for every right-hand side.
 The solvers use ``solve_pinned`` instead: deleting two suitable columns
 leaves a square unimodular matrix, which sparse elimination with +-1 pivots
 factors exactly, and every right-hand side is solved from that one
-factorisation.
+factorisation.  ``rref_rational`` reads the exact echelon form of
+``[A | I]`` off the same factorisation (``_UnitFactorisation``), run over
+all columns so that the elimination itself picks the two it leaves out; it
+takes an n x (n+2) matrix with such a factorisation.  No dense elimination
+over the rationals is left here.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -312,56 +317,88 @@ def solve_pinned(matrix: Matrix, pins: tuple[int, int],
     for b in rhs:
         if len(b) != rows:
             raise ValueError(f"b has length {len(b)}, expected {rows}")
-    a = [{j: x for j, x in enumerate(row) if x} for row in matrix]
-    ops, pivots = _factor_unit(
-        [{j: x for j, x in row.items() if j != r1 and j != r2} for row in a],
-        [j for j in range(cols) if j != r1 and j != r2])
-
-    product = 1
-    for _, _, p, _ in pivots:
-        product *= p
-    if product not in (1, -1):
-        raise InternalInvariantError(
-            f"pinned solve, certificate: pivot product is {product}")
-
-    def solve_b(y: list[int], pinned: tuple[int, int]) -> Vector:
-        x = _substitute(ops, pivots, y, cols)
-        x[r1], x[r2] = pinned
-        return tuple(x)
-
-    k1 = solve_b([-row.get(r1, 0) for row in a], (1, 0))
-    k2 = solve_b([-row.get(r2, 0) for row in a], (0, 1))
-    families = [SolutionFamily(matrix, b, solve_b([-v for v in b], (0, 0)),
-                               (k1, k2)) for b in rhs]
-
-    def image(u: Vector) -> list[int]:
-        return [sum(x * u[j] for j, x in row.items()) for row in a]
-
-    if any(image(k1)) or any(image(k2)):
-        raise InternalInvariantError(
-            "pinned solve, certificate: kernel vector outside the kernel")
-    if k1[r1] * k2[r2] - k2[r1] * k1[r2] != 1:
-        raise InternalInvariantError(
-            "pinned solve, certificate: kernel minor on the pins is not 1")
+    f = _UnitFactorisation(matrix, pins, "pinned solve")
+    families = [SolutionFamily(matrix, b,
+                               tuple(f.solve([-v for v in b])), f.kernel)
+                for b in rhs]
     for family in families:
-        if any(x + y for x, y in zip(image(family.particular), family.b)):
-            raise InternalInvariantError(
-                "pinned solve, certificate: particular solution has nonzero "
-                "residual")
+        if any(x + y for x, y in zip(f.image(family.particular), family.b)):
+            f.fail("particular solution has nonzero residual")
     return families
 
 
-def _factor_unit(rows: list[dict[int, int]], columns: list[int]):
-    """Eliminate a square sparse integer matrix in place with +-1 pivots.
+class _UnitFactorisation:
+    """An n x (n+2) matrix ``A`` factored once by ``_factor_unit``, leaving
+    two columns, the pins, unpivoted: the square rest ``B`` is unimodular.
+
+    With ``pins`` given those two columns are deleted before the
+    elimination; with ``pins=None`` every column may be pivoted and the two
+    the elimination leaves become the pins.  Construction checks the
+    certificate shared by every caller (pivot product +-1, both kernel
+    vectors in the kernel, kernel minor 1 on the pins); ``stage`` names the
+    caller in every ``InternalInvariantError``.
+    """
+
+    def __init__(self, matrix: Matrix, pins: tuple[int, int] | None,
+                 stage: str) -> None:
+        self.stage = stage
+        self.cols = len(matrix[0])
+        self.rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+        if pins is None:
+            self.ops, self.pivots, left = _factor_unit(
+                [dict(row) for row in self.rows], range(self.cols), stage,
+                free=True)
+            pins = tuple(sorted(left))
+        else:
+            self.ops, self.pivots, _ = _factor_unit(
+                [{j: x for j, x in row.items() if j not in pins}
+                 for row in self.rows],
+                [j for j in range(self.cols) if j not in pins], stage)
+        self.pins = pins
+
+        product = 1
+        for _, _, p, _ in self.pivots:
+            product *= p
+        if product not in (1, -1):
+            self.fail(f"pivot product is {product}")
+        r1, r2 = pins
+        k1 = tuple(self.solve([-row.get(r1, 0) for row in self.rows], (1, 0)))
+        k2 = tuple(self.solve([-row.get(r2, 0) for row in self.rows], (0, 1)))
+        if any(self.image(k1)) or any(self.image(k2)):
+            self.fail("kernel vector outside the kernel")
+        if k1[r1] * k2[r2] - k2[r1] * k1[r2] != 1:
+            self.fail("kernel minor on the pins is not 1")
+        self.kernel = (k1, k2)
+
+    def solve(self, y: list[int], pinned: tuple[int, int] = (0, 0)
+              ) -> list[int]:
+        """The x with ``A x = y`` and the values ``pinned`` on the pins."""
+        x = _substitute(self.ops, self.pivots, y, self.cols)
+        x[self.pins[0]], x[self.pins[1]] = pinned
+        return x
+
+    def image(self, u) -> list[int]:
+        """``A u``, from the sparse rows."""
+        return [sum(x * u[j] for j, x in row.items()) for row in self.rows]
+
+    def fail(self, what: str) -> NoReturn:
+        raise InternalInvariantError(f"{self.stage}, certificate: {what}")
+
+
+def _factor_unit(rows: list[dict[int, int]], columns, stage: str,
+                 free: bool = False):
+    """Eliminate a sparse integer matrix in place with +-1 pivots, one per
+    row.
 
     ``rows`` maps column index to nonzero entry; ``columns`` are the column
-    indices in use.  A pivot is the +-1 entry of a live row with the least
-    Markowitz cost (other entries in its row times other live entries in its
-    column); the scan stops at the first row holding a cost-0 pivot.  When
-    no +-1 entry is live, ``_make_unit`` makes one.  Returns the row
-    operations ``(target, source, m)``, meaning
-    ``row[target] += m * row[source]``, and the pivots in order as
-    ``(row, column, pivot, rest of the pivot row)``.
+    indices that may be pivoted.  A pivot is the +-1 entry of a live row
+    with the least Markowitz cost (other entries in its row times other live
+    entries in its column); the scan stops at the first row holding a cost-0
+    pivot.  When no +-1 entry is live, ``_make_unit`` makes one (``free``
+    says whether it may pass over a column; see there).  Returns the row
+    operations ``(target, source, m)``, meaning ``row[target] += m *
+    row[source]``, the pivots in order as ``(row, column, pivot, rest of the
+    pivot row)``, and the set of columns left unpivoted.
     """
     live_rows = set(range(len(rows)))
     live_cols = set(columns)
@@ -398,7 +435,7 @@ def _factor_unit(rows: list[dict[int, int]], columns: list[int]):
             if best is not None and best[0] == 0:
                 break
         if best is None:
-            _make_unit(rows, col_rows, live_cols, add_row)
+            _make_unit(rows, col_rows, live_cols, add_row, stage, free)
             continue
         _, i, j = best
         p = rows[i][j]
@@ -409,18 +446,34 @@ def _factor_unit(rows: list[dict[int, int]], columns: list[int]):
         for c in rows[i]:
             col_rows[c].discard(i)
         pivots.append((i, j, p, {c: x for c, x in rows[i].items() if c != j}))
-    return ops, pivots
+    return ops, pivots, live_cols
 
 
-def _make_unit(rows, col_rows, live_cols, add_row) -> None:
-    """Euclid row steps on the sparsest live column until one of its entries
-    is +-1; a gcd other than 1 there means the matrix is not unimodular."""
-    j = min(live_cols, key=lambda c: (len(col_rows[c]), c))
+def _make_unit(rows, col_rows, live_cols, add_row, stage: str,
+               free: bool) -> None:
+    """Euclid row steps on one live column until one of its entries is +-1.
+
+    The column is the sparsest live one.  When every column must be pivoted,
+    a gcd other than 1 there means the matrix is not unimodular.  When two
+    columns may stay unpivoted (``free``), columns whose live entries have a
+    gcd other than 1 are passed over, and only a matrix with no live column
+    of gcd 1 is refused.
+    """
+    order = sorted(live_cols, key=lambda c: (len(col_rows[c]), c))
+    if free:
+        j = next((c for c in order
+                  if math.gcd(*(rows[k][c] for k in col_rows[c])) == 1), None)
+        if j is None:
+            raise InternalInvariantError(
+                f"{stage}, elimination: no live column has gcd 1, so no "
+                "unimodular column basis is reachable")
+    else:
+        j = order[0]
     while True:
         holders = sorted(col_rows[j], key=lambda k: (abs(rows[k][j]), k))
         if not holders:
             raise InternalInvariantError(
-                f"pinned solve, elimination: column {j} has no live entry, "
+                f"{stage}, elimination: column {j} has no live entry, "
                 "so the pinned block is singular")
         source = holders[0]
         e = rows[source][j]
@@ -428,7 +481,7 @@ def _make_unit(rows, col_rows, live_cols, add_row) -> None:
             return
         if len(holders) == 1:
             raise InternalInvariantError(
-                f"pinned solve, elimination: column {j} has gcd {abs(e)}, "
+                f"{stage}, elimination: column {j} has gcd {abs(e)}, "
                 "so the pinned block is not unimodular")
         for k in holders[1:]:
             add_row(k, source, -(rows[k][j] // e))
@@ -526,10 +579,25 @@ def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
 
         a_lo = _last_inside(inside, start, a_lo)
         a_hi = _last_inside(inside, start, a_hi)
+    # The members of one row a are w + b k2: convex in b under either norm,
+    # and lexicographically monotone in b, rising with b when k2's first
+    # nonzero entry is positive.  Scanned in lexicographic order, the row's
+    # least key is where its norm stops falling, and only that member is
+    # built and compared with the best.
+    rising = next(x for x in k2 if x) > 0
     for a in range(a_lo, a_hi + 1):
         w = [x + a * y for x, y in zip(u0, k1)]
-        for b in _coefficients_within(w, k2, best[0], norm):
-            best = min(best, key_at(a, b))
+        window = _coefficients_within(w, k2, best[0], norm)
+        row = None
+        for b in window if rising else reversed(window):
+            size = (max(abs(x + b * y) for x, y in zip(w, k2))
+                    if norm == "Linf"
+                    else sum((x + b * y) ** 2 for x, y in zip(w, k2)))
+            if row is not None and size >= row[0]:
+                break
+            row = (size, b)
+        if row is not None and row[0] <= best[0]:
+            best = min(best, key_at(a, row[1]))
     return best[1]
 
 
@@ -680,34 +748,69 @@ class EchelonForm:
 
 
 def rref_rational(matrix: Matrix) -> EchelonForm:
-    """Reduced row echelon form of ``[A | I]`` over the rationals."""
+    """Reduced row echelon form of ``[A | I]`` over the rationals, for an
+    n x (n+2) matrix ``A`` with a unit-pivot factorisation.
+
+    The RREF is unique, so it is read off one ``_UnitFactorisation`` over
+    all columns.  Its two non-pivot columns ``f1 < f2`` are the
+    lexicographically last pair on which the kernel basis has a nonzero
+    minor ``D``: ``f2`` is the last column where the kernel is not zero and
+    ``f1`` the last before it with ``D`` nonzero.  The ``b`` coefficients
+    are ``A_S^-1 e_k``, the solution of ``A x = e_k`` that is zero on
+    ``(f1, f2)``: the factorisation's solution, moved along the kernel by
+    one Cramer step with denominator ``D``.  A free column's coefficients
+    are the negated kernel vector that is 1 there and 0 on the other.  The
+    call checks that every such ``x`` solves ``A x = e_k`` exactly and
+    raises ``InternalInvariantError`` naming the stage otherwise.
+    """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == k))
-                                          for k in range(rows)]
-            for i, row in enumerate(matrix)]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(rows):
-            if i != r and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if any(work[i][:cols]):
-            raise InternalInvariantError(
-                "rref_rational: rows below rank are not zero")
-    return EchelonForm(
-        tuple(pivot_cols),
-        tuple(tuple(row[:cols]) for row in work[:r]),
-        tuple(tuple(row[cols:]) for row in work[:r]))
+    if rows == 0 or cols != rows + 2:
+        raise ValueError(f"expected an n x (n+2) matrix with n >= 1, got "
+                         f"{rows} x {cols}")
+    f = _UnitFactorisation(matrix, None, "echelon")
+    k1, k2 = f.kernel
+    f2 = max(j for j in range(cols) if k1[j] or k2[j])
+    f1, d = next(((j, k1[j] * k2[f2] - k2[j] * k1[f2])
+                  for j in range(f2 - 1, -1, -1)
+                  if k1[j] * k2[f2] != k2[j] * k1[f2]), (None, 0))
+    if not d:
+        f.fail("the kernel basis has no nonzero minor")
+    pivot_cols = tuple(j for j in range(cols) if j != f1 and j != f2)
+
+    def on_pair(x: list[int]) -> list[int]:
+        """``D`` times the vector ``x + alpha k1 + beta k2`` that is zero on
+        ``(f1, f2)``."""
+        alpha = x[f2] * k2[f1] - x[f1] * k2[f2]
+        beta = x[f1] * k1[f2] - x[f2] * k1[f1]
+        return [d * v + alpha * a + beta * b for v, a, b in zip(x, k1, k2)]
+
+    fractions: dict[int, Fraction] = {}
+
+    def frac(v: int) -> Fraction:
+        """``v / D``, each value built once."""
+        got = fractions.get(v)
+        if got is None:
+            got = fractions[v] = Fraction(v, d)
+        return got
+
+    b_columns = []
+    for k in range(rows):
+        x = on_pair(f.solve([int(i == k) for i in range(rows)]))
+        if (x[f1] or x[f2]
+                or f.image(x) != [d * int(i == k) for i in range(rows)]):
+            f.fail(f"A_S^-1 e_{k + 1} does not solve A x = e_{k + 1}")
+        b_columns.append([frac(x[j]) for j in pivot_cols])
+    # the kernel vectors with D times (1, 0) and (0, 1) on (f1, f2)
+    z1 = [k2[f2] * a - k1[f2] * b for a, b in zip(k1, k2)]
+    z2 = [k1[f1] * b - k2[f1] * a for a, b in zip(k1, k2)]
+    zero, one = Fraction(0), Fraction(1)
+    coeffs = []
+    for p in pivot_cols:
+        row = [zero] * cols
+        row[p] = one
+        row[f1], row[f2] = frac(-z1[p]), frac(-z2[p])
+        coeffs.append(tuple(row))
+    return EchelonForm(pivot_cols, tuple(coeffs),
+                       tuple(zip(*b_columns)))
+

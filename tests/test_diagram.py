@@ -198,6 +198,22 @@ def test_seeded_diagrams_match_the_golden_digest():
     assert h.hexdigest() == GOLDEN_SHA256
 
 
+def test_random_diagram_builds_the_dart_table_once_per_move(monkeypatch):
+    from regionchoice import diagram
+    calls = []
+
+    def counted(crossings):
+        calls.append(len(crossings))
+        return _darts_by_label(crossings)
+
+    monkeypatch.setattr(diagram, "_darts_by_label", counted)
+    D = random_diagram(5, 20)
+    # one for the starting curl, then one per move, shared by the move's
+    # relabelling, the validation of its result and the next move
+    assert len(calls) == 21
+    assert to_flat_pd(D) == to_flat_pd(random_diagram(5, 20))
+
+
 def grown():
     return [random_diagram(seed, moves)
             for seed in range(12) for moves in (0, 1, 3, 8, 20)]

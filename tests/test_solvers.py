@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from regionchoice import zlinalg
-from regionchoice.catalog import catalog
+from regionchoice.catalog import catalog, names
 from regionchoice.diagram import (D0, FlatDiagram, InternalInvariantError,
                                   random_diagram)
 from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
@@ -131,6 +132,24 @@ def single_via_double_per_certificate(D, b):
             for i, x in enumerate(certificates[v]):
                 u[i] += coeff * x
     return tuple(u)
+
+
+# sha256 of repr(solve_single_via_double(D, b)) + "\n" over the catalog and
+# random_diagram(s, 6 + 2 s), s in 0..11, with b drawn from random.Random(i)
+# for the i-th diagram, as the per-crossing substitution computed them
+VIA_DOUBLE_SHA256 = \
+    "9101f9fc30f243401a3dbde3c5c1ed8450a6a43864963af0213f8c14eff88f8d"
+
+
+def test_single_via_double_matches_the_golden_digest():
+    h = hashlib.sha256()
+    diagrams = ([catalog(name) for name in names()]
+                + [random_diagram(s, 6 + 2 * s) for s in range(12)])
+    for i, D in enumerate(diagrams):
+        rng = random.Random(i)
+        b = tuple(rng.randint(-9, 9) for _ in range(D.crossing_count))
+        h.update((repr(solve_single_via_double(D, b)) + "\n").encode())
+    assert h.hexdigest() == VIA_DOUBLE_SHA256
 
 
 def test_single_via_double_matches_direct():
