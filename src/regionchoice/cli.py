@@ -13,8 +13,8 @@ import sys
 from . import incidence, solvers, zlinalg
 from .catalog import CatalogError, catalog_entry, names as catalog_names
 from .diagram import (DiagramError, FlatDiagram, InternalInvariantError,
-                      checkerboard, parse_flat_pd, random_diagram, regions,
-                      to_dot, to_flat_pd)
+                      checkerboard, is_knot, parse_flat_pd, random_diagram,
+                      regions, to_dot, to_flat_pd)
 
 EXIT_INPUT = 2
 EXIT_INVARIANT = 4
@@ -196,6 +196,8 @@ def cmd_catalog(args) -> int:
 
 def cmd_rref(args) -> int:
     diagram = _load_diagram(args)
+    if not is_knot(diagram):
+        raise CliError("rref requires a knot projection")
     matrix = _matrix(args, diagram, incidence.SINGLE)
     echelon = zlinalg.rref_rational(matrix.entries)
     lines = []

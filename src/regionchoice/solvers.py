@@ -59,7 +59,10 @@ def _reduce_and_solve(diagram: FlatDiagram, rule: str, rhs, pins=None
     family of ``A_rule u + b = o`` for each b in ``rhs``: canonical, that is
     zero on the pin pair with the kernel pinned to (1, 0) and (0, 1) there.
     The pin pair is ``pins``, two side regions of one arc, or by default
-    ``_pin_pair(diagram)``."""
+    ``_pin_pair(diagram)``.  Only a knot projection is solvable for every
+    b, so a link raises ``ValueError``."""
+    if not is_knot(diagram):
+        raise ValueError("the region choice solve requires a knot projection")
     matrix = incidence.build_matrix(diagram, rule)
     return matrix, zlinalg.solve_pinned(
         matrix.entries, pins or _pin_pair(diagram), rhs)
@@ -81,8 +84,6 @@ def _pin_pair(diagram: FlatDiagram) -> tuple[int, int]:
 
 def solve(diagram: FlatDiagram, rule: str, b) -> SolutionFamily:
     """All integral assignments u with ``A_rule u + b = o``."""
-    if not is_knot(diagram):
-        raise ValueError("solve requires a knot projection")
     return _reduce_and_solve(diagram, rule, [b])[1][0]
 
 
@@ -93,8 +94,6 @@ def kernel_basis(diagram: FlatDiagram, rule: str):
 
 def pinned_kernel(diagram: FlatDiagram, request: PinnedKernelRequest):
     """Kernel solution with prescribed values on the two sides of an arc."""
-    if request.rule == SINGLE and not is_knot(diagram):
-        raise ValueError("single-rule pinning requires a knot projection")
     sides = arc_by_label(diagram, request.arc).sides
     zeros = (0,) * diagram.crossing_count
     matrix, (family,) = _reduce_and_solve(diagram, request.rule, [zeros],
@@ -201,7 +200,10 @@ def solve_single_via_double(diagram: FlatDiagram, b):
 
 
 def solve_mod2(diagram: FlatDiagram, b) -> tuple[int, ...]:
-    """Region subset solving the classical mod-2 problem; never unsolvable."""
+    """Region subset solving the classical mod-2 problem; never unsolvable
+    for a knot projection."""
+    if not is_knot(diagram):
+        raise ValueError("the mod-2 solve requires a knot projection")
     matrix = incidence.build_matrix(diagram, SINGLE)
     bits = zlinalg.solve_gf2(incidence.mod2(matrix),
                              tuple(x % 2 for x in b))

@@ -1,20 +1,15 @@
-"""Exact integer linear algebra: unimodular reduction, solving, kernels.
+"""Exact integer linear algebra: unimodular factorisation, solving, kernels.
 
-Everything here is plain Python arbitrary-precision arithmetic.  The
-reduction drives an n x (n+2) matrix to a Smith-style diagonal by elementary
-row/column operations while tracking the unimodular factors P and Q and a
-replayable operation log.  Region choice matrices of valid projections reduce
-to the identity block followed by two zero columns, which certifies integral
-solvability for every right-hand side.
-
-The solvers use ``solve_pinned`` instead: deleting two suitable columns
-leaves a square unimodular matrix, which sparse elimination with +-1 pivots
-factors exactly, and every right-hand side is solved from that one
-factorisation.  ``rref_rational`` reads the exact echelon form of
-``[A | I]`` off the same factorisation (``_UnitFactorisation``), run over
-all columns so that the elimination itself picks the two it leaves out; it
-takes an n x (n+2) matrix with such a factorisation.  No dense elimination
-over the rationals is left here.
+Everything here is plain Python arbitrary-precision arithmetic, and one
+elimination engine, ``_UnitFactorisation``, is behind every exact result:
+sparse elimination with +-1 pivots of an n x (n+2) matrix, leaving two
+columns unpivoted so that the square rest is unimodular.  ``solve_pinned``
+names those two columns and solves every right-hand side from one
+factorisation; ``rref_rational`` reads the exact echelon form of ``[A | I]``
+off it and ``reduce_to_e00`` the ``(I | 0 0)`` form ``P A Q = S`` with a
+replayable operation log, both letting the elimination pick the two columns.
+Region choice matrices of valid knot projections always factor, which
+certifies integral solvability for every right-hand side.
 """
 
 from __future__ import annotations
@@ -136,93 +131,56 @@ def replay(matrix: Matrix, log) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# reduction
+# the (I | 0 0) decomposition
 
 
 def reduce_to_e00(matrix: Matrix) -> E00Decomposition:
-    """Diagonalize by unimodular row/column operations (Smith-style).
+    """``P A Q = (I | 0 0)`` with a replayable log, for an n x (n+2) matrix
+    ``A`` (``n >= 1``) with a unit-pivot factorisation.
 
-    Pivots are chosen as the smallest nonzero entry in magnitude and cleared
-    by Euclidean remainder steps, which keeps intermediate growth modest.
-    The diagonal is made nonnegative with divisibility down the chain.
+    Everything is read off one ``_UnitFactorisation`` over all columns, in
+    four groups of operations: its row operations; one ``negate_row`` per
+    -1 pivot; for each pivot ``(i, j)`` in elimination order, the
+    ``add_col`` steps that clear row ``i`` with column ``j``, which is
+    ``e_i`` by then and so touches nothing else; and the ``swap_cols`` that
+    move row ``i``'s pivot column to position ``i`` and the two unpivoted
+    columns to ``n`` and ``n + 1``.  ``P`` and ``Q`` are the log applied to
+    identities and ``S`` its replay on ``A``.  The call checks
+    ``S = (I | 0 0)`` and raises ``InternalInvariantError`` naming the stage
+    otherwise; another shape raises ``NotE00Error``.
     """
     rows = len(matrix)
-    if rows == 0 or len(matrix[0]) == 0:
-        raise ValueError("cannot reduce an empty matrix")
-    cols = len(matrix[0])
-    a = [list(row) for row in matrix]
-    p = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    q = [[int(i == j) for j in range(cols)] for i in range(cols)]
-    log: list[Operation] = []
+    cols = len(matrix[0]) if rows else 0
+    if rows == 0 or cols != rows + 2:
+        raise NotE00Error(f"expected an n x (n+2) matrix with n >= 1, got "
+                          f"{rows} x {cols}")
+    f = _UnitFactorisation(matrix, None, "E00")
+    log = [Operation("add_row", t, s, m) for t, s, m in f.ops]
+    log += [Operation("negate_row", i)
+            for i, _, pivot, _ in f.pivots if pivot == -1]
+    log += [Operation("add_col", c, j, -pivot * x)
+            for _, j, pivot, rest in f.pivots for c, x in rest.items()]
+    order = [j for _, j in sorted((i, j) for i, j, _, _ in f.pivots)]
+    at = list(range(cols))      # at[k]: the column now in position k
+    for k, j in enumerate(order + list(f.pins)):
+        where = at.index(j, k)
+        if where != k:
+            log.append(Operation("swap_cols", k, where))
+            at[k], at[where] = at[where], at[k]
 
-    def step(kind: str, i: int, j: int = -1, mult: int = 0) -> None:
-        log.append(Operation(kind, i, j, mult))
-        _APPLY[kind](a, i, j, mult)
-        _APPLY[kind](p if "row" in kind else q, i, j, mult)
+    def on_identity(size: int, kind: str) -> Matrix:
+        """The log's ``kind`` operations applied to the identity."""
+        return replay([[int(i == j) for j in range(size)]
+                       for i in range(size)],
+                      [op for op in log if kind in op.kind])
 
-    def pivot_position(t: int):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None
-                                     or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    for t in range(min(rows, cols)):
-        while True:
-            pos = pivot_position(t)
-            if pos is None:
-                break
-            if pos[0] != t:
-                step("swap_rows", t, pos[0])
-            if pos[1] != t:
-                step("swap_cols", t, pos[1])
-            if a[t][t] < 0:
-                step("negate_row", t)
-            pivot = a[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    step("add_row", i, t, -(a[i][t] // pivot))
-                    dirty = dirty or a[i][t] != 0
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    step("add_col", j, t, -(a[t][j] // pivot))
-                    dirty = dirty or a[t][j] != 0
-            if dirty:
-                continue
-            # divisibility: fold in any entry the pivot does not divide
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            step("add_row", t, offender, 1)
-
-    decomp = E00Decomposition(
-        tuple(tuple(row) for row in matrix),
-        tuple(tuple(row) for row in p),
-        tuple(tuple(row) for row in q),
-        tuple(tuple(row) for row in a),
-        tuple(log))
-    _check_decomposition(decomp)
+    decomp = E00Decomposition(tuple(tuple(row) for row in matrix),
+                              on_identity(rows, "row"),
+                              on_identity(cols, "col"),
+                              replay(matrix, log), tuple(log))
+    if not decomp.is_e00:
+        f.fail("the replayed log does not give (I | 0 0)")
     return decomp
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(sum(x * y for x, y in zip(row, col))
-                       for col in zip(*b)) for row in a)
-
-
-def _check_decomposition(d: E00Decomposition) -> None:
-    if _mat_mul(_mat_mul(d.p, d.matrix), d.q) != d.s:
-        raise InternalInvariantError("reduce_to_e00 self-check: P A Q != S")
 
 
 def determinant(matrix: Matrix) -> int:

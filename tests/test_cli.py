@@ -206,6 +206,20 @@ def test_checkerboard_output(capsys):
     assert out.count("+") == 3 and out.count("-") == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("rref",),
+    ("solve", "--b", "1,0", "--mod2"),
+])
+def test_link_file_exits_2_without_traceback(capsys, tmp_path, argv):
+    path = tmp_path / "link.json"
+    path.write_text('{"crossings": [[1, 2, 3, 4], [1, 4, 3, 2]]}')
+    code, out, err = run(capsys, *argv, "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "knot projection" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("document", [
     '{"crossings": [[true, 2, 2, 1]]}',
     '{"crossings": ' + "[" * 100000 + "]" * 100000 + "}",

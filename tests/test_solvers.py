@@ -28,8 +28,13 @@ def test_solve_trefoil_known_family():
 
 def test_solve_rejects_links():
     link = FlatDiagram(((1, 2, 3, 4), (1, 4, 3, 2)))
-    with pytest.raises(ValueError):
-        solve(link, DOUBLE, (0, 0))
+    calls = [(solve, DOUBLE, (0, 0)), (solve_mod2, (1, 0))]
+    for rule in (SINGLE, DOUBLE):
+        calls += [(kernel_basis, rule), (arc_unimodularity_report, rule),
+                  (pinned_kernel, PinnedKernelRequest(1, 0, 1, rule))]
+    for call, *args in calls:
+        with pytest.raises(ValueError, match="requires a knot projection"):
+            call(link, *args)
 
 
 def test_solve_curl_double():

@@ -77,6 +77,11 @@ def test_kernel_basis_spans_lattice():
 def test_wrong_shape_rejected():
     with pytest.raises(NotE00Error):
         solve_integral(((1, 0), (0, 1)), (1, 1))
+    # reduce_to_e00 takes only an n x (n+2) matrix with n >= 1
+    for matrix in ((), ((1, 0, 0),) * 2, ((1, 0, 0, 1),),
+                   tuple(zip(*TREFOIL))):
+        with pytest.raises(NotE00Error):
+            reduce_to_e00(matrix)
 
 
 def test_bad_b_length():
@@ -263,9 +268,20 @@ def test_degenerate_kernel_is_an_invariant_violation():
                                          kernel))
 
 
-def test_bad_decomposition_is_an_invariant_violation():
-    from regionchoice.zlinalg import _check_decomposition
-    d = reduce_to_e00(TREFOIL)
-    wrong = type(d)(d.matrix, d.p, d.q, ((1, 0, 0, 0, 0),) * 3, d.log)
-    with pytest.raises(InternalInvariantError, match="P A Q != S"):
-        _check_decomposition(wrong)
+def test_bad_decomposition_is_an_invariant_violation(monkeypatch):
+    from regionchoice import zlinalg
+    replay_log = zlinalg.replay
+
+    def corrupted(matrix, log):
+        first, *rest = replay_log(matrix, log)
+        return (tuple(2 * x for x in first), *rest)
+
+    monkeypatch.setattr(zlinalg, "replay", corrupted)
+    with pytest.raises(InternalInvariantError, match="^E00, certificate: "):
+        reduce_to_e00(TREFOIL)
+
+
+def test_e00_refuses_a_matrix_without_a_unit_pivot_factorisation():
+    # Z-equivalent to (1 0 0), but no column has gcd 1, so no +-1 pivot
+    with pytest.raises(InternalInvariantError, match="^E00, elimination: "):
+        reduce_to_e00(((2, 3, 0),))
