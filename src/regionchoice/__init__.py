@@ -27,6 +27,6 @@ from .solvers import (ALGEBRAIC, Add1Certificate, GEOMETRIC,
 from .zlinalg import (E00Decomposition, EchelonForm, NotE00Error, Operation,
                       SolutionFamily, determinant, minimize_in_family,
                       reduce_to_e00, replay, rref_rational, solve_gf2,
-                      solve_integral, solve_pinned, solve_with_decomposition)
+                      solve_pinned)
 
 __version__ = "0.1.0"

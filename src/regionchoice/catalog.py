@@ -177,11 +177,6 @@ def catalog_entry(name: str) -> CatalogEntry:
     return entry
 
 
-def catalog(name: str) -> FlatDiagram:
-    """The shipped diagram for a reference name."""
-    return catalog_entry(name).diagram
-
-
 def names() -> tuple[str, ...]:
     return NAMES
 

@@ -152,11 +152,12 @@ def _mates(crossings, darts=None) -> dict[Dart, Dart]:
             for pair in darts.values() for d in pair}
 
 
-def _trace_faces(crossings: tuple[tuple[int, int, int, int], ...],
-                 darts=None):
-    """Face orbits of the map, each started at its smallest dart."""
-    mate = _mates(crossings, darts)
-    faces = []
+def _orbits(mate: dict[Dart, Dart], turn: int) -> list[tuple[Dart, ...]]:
+    """Orbits of "cross to the mate, then move ``turn`` slots on", each
+    started at its smallest dart.  Turn 3 traces the faces; turn 2 goes
+    straight through every crossing, giving two strand orbits per component.
+    """
+    orbits = []
     seen: set[Dart] = set()
     for start in sorted(mate):
         if start in seen:
@@ -167,18 +168,18 @@ def _trace_faces(crossings: tuple[tuple[int, int, int, int], ...],
             orbit.append(d)
             seen.add(d)
             c, s = mate[d]
-            d = (c, (s + 3) % 4)
+            d = (c, (s + turn) % 4)
             if d == start:
                 break
             if d in seen:
-                raise InternalInvariantError("face trace is not a permutation")
-        faces.append(tuple(orbit))
-    return faces
+                raise InternalInvariantError("dart walk is not a permutation")
+        orbits.append(tuple(orbit))
+    return orbits
 
 
 def _validate(diagram: FlatDiagram, darts=None
               ) -> tuple[tuple[Dart, ...], ...]:
-    """Check the diagram and return its faces, as ``_trace_faces`` gives them."""
+    """Check the diagram and return its faces, in trace order."""
     n = len(diagram.crossings)
     if n == 0:
         raise DiagramError("diagram has no crossings")
@@ -199,7 +200,7 @@ def _validate(diagram: FlatDiagram, darts=None
         if got != 2:
             raise DiagramError(f"unpaired arc label {label} (appears {got}x)")
 
-    faces = _trace_faces(diagram.crossings, darts)
+    faces = _orbits(_mates(diagram.crossings, darts), 3)
     if len(faces) != n + 2:
         raise DiagramError(
             f"non-spherical map: {n} crossings but {len(faces)} faces "
@@ -253,8 +254,23 @@ def is_reducible(diagram: FlatDiagram, crossing: int) -> bool:
 
 
 def reducible_crossings(diagram: FlatDiagram) -> tuple[int, ...]:
-    return tuple(c for c in range(diagram.crossing_count)
-                 if is_reducible(diagram, c))
+    return tuple(sorted({c for twice in _doubled_crossings(diagram)
+                         for c in twice}))
+
+
+def _doubled_crossings(diagram: FlatDiagram) -> list[tuple[int, ...]]:
+    """Per region, in region order, the crossings it has two corners at,
+    in increasing order: one pass over each region's corners."""
+    out = []
+    for reg in regions(diagram):
+        seen: set[int] = set()
+        twice = []
+        for c, _ in reg.corners:
+            if c in seen:
+                twice.append(c)
+            seen.add(c)
+        out.append(tuple(sorted(twice)))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -281,31 +297,10 @@ def arc_by_label(diagram: FlatDiagram, label: int) -> Arc:
     raise DiagramError(f"no arc labelled {label}")
 
 
-def _strand_orbits(diagram: FlatDiagram) -> list[list[Dart]]:
-    """Orbits of the curve-traversal permutation (two per component)."""
-    mate = _mates(diagram.crossings)
-    orbits = []
-    seen: set[Dart] = set()
-    for start in sorted(mate):
-        if start in seen:
-            continue
-        orbit = []
-        d = start
-        while True:
-            orbit.append(d)
-            seen.add(d)
-            c, s = mate[d]
-            d = (c, (s + 2) % 4)
-            if d == start:
-                break
-        orbits.append(orbit)
-    return orbits
-
-
 @lru_cache(maxsize=None)
 def component_count(diagram: FlatDiagram) -> int:
     """Number of closed curves underlying the projection."""
-    orbits = _strand_orbits(diagram)
+    orbits = _orbits(_mates(diagram.crossings), 2)
     if len(orbits) % 2 != 0:
         raise InternalInvariantError("odd number of directed strand orbits")
     return len(orbits) // 2
@@ -539,9 +534,8 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _entry_slots(diagram: FlatDiagram, v: int) -> tuple[int, int]:
+def _entry_slots(mate: dict[Dart, Dart], v: int) -> tuple[int, int]:
     """Slots through which the oriented knot enters crossing ``v``."""
-    mate = _mates(diagram.crossings)
     entries = []
     d = start = (0, 0)
     while True:
@@ -565,7 +559,7 @@ def splice(diagram: FlatDiagram, v: int) -> ComponentSplit:
         raise DiagramError(f"no crossing v{v + 1}")
     mate = _mates(diagram.crossings)
     corner = _region_at_corner(diagram)
-    i1, i2 = _entry_slots(diagram, v)
+    i1, i2 = _entry_slots(mate, v)
 
     # the smoothing joins entry i1 to exit i2+2 and entry i2 to exit i1+2,
     # pairing adjacent slots into the two new strands
@@ -653,8 +647,7 @@ def _build_component(diagram, v, k, comp_of_arc, mate, pair_of,
             "crossings")
 
     # side regions of the smoothed strand, in the component's quotient
-    side_arc = diagram.crossings[v][strand_pair[0]]
-    d1, d2 = _darts_by_label(diagram.crossings)[side_arc]
+    d1, d2 = sorted(((v, strand_pair[0]), mate[(v, strand_pair[0])]))
     raw_sides = (raw_map[corner[d1]], raw_map[corner[d2]])
     if raw_sides[0] == raw_sides[1]:
         raise InternalInvariantError("smoothed strand has equal side regions")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .diagram import FlatDiagram, regions
+from .diagram import FlatDiagram, _doubled_crossings, regions
 
 SINGLE = "single"
 DOUBLE = "double"
@@ -74,10 +74,7 @@ def residual(matrix: RegionChoiceMatrix, u, b) -> tuple[int, ...]:
 
 def rule_gap_columns(diagram: FlatDiagram) -> dict[int, tuple[int, ...]]:
     """Per region, the crossings it touches twice (support of A2 - A1)."""
-    regs = regions(diagram)
-    return {reg.index: tuple(v for v in range(diagram.crossing_count)
-                             if reg.corner_count(v) == 2)
-            for reg in regs}
+    return dict(enumerate(_doubled_crossings(diagram)))
 
 
 def mod2(matrix: RegionChoiceMatrix) -> tuple[tuple[int, ...], ...]:

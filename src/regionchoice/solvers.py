@@ -121,9 +121,11 @@ def add1_algebraic(diagram: FlatDiagram, rule: str, crossing: int) -> Add1Certif
     n = diagram.crossing_count
     if not 0 <= crossing < n:
         raise ValueError(f"no crossing v{crossing + 1}")
-    u = solve(diagram, rule, _unit(n, crossing, -1)).particular
-    res = incidence.apply(incidence.build_matrix(diagram, rule), u)
-    return Add1Certificate(crossing, rule, u, ALGEBRAIC, res)
+    matrix, (family,) = _reduce_and_solve(diagram, rule,
+                                          [_unit(n, crossing, -1)])
+    u = family.particular
+    return Add1Certificate(crossing, rule, u, ALGEBRAIC,
+                           incidence.apply(matrix, u))
 
 
 def _unit(n: int, crossing: int, value: int) -> tuple[int, ...]:

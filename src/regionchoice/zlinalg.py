@@ -3,11 +3,12 @@
 Everything here is plain Python arbitrary-precision arithmetic, and one
 elimination engine, ``_UnitFactorisation``, is behind every exact result:
 sparse elimination with +-1 pivots of an n x (n+2) matrix, leaving two
-columns unpivoted so that the square rest is unimodular.  ``solve_pinned``
-names those two columns and solves every right-hand side from one
-factorisation; ``rref_rational`` reads the exact echelon form of ``[A | I]``
-off it and ``reduce_to_e00`` the ``(I | 0 0)`` form ``P A Q = S`` with a
-replayable operation log, both letting the elimination pick the two columns.
+columns unpivoted so that the square rest is unimodular.  ``solve_pinned``,
+the one exact solve, names those two columns and solves every right-hand
+side from one factorisation; ``rref_rational`` reads the exact echelon form
+of ``[A | I]`` off it and ``reduce_to_e00`` the ``(I | 0 0)`` certificate
+``P A Q = S`` with a replayable operation log, both letting the elimination
+pick the two columns.
 Region choice matrices of valid knot projections always factor, which
 certifies integral solvability for every right-hand side.
 """
@@ -40,9 +41,6 @@ class Operation:
     j: int = -1
     multiplier: int = 0
 
-    def as_record(self) -> tuple:
-        return (self.kind, self.i, self.j, self.multiplier)
-
 
 @dataclass(frozen=True)
 class E00Decomposition:
@@ -60,10 +58,6 @@ class E00Decomposition:
         cols = len(self.s[0]) if rows else 0
         return all(self.s[i][j] == (1 if i == j else 0)
                    for i in range(rows) for j in range(cols))
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.s[i][i] for i in range(min(len(self.s),
-                                                     len(self.s[0]))))
 
 
 @dataclass(frozen=True)
@@ -119,14 +113,12 @@ _APPLY = {"swap_rows": _swap_rows, "swap_cols": _swap_cols,
 
 
 def replay(matrix: Matrix, log) -> Matrix:
-    """Apply an operation log to a fresh copy of the matrix."""
+    """Apply a log of ``Operation``s to a fresh copy of the matrix."""
     work = [list(row) for row in matrix]
     for op in log:
-        kind, i, j, mult = (op.as_record() if isinstance(op, Operation)
-                            else tuple(op))
-        if kind not in _APPLY:
-            raise ValueError(f"unknown operation kind {kind!r}")
-        _APPLY[kind](work, i, j, mult)
+        if op.kind not in _APPLY:
+            raise ValueError(f"unknown operation kind {op.kind!r}")
+        _APPLY[op.kind](work, op.i, op.j, op.multiplier)
     return tuple(tuple(row) for row in work)
 
 
@@ -206,44 +198,6 @@ def determinant(matrix: Matrix) -> int:
             a[i][t] = 0
         prev = a[t][t]
     return sign * a[n - 1][n - 1]
-
-
-# ---------------------------------------------------------------------------
-# solving over Z
-
-
-def solve_integral(matrix: Matrix, b: Vector) -> SolutionFamily:
-    """All integral u with ``A u + b = o``; requires equivalence to E00."""
-    decomp = reduce_to_e00(matrix)
-    return solve_with_decomposition(decomp, b)
-
-
-def solve_with_decomposition(decomp: E00Decomposition, b: Vector) -> SolutionFamily:
-    rows = len(decomp.matrix)
-    cols = len(decomp.matrix[0])
-    if len(b) != rows:
-        raise ValueError(f"b has length {len(b)}, expected {rows}")
-    if cols != rows + 2 or not decomp.is_e00:
-        raise NotE00Error("matrix is not Z-equivalent to (I | 0 0)")
-    pb = [sum(x * y for x, y in zip(row, b)) for row in decomp.p]
-    y = [-v for v in pb] + [0, 0]
-    particular = tuple(sum(qrow[j] * y[j] for j in range(cols))
-                       for qrow in decomp.q)
-    k1 = tuple(row[cols - 2] for row in decomp.q)
-    k2 = tuple(row[cols - 1] for row in decomp.q)
-    family = SolutionFamily(decomp.matrix, tuple(b), particular, (k1, k2))
-    res = [sum(x * y for x, y in zip(row, particular)) + bv
-           for row, bv in zip(decomp.matrix, b)]
-    if any(res):
-        raise InternalInvariantError(
-            "solve_with_decomposition: particular solution has nonzero "
-            "residual")
-    return family
-
-
-def kernel_basis(matrix: Matrix) -> tuple[Vector, Vector]:
-    """Two vectors generating the full integer kernel lattice."""
-    return solve_integral(matrix, (0,) * len(matrix)).kernel
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ so a full run doubles as a conformance report.
 import random
 
 from regionchoice.catalog import (REFERENCE_DOUBLE, REFERENCE_SINGLE,
-                                  catalog, catalog_entry, names)
+                                  catalog_entry, names)
 from regionchoice.diagram import (D0, apply_r2, arcs, checkerboard,
                                   random_diagram, reducible_crossings)
 from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
@@ -55,7 +55,7 @@ def test_04_solver_totality():
     rng = random.Random(1)
     ok = True
     for name in names():
-        D = catalog(name)
+        D = catalog_entry(name).diagram
         n = D.crossing_count
         for rule in (SINGLE, DOUBLE):
             M = build_matrix(D, rule)
@@ -68,7 +68,7 @@ def test_04_solver_totality():
 
 
 def test_05_e00_property():
-    diagrams = [catalog(n) for n in names()]
+    diagrams = [catalog_entry(n).diagram for n in names()]
     diagrams += [random_diagram(seed, 8) for seed in range(1, 51)]
     ok = True
     for D in diagrams:
@@ -81,7 +81,7 @@ def test_05_e00_property():
 
 
 def test_06_arc_unimodularity():
-    diagrams = [catalog(n) for n in names()]
+    diagrams = [catalog_entry(n).diagram for n in names()]
     diagrams += [random_diagram(seed, 8) for seed in range(1, 21)]
     ok = True
     for D in diagrams:
@@ -91,7 +91,7 @@ def test_06_arc_unimodularity():
 
 
 def test_07_add1_coherence():
-    diagrams = [catalog("3_1"), catalog("example2_4")]
+    diagrams = [catalog_entry(name).diagram for name in ("3_1", "example2_4")]
     diagrams += [random_diagram(seed, 6) for seed in range(1, 11)]
     ok = True
     for D in diagrams:
@@ -119,7 +119,8 @@ def _diagrams_with_reducible(count):
 
 
 def test_08_two_path_single_rule():
-    diagrams = [catalog("example2_4")] + _diagrams_with_reducible(10)
+    diagrams = ([catalog_entry("example2_4").diagram]
+                + _diagrams_with_reducible(10))
     rng = random.Random(8)
     ok = True
     for D in diagrams:
@@ -140,7 +141,7 @@ def test_09_mod2_solvability():
     rng = random.Random(9)
     ok = True
     for name in names():
-        D = catalog(name)
+        D = catalog_entry(name).diagram
         M = build_matrix(D, SINGLE)
         bits = mod2(M)
         n = D.crossing_count
@@ -156,7 +157,7 @@ def test_09_mod2_solvability():
 
 
 def test_10_checkerboard_kernel_membership():
-    diagrams = [catalog(n) for n in names()]
+    diagrams = [catalog_entry(n).diagram for n in names()]
     diagrams += [random_diagram(seed, 8) for seed in range(1, 51)]
     ok = True
     for D in diagrams:
@@ -246,7 +247,7 @@ def test_13_oracle_agreement():
     rng = random.Random(13)
     ok = True
     for name in ("d0", "3_1"):
-        D = catalog(name)
+        D = catalog_entry(name).diagram
         n = D.crossing_count
         targets = [(0,) * n] + [tuple(rng.randint(-2, 2) for _ in range(n))
                                 for _ in range(3)]

@@ -5,9 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regionchoice.catalog import catalog, names
+from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (D0, DiagramError, FlatDiagram, _corner_regions,
-                                  _darts_by_label, _r2_pairs, _trace_faces,
+                                  _darts_by_label, _mates, _orbits, _r2_pairs,
                                   apply_r1, apply_r2, arc_by_label, arcs,
                                   checkerboard, component_count, corner_count,
                                   is_knot, is_reducible, parse_flat_pd,
@@ -220,7 +220,7 @@ def grown():
 
 
 def test_r2_pairs_from_incidence_equal_the_quadratic_filter():
-    for D in grown() + [catalog(name) for name in names()]:
+    for D in grown() + [catalog_entry(name).diagram for name in names()]:
         oracle = [(a.label, b.label) for a in arcs(D) for b in arcs(D)
                   if a.label != b.label and set(a.sides) & set(b.sides)]
         pairs = _r2_pairs(D, _darts_by_label(D.crossings), _corner_regions(D))
@@ -228,8 +228,8 @@ def test_r2_pairs_from_incidence_equal_the_quadratic_filter():
 
 
 def test_regions_come_from_the_stored_faces():
-    for D in grown() + [catalog(name) for name in names()]:
-        fresh = sorted(_trace_faces(D.crossings), key=min)
+    for D in grown() + [catalog_entry(name).diagram for name in names()]:
+        fresh = sorted(_orbits(_mates(D.crossings), 3), key=min)
         assert [reg.corners for reg in regions(D)] == fresh
         assert [reg.index for reg in regions(D)] == list(range(len(fresh)))
 

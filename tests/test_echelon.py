@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regionchoice.catalog import catalog, catalog_entry, names
+from regionchoice.catalog import catalog_entry, names
 from regionchoice.cli import main
 from regionchoice.diagram import random_diagram
 from regionchoice.incidence import DOUBLE, SINGLE, build_matrix
@@ -69,7 +69,7 @@ def shuffled(matrix, rng: random.Random):
 def catalog_matrices():
     for name in names():
         for rule in (SINGLE, DOUBLE):
-            yield build_matrix(catalog(name), rule).entries
+            yield build_matrix(catalog_entry(name).diagram, rule).entries
             yield catalog_entry(name).matrix(rule).entries
 
 
@@ -91,7 +91,8 @@ def test_rref_matches_the_dense_oracle():
 
 
 def test_rref_entries_are_fractions():
-    e = rref_rational(build_matrix(catalog("5_2"), SINGLE).entries)
+    D = catalog_entry("5_2").diagram
+    e = rref_rational(build_matrix(D, SINGLE).entries)
     assert any(x.denominator != 1 for row in e.coeffs for x in row)
     for table in (e.coeffs, e.b_coeffs):
         assert all(type(x) is Fraction for row in table for x in row)

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from regionchoice.catalog import catalog
-from regionchoice.diagram import (D0, FlatDiagram, random_diagram,
-                                  reducible_crossings, regions)
+from regionchoice.catalog import catalog_entry
+from regionchoice.diagram import (D0, FlatDiagram, is_reducible,
+                                  random_diagram, reducible_crossings,
+                                  regions)
 from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
                                     from_document, mod2, render_text,
                                     residual, rule_gap_columns, to_document)
@@ -36,7 +37,7 @@ def test_trefoil_single_matrix_value():
 
 def test_double_row_sums_are_four():
     for name in ("d0", "3_1", "4_1", "example2_4", "6_3"):
-        M = build_matrix(catalog(name), DOUBLE)
+        M = build_matrix(catalog_entry(name).diagram, DOUBLE)
         for row in M.entries:
             assert sum(row) == 4
 
@@ -66,6 +67,21 @@ def test_gap_columns_flag_reducible_crossings():
     doubled = {r: vs for r, vs in gaps.items() if vs}
     assert doubled == {0: (0,)}
     assert all(not vs for vs in rule_gap_columns(TREFOIL).values())
+
+
+def test_gap_columns_and_reducible_crossings_match_the_definition():
+    # against the per-crossing definitions: a region's corner count at each
+    # crossing, and is_reducible for each crossing
+    for seed in range(20):
+        for moves in (0, 3, 10, 25):
+            D = random_diagram(seed, moves)
+            crossings = range(D.crossing_count)
+            assert rule_gap_columns(D) == {
+                reg.index: tuple(v for v in crossings
+                                 if reg.corner_count(v) == 2)
+                for reg in regions(D)}
+            assert reducible_crossings(D) == tuple(
+                v for v in crossings if is_reducible(D, v))
 
 
 def test_mod2_rejects_double_rule():

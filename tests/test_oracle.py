@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from regionchoice.catalog import catalog
+from regionchoice.catalog import catalog_entry
 from regionchoice.incidence import DOUBLE, SINGLE, build_matrix
 from regionchoice.oracle import (BudgetExceeded, OracleMismatch, SearchBox,
                                  brute_solutions, cross_check)
@@ -31,7 +31,7 @@ def test_brute_negative_radius():
 
 
 def test_cross_check_curl():
-    D = catalog("d0")
+    D = catalog_entry("d0").diagram
     M = build_matrix(D, DOUBLE)
     for b in ((0,), (1,), (-2,)):
         fam = solve(D, DOUBLE, b)
@@ -43,7 +43,7 @@ def test_cross_check_curl():
 
 
 def test_cross_check_trefoil_both_rules():
-    D = catalog("3_1")
+    D = catalog_entry("3_1").diagram
     for rule in (SINGLE, DOUBLE):
         M = build_matrix(D, rule)
         fam = solve(D, rule, (0, 0, 0))
@@ -52,7 +52,7 @@ def test_cross_check_trefoil_both_rules():
 
 
 def test_cross_check_catches_shifted_family():
-    D = catalog("3_1")
+    D = catalog_entry("3_1").diagram
     M = build_matrix(D, SINGLE)
     fam = solve(D, SINGLE, (1, 0, 0))
     shifted = dataclasses.replace(
@@ -62,7 +62,7 @@ def test_cross_check_catches_shifted_family():
 
 
 def test_cross_check_catches_scaled_kernel():
-    D = catalog("3_1")
+    D = catalog_entry("3_1").diagram
     M = build_matrix(D, SINGLE)
     fam = solve(D, SINGLE, (0, 0, 0))
     k1, k2 = fam.kernel

@@ -6,8 +6,8 @@ deleted (``zlinalg.solve_pinned``), and ``zlinalg.reduce_to_e00`` reads
 ``P A Q = (I | 0 0)`` off the same kind of factorisation.  ``dense_e00`` is
 the reduction ``reduce_to_e00`` ran before: dense unimodular row and column
 operations with its own pivot search, Euclid steps and divisibility fix.  It
-stays here as the independent path; both must describe the same solution
-lattice.
+stays here, with ``dense_solve`` reading a solution family off it, as the
+independent path; both must describe the same solution lattice.
 """
 
 import random
@@ -16,7 +16,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from regionchoice import zlinalg
-from regionchoice.catalog import catalog, names
+from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (FlatDiagram, arcs, random_diagram,
                                   regions)
 from regionchoice.incidence import DOUBLE, SINGLE, apply, build_matrix
@@ -25,7 +25,7 @@ from regionchoice.zlinalg import (E00Decomposition, Operation, _APPLY,
                                   determinant, reduce_to_e00)
 from test_echelon import shuffled
 
-DIAGRAMS = ([catalog(name) for name in names()]
+DIAGRAMS = ([catalog_entry(name).diagram for name in names()]
             + [random_diagram(seed, 4 + 3 * seed) for seed in range(10)])
 
 
@@ -103,6 +103,20 @@ def dense_e00(matrix) -> E00Decomposition:
         tuple(log))
 
 
+def dense_solve(matrix, b) -> zlinalg.SolutionFamily:
+    """The solution family of ``A u + b = o`` read off ``dense_e00``:
+    the particular is ``Q (-P b, 0, 0)`` and the kernel the last two
+    columns of ``Q``."""
+    d = dense_e00(matrix)
+    assert d.is_e00
+    y = [-sum(x * v for x, v in zip(row, b)) for row in d.p] + [0, 0]
+    particular = tuple(sum(x * v for x, v in zip(row, y)) for row in d.q)
+    assert all(sum(x * u for x, u in zip(row, particular)) + v == 0
+               for row, v in zip(matrix, b))
+    k1, k2 = list(zip(*d.q))[-2:]
+    return zlinalg.SolutionFamily(d.matrix, tuple(b), particular, (k1, k2))
+
+
 def mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col))
                        for col in zip(*b)) for row in a)
@@ -128,8 +142,7 @@ def test_pinned_and_smith_paths_describe_the_same_lattice():
         for rule in (SINGLE, DOUBLE):
             b = tuple(rng.randint(-30, 30) for _ in range(n))
             new = solve(D, rule, b)
-            old = zlinalg.solve_with_decomposition(
-                dense_e00(build_matrix(D, rule).entries), b)
+            old = dense_solve(build_matrix(D, rule).entries, b)
             k1, k2 = new.kernel
             assert (new.particular[r1], new.particular[r2]) == (0, 0)
             assert ((k1[r1], k1[r2]), (k2[r1], k2[r2])) == ((1, 0), (0, 1))
@@ -144,7 +157,7 @@ def test_pinned_and_smith_paths_describe_the_same_lattice():
 def test_e00_matches_the_dense_oracle_on_the_criterion_5_set():
     # the matrices of acceptance criterion 5, a third of them shuffled
     rng = random.Random(5)
-    diagrams = [catalog(n) for n in names()]
+    diagrams = [catalog_entry(n).diagram for n in names()]
     diagrams += [random_diagram(seed, 8) for seed in range(1, 51)]
     count = 0
     for D in diagrams:

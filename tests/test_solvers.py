@@ -4,7 +4,7 @@ import random
 import pytest
 
 from regionchoice import zlinalg
-from regionchoice.catalog import catalog, names
+from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (D0, FlatDiagram, InternalInvariantError,
                                   random_diagram)
 from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
@@ -20,7 +20,7 @@ def unit(n, v):
 
 
 def test_solve_trefoil_known_family():
-    D = catalog("3_1")
+    D = catalog_entry("3_1").diagram
     fam = solve(D, SINGLE, (1, 0, 0))
     assert fam.particular == (-1, 1, -1, 0, 0)
     assert fam.kernel == ((0, -1, 0, 1, 0), (1, -2, 1, 0, 1))
@@ -43,7 +43,7 @@ def test_solve_curl_double():
 
 
 def test_verify_reports_per_crossing():
-    D = catalog("4_1")
+    D = catalog_entry("4_1").diagram
     b = (2, -1, 0, 7)
     fam = solve(D, SINGLE, b)
     report = verify(D, SINGLE, fam.particular, b)
@@ -57,13 +57,13 @@ def test_verify_reports_per_crossing():
 def test_kernel_contains_checkerboard():
     from regionchoice.diagram import checkerboard
     for name in ("3_1", "5_2", "example2_4"):
-        D = catalog(name)
+        D = catalog_entry(name).diagram
         M = build_matrix(D, DOUBLE)
         assert apply(M, checkerboard(D).signs) == (0,) * D.crossing_count
 
 
 def test_pinned_kernel_values():
-    D = catalog("3_1")
+    D = catalog_entry("3_1").diagram
     u = pinned_kernel(D, PinnedKernelRequest(arc=1, a=0, b=1))
     assert u == (0, -1, 0, 1, 0)
     # the requested values sit on the two sides of arc 1
@@ -73,7 +73,7 @@ def test_pinned_kernel_values():
 
 
 def test_pinned_kernel_arbitrary_pairs():
-    D = catalog("5_1")
+    D = catalog_entry("5_1").diagram
     from regionchoice.diagram import arc_by_label
     for a, b in ((0, 1), (3, -2), (7, 7)):
         u = pinned_kernel(D, PinnedKernelRequest(arc=4, a=a, b=b))
@@ -84,18 +84,36 @@ def test_pinned_kernel_arbitrary_pairs():
 
 def test_arc_unimodularity_on_catalog():
     for name in ("d0", "3_1", "4_1", "example2_4"):
-        D = catalog(name)
+        D = catalog_entry(name).diagram
         for rule in (SINGLE, DOUBLE):
             report = arc_unimodularity_report(D, rule)
             assert set(report.values()) == {1}
 
 
 def test_add1_algebraic_unit_residual():
-    D = catalog("4_1")
+    D = catalog_entry("4_1").diagram
     for v in range(4):
         for rule in (SINGLE, DOUBLE):
             cert = add1_algebraic(D, rule, v)
             assert cert.residual == unit(4, v)
+
+
+def test_add1_algebraic_builds_the_matrix_once(monkeypatch):
+    from regionchoice import incidence
+    calls = []
+
+    def counting(diagram, rule):
+        calls.append(rule)
+        return build_matrix(diagram, rule)
+
+    D = random_diagram(3, 9)
+    expected = [add1_algebraic(D, rule, v) for rule in (SINGLE, DOUBLE)
+                for v in range(D.crossing_count)]
+    monkeypatch.setattr(incidence, "build_matrix", counting)
+    for cert in expected:
+        calls.clear()
+        assert add1_algebraic(D, cert.rule, cert.crossing) == cert
+        assert calls == [cert.rule]
 
 
 def test_add1_algebraic_bad_crossing():
@@ -105,7 +123,7 @@ def test_add1_algebraic_bad_crossing():
 
 def test_add1_geometric_unit_residual():
     for name in ("d0", "3_1", "example2_4"):
-        D = catalog(name)
+        D = catalog_entry(name).diagram
         for v in range(D.crossing_count):
             cert = add1_geometric(D, v)
             assert cert.residual == unit(D.crossing_count, v)
@@ -113,7 +131,7 @@ def test_add1_geometric_unit_residual():
 
 
 def test_add1_paths_differ_by_kernel():
-    D = catalog("3_1")
+    D = catalog_entry("3_1").diagram
     M = build_matrix(D, DOUBLE)
     for v in range(3):
         g = add1_geometric(D, v).assignment
@@ -148,7 +166,7 @@ VIA_DOUBLE_SHA256 = \
 
 def test_single_via_double_matches_the_golden_digest():
     h = hashlib.sha256()
-    diagrams = ([catalog(name) for name in names()]
+    diagrams = ([catalog_entry(name).diagram for name in names()]
                 + [random_diagram(s, 6 + 2 * s) for s in range(12)])
     for i, D in enumerate(diagrams):
         rng = random.Random(i)
@@ -159,7 +177,7 @@ def test_single_via_double_matches_the_golden_digest():
 
 def test_single_via_double_matches_direct():
     rng = random.Random(11)
-    for D in (catalog("example2_4"), random_diagram(5, 12)):
+    for D in (catalog_entry("example2_4").diagram, random_diagram(5, 12)):
         M = build_matrix(D, SINGLE)
         zero = (0,) * D.crossing_count
         for _ in range(10):
@@ -190,7 +208,7 @@ def test_single_via_double_reduces_twice(monkeypatch):
 def test_mod2_solutions_verify():
     rng = random.Random(2)
     for name in ("3_1", "5_2", "example2_4"):
-        D = catalog(name)
+        D = catalog_entry(name).diagram
         M = build_matrix(D, SINGLE)
         n = D.crossing_count
         for _ in range(20):

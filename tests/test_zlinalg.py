@@ -6,9 +6,8 @@ import pytest
 
 from regionchoice.zlinalg import (EchelonForm, InternalInvariantError,
                                   NotE00Error, SolutionFamily, determinant,
-                                  kernel_basis, minimize_in_family,
-                                  reduce_to_e00, replay, rref_rational,
-                                  solve_gf2, solve_integral, solve_pinned)
+                                  minimize_in_family, reduce_to_e00, replay,
+                                  rref_rational, solve_gf2, solve_pinned)
 
 CURL = ((2, 1, 1),)
 TREFOIL = ((1, 1, 1, 1, 0),
@@ -16,11 +15,16 @@ TREFOIL = ((1, 1, 1, 1, 0),
            (0, 1, 1, 1, 1))
 
 
+def trefoil_family(b):
+    """The solution family of ``TREFOIL u + b = o``, pinned on (3, 4)."""
+    (family,) = solve_pinned(TREFOIL, (3, 4), [b])
+    return family
+
+
 def test_curl_reduces_to_e00():
     d = reduce_to_e00(CURL)
     assert d.s == ((1, 0, 0),)
     assert d.is_e00
-    assert d.diagonal() == (1,)
 
 
 def test_reduction_self_consistency():
@@ -54,9 +58,9 @@ def test_determinant_values():
     assert determinant(((2, 4, 2), (4, 2, 0), (0, 2, 2))) == -8
 
 
-def test_solve_integral_residual_and_kernel():
+def test_solve_pinned_residual_and_kernel():
     b = (3, -7, 11)
-    fam = solve_integral(TREFOIL, b)
+    fam = trefoil_family(b)
     for u in (fam.particular, fam.member(2, -3), fam.member(-1, 5)):
         assert all(isinstance(x, int) for x in u)
         out = [sum(r * x for r, x in zip(row, u)) + bv
@@ -65,7 +69,7 @@ def test_solve_integral_residual_and_kernel():
 
 
 def test_kernel_basis_spans_lattice():
-    k1, k2 = kernel_basis(TREFOIL)
+    k1, k2 = trefoil_family((0, 0, 0)).kernel
     for k in (k1, k2):
         assert all(sum(r * x for r, x in zip(row, k)) == 0 for row in TREFOIL)
     # some 2x2 minor of the basis matrix is +-1, so the lattice is primitive
@@ -75,8 +79,6 @@ def test_kernel_basis_spans_lattice():
 
 
 def test_wrong_shape_rejected():
-    with pytest.raises(NotE00Error):
-        solve_integral(((1, 0), (0, 1)), (1, 1))
     # reduce_to_e00 takes only an n x (n+2) matrix with n >= 1
     for matrix in ((), ((1, 0, 0),) * 2, ((1, 0, 0, 1),),
                    tuple(zip(*TREFOIL))):
@@ -86,14 +88,14 @@ def test_wrong_shape_rejected():
 
 def test_bad_b_length():
     with pytest.raises(ValueError):
-        solve_integral(TREFOIL, (1, 2))
+        solve_pinned(TREFOIL, (3, 4), [(1, 2)])
 
 
 def test_minimize_improves_or_matches():
     rng = random.Random(3)
     for _ in range(25):
         b = tuple(rng.randint(-50, 50) for _ in range(3))
-        fam = solve_integral(TREFOIL, b)
+        fam = trefoil_family(b)
         for norm in ("Linf", "L2"):
             best = minimize_in_family(fam, norm)
             if norm == "Linf":
@@ -166,7 +168,7 @@ def test_minimize_matches_the_full_ellipse_scan():
 
 
 def test_minimize_rejects_unknown_norm():
-    fam = solve_integral(TREFOIL, (0, 0, 0))
+    fam = trefoil_family((0, 0, 0))
     with pytest.raises(ValueError):
         minimize_in_family(fam, "L1")
 
@@ -260,7 +262,7 @@ def test_solve_pinned_rejects_bad_arguments(matrix, pins, b):
 
 
 def test_degenerate_kernel_is_an_invariant_violation():
-    fam = solve_integral(TREFOIL, (0, 0, 0))
+    fam = trefoil_family((0, 0, 0))
     k1, _ = fam.kernel
     for kernel in ((k1, k1), (k1, (0,) * 5)):
         with pytest.raises(InternalInvariantError, match="degenerate"):
