@@ -2,19 +2,21 @@
 
 These couple the diagram geometry to the integer algebra.  Solvability for
 every integral point vector is a theorem for valid knot projections: deleting
-the two side columns of an arc leaves a unimodular matrix.  Every solve
-factors that matrix once and checks a certificate, and a failure of either is
-reported as an internal invariant violation rather than an input error.
+the two side columns of an arc leaves a unimodular matrix.  That matrix is
+factored once per (diagram, rule) and kept for the queries that follow; every
+call checks the certificate, and a failure of either is reported as an
+internal invariant violation rather than an input error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import incidence, zlinalg
 from .diagram import (CheckerboardColoring, ComponentSplit, FlatDiagram,
-                      InternalInvariantError, _darts_by_label, arc_by_label,
-                      arcs, checkerboard, is_knot, regions, splice)
+                      InternalInvariantError, arc_by_label, arcs,
+                      checkerboard, is_knot, regions, splice)
 from .incidence import DOUBLE, SINGLE, RegionChoiceMatrix
 from .zlinalg import SolutionFamily
 
@@ -53,33 +55,63 @@ class VerificationReport:
     per_crossing: tuple[tuple[str, int], ...]
 
 
-def _reduce_and_solve(diagram: FlatDiagram, rule: str, rhs, pins=None
-                      ) -> tuple[RegionChoiceMatrix, list[SolutionFamily]]:
-    """The rule's matrix and, from one factorisation of it, the solution
-    family of ``A_rule u + b = o`` for each b in ``rhs``: canonical, that is
-    zero on the pin pair with the kernel pinned to (1, 0) and (0, 1) there.
-    The pin pair is ``pins``, two side regions of one arc, or by default
-    ``_pin_pair(diagram)``.  Only a knot projection is solvable for every
-    b, so a link raises ``ValueError``."""
+@lru_cache(maxsize=8)
+def _factored(diagram: FlatDiagram, rule: str
+              ) -> tuple[RegionChoiceMatrix, zlinalg._UnitFactorisation]:
+    """The rule's matrix and its one factorisation, pinned on
+    ``_pin_pair(diagram)``, for the last few (diagram, rule) pairs asked.
+    Only a knot projection is solvable for every b, so a link raises
+    ``ValueError``.
+
+    The bound is set by the traffic: a sweep over one diagram needs 2
+    entries, and 8 keep 3 interleaved diagrams under both rules with room
+    for the one-shot spliced components of the geometric add-1.  Keeping
+    the factorisation on the diagram instead would keep it alive as long
+    as the diagram caches keep the diagram.
+    """
     if not is_knot(diagram):
         raise ValueError("the region choice solve requires a knot projection")
     matrix = incidence.build_matrix(diagram, rule)
-    return matrix, zlinalg.solve_pinned(
-        matrix.entries, pins or _pin_pair(diagram), rhs)
+    return matrix, zlinalg._UnitFactorisation(
+        matrix.entries, _pin_pair(diagram), "pinned solve")
+
+
+def _certified(diagram: FlatDiagram, rule: str
+               ) -> tuple[RegionChoiceMatrix, zlinalg._UnitFactorisation]:
+    """``_factored(diagram, rule)`` with its certificate checked in this
+    call: a cached factorisation is checked again, a new one was checked
+    when it was built."""
+    hits = _factored.cache_info().hits
+    matrix, f = _factored(diagram, rule)
+    if _factored.cache_info().hits != hits:
+        f.check()
+    return matrix, f
+
+
+def _reduce_and_solve(diagram: FlatDiagram, rule: str, rhs
+                      ) -> tuple[RegionChoiceMatrix, list[SolutionFamily]]:
+    """The rule's matrix and, from its one factorisation, the solution
+    family of ``A_rule u + b = o`` for each b in ``rhs``: canonical, that is
+    zero on ``_pin_pair(diagram)`` with the kernel pinned to (1, 0) and
+    (0, 1) there."""
+    matrix, f = _certified(diagram, rule)
+    return matrix, f.families(matrix.entries, rhs)
 
 
 def _pin_pair(diagram: FlatDiagram) -> tuple[int, int]:
     """Side regions ``(lo, hi)`` of the arc whose sorted sides are largest
     by ``(hi, lo)``.  Deleting any arc's two side columns leaves a
     unimodular matrix; this fixes one arc without filling the ``arcs``
-    cache."""
-    region_of = {corner: reg.index
-                 for reg in regions(diagram) for corner in reg.corners}
-    best = (-1, -1)
-    for d1, d2 in _darts_by_label(diagram.crossings).values():
-        lo, hi = sorted((region_of[d1], region_of[d2]))
-        best = max(best, (hi, lo))
-    return best[1], best[0]
+    cache.
+
+    Every arc beside the last region has it as its high side, so only that
+    region's arcs are looked at.  Corners ``(c, s)`` and ``(c, s + 1)`` lie
+    on the two sides of the arc in slot ``s + 1`` of crossing ``c``, and
+    each arc beside a face is that arc for one of the face's corners."""
+    regs = regions(diagram)
+    region_of = {corner: reg.index for reg in regs for corner in reg.corners}
+    lo = max(region_of[(c, (s + 1) % 4)] for c, s in regs[-1].corners)
+    return lo, regs[-1].index
 
 
 def solve(diagram: FlatDiagram, rule: str, b) -> SolutionFamily:
@@ -88,19 +120,38 @@ def solve(diagram: FlatDiagram, rule: str, b) -> SolutionFamily:
 
 
 def kernel_basis(diagram: FlatDiagram, rule: str):
-    zeros = (0,) * diagram.crossing_count
-    return _reduce_and_solve(diagram, rule, [zeros])[1][0].kernel
+    return _certified(diagram, rule)[1].kernel
 
 
 def pinned_kernel(diagram: FlatDiagram, request: PinnedKernelRequest):
     """Kernel solution with prescribed values on the two sides of an arc."""
-    sides = arc_by_label(diagram, request.arc).sides
-    zeros = (0,) * diagram.crossing_count
-    matrix, (family,) = _reduce_and_solve(diagram, request.rule, [zeros],
-                                          sides)
-    u = family.member(request.a, request.b)
-    if any(incidence.apply(matrix, u)):
-        raise InternalInvariantError("pinned vector left the kernel")
+    return _kernel_member(diagram, request.rule,
+                          arc_by_label(diagram, request.arc).sides,
+                          (request.a, request.b), f"arc {request.arc}")
+
+
+def _kernel_member(diagram: FlatDiagram, rule: str, sides: tuple[int, int],
+                   values: tuple[int, int], arc: str):
+    """The kernel vector with ``values`` on the regions ``sides``, read off
+    the canonical kernel ``(k1, k2)``: the kernel minor on the sides is +-1
+    (criterion 6), so the integer inverse of that 2x2 block gives the
+    coefficients.  The vector is checked to be in the kernel and to take
+    ``values`` on ``sides``; ``arc`` names the arc in any failure."""
+    _, f = _certified(diagram, rule)
+    k1, k2 = f.kernel
+    s1, s2 = sides
+    det = _minor(k1, k2, s1, s2)
+    if det not in (1, -1):
+        raise InternalInvariantError(
+            f"kernel minor on the sides of {arc} is {det}, not +-1")
+    a, b = values
+    # (alpha, beta) = block^-1 (a, b), and block^-1 = det * adj(block)
+    alpha = det * (k2[s2] * a - k2[s1] * b)
+    beta = det * (k1[s1] * b - k1[s2] * a)
+    u = tuple(alpha * x + beta * y for x, y in zip(k1, k2))
+    if any(f.image(u)) or (u[s1], u[s2]) != values:
+        raise InternalInvariantError(
+            f"pinned kernel vector for {arc} misses the kernel or its values")
     return u
 
 
@@ -118,14 +169,21 @@ def arc_unimodularity_report(diagram: FlatDiagram, rule: str) -> dict[int, int]:
 
 def add1_algebraic(diagram: FlatDiagram, rule: str, crossing: int) -> Add1Certificate:
     """Assignment with unit residual at one crossing, by direct solving."""
-    n = diagram.crossing_count
-    if not 0 <= crossing < n:
-        raise ValueError(f"no crossing v{crossing + 1}")
-    matrix, (family,) = _reduce_and_solve(diagram, rule,
-                                          [_unit(n, crossing, -1)])
+    _check_crossing(diagram, crossing)
+    matrix, (family,) = _reduce_and_solve(
+        diagram, rule, [_unit(diagram.crossing_count, crossing, -1)])
     u = family.particular
     return Add1Certificate(crossing, rule, u, ALGEBRAIC,
                            incidence.apply(matrix, u))
+
+
+def _check_crossing(diagram: FlatDiagram, crossing: int) -> None:
+    """Refuse an index that names none of the diagram's crossings."""
+    # bool is a subclass of int, but True and False are not indices
+    if isinstance(crossing, bool):
+        raise ValueError(f"crossing index {crossing!r} is not an integer")
+    if not 0 <= crossing < diagram.crossing_count:
+        raise ValueError(f"no crossing v{crossing + 1}")
 
 
 def _unit(n: int, crossing: int, value: int) -> tuple[int, ...]:
@@ -142,6 +200,7 @@ def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
     merge back.  A single global negation absorbs the two-fold coloring and
     pin-order ambiguity.
     """
+    _check_crossing(diagram, crossing)
     split = splice(diagram, crossing)
     u1 = _component_pinned_kernel(split)
     sign2 = _component_checkerboard(split.second)
@@ -167,9 +226,8 @@ def _component_pinned_kernel(split: ComponentSplit):
         values = [0, 0]
         values[r1], values[r2] = 0, 1
         return tuple(values)
-    zeros = (0,) * comp.diagram.crossing_count
-    _, (family,) = _reduce_and_solve(comp.diagram, DOUBLE, [zeros], (r1, r2))
-    return family.kernel[1]
+    return _kernel_member(comp.diagram, DOUBLE, (r1, r2), (0, 1),
+                          "the smoothed strand")
 
 
 def _component_checkerboard(comp) -> CheckerboardColoring:

@@ -225,18 +225,18 @@ def solve_pinned(matrix: Matrix, pins: tuple[int, int],
     r1, r2 = pins
     if r1 == r2 or not (0 <= r1 < cols and 0 <= r2 < cols):
         raise ValueError(f"pins must be two distinct columns, got {pins!r}")
+    rhs = _right_hand_sides(rhs, rows)
+    return _UnitFactorisation(matrix, pins, "pinned solve").families(
+        matrix, rhs)
+
+
+def _right_hand_sides(rhs, rows: int) -> list[Vector]:
+    """``rhs`` as tuples, each checked to have ``rows`` entries."""
     rhs = [tuple(b) for b in rhs]
     for b in rhs:
         if len(b) != rows:
             raise ValueError(f"b has length {len(b)}, expected {rows}")
-    f = _UnitFactorisation(matrix, pins, "pinned solve")
-    families = [SolutionFamily(matrix, b,
-                               tuple(f.solve([-v for v in b])), f.kernel)
-                for b in rhs]
-    for family in families:
-        if any(x + y for x, y in zip(f.image(family.particular), family.b)):
-            f.fail("particular solution has nonzero residual")
-    return families
+    return rhs
 
 
 class _UnitFactorisation:
@@ -248,7 +248,8 @@ class _UnitFactorisation:
     the elimination leaves become the pins.  Construction checks the
     certificate shared by every caller (pivot product +-1, both kernel
     vectors in the kernel, kernel minor 1 on the pins); ``stage`` names the
-    caller in every ``InternalInvariantError``.
+    caller in every ``InternalInvariantError``.  ``check`` runs that
+    certificate again, for a caller that keeps the factorisation.
     """
 
     def __init__(self, matrix: Matrix, pins: tuple[int, int] | None,
@@ -267,20 +268,39 @@ class _UnitFactorisation:
                  for row in self.rows],
                 [j for j in range(self.cols) if j not in pins], stage)
         self.pins = pins
+        r1, r2 = pins
+        self.kernel = (
+            tuple(self.solve([-row.get(r1, 0) for row in self.rows], (1, 0))),
+            tuple(self.solve([-row.get(r2, 0) for row in self.rows], (0, 1))))
+        self.check()
 
+    def check(self) -> None:
+        """The certificate: pivot product +-1, both kernel vectors in the
+        kernel, kernel minor 1 on the pins."""
         product = 1
         for _, _, p, _ in self.pivots:
             product *= p
         if product not in (1, -1):
             self.fail(f"pivot product is {product}")
-        r1, r2 = pins
-        k1 = tuple(self.solve([-row.get(r1, 0) for row in self.rows], (1, 0)))
-        k2 = tuple(self.solve([-row.get(r2, 0) for row in self.rows], (0, 1)))
+        (r1, r2), (k1, k2) = self.pins, self.kernel
         if any(self.image(k1)) or any(self.image(k2)):
             self.fail("kernel vector outside the kernel")
         if k1[r1] * k2[r2] - k2[r1] * k1[r2] != 1:
             self.fail("kernel minor on the pins is not 1")
-        self.kernel = (k1, k2)
+
+    def families(self, matrix: Matrix, rhs) -> list[SolutionFamily]:
+        """The solution family of ``A u + b = o`` for each b in ``rhs``, its
+        particular zero on the pins; ``matrix`` is ``A`` as the families
+        record it.  Every particular's residual is checked to be zero."""
+        families = [SolutionFamily(matrix, b,
+                                   tuple(self.solve([-v for v in b])),
+                                   self.kernel)
+                    for b in _right_hand_sides(rhs, len(self.rows))]
+        for family in families:
+            if any(x + y
+                   for x, y in zip(self.image(family.particular), family.b)):
+                self.fail("particular solution has nonzero residual")
+        return families
 
     def solve(self, y: list[int], pinned: tuple[int, int] = (0, 0)
               ) -> list[int]:

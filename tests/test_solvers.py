@@ -2,17 +2,19 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regionchoice import zlinalg
 from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (D0, FlatDiagram, InternalInvariantError,
-                                  random_diagram)
+                                  arcs, random_diagram)
 from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
                                     residual, rule_gap_columns)
-from regionchoice.solvers import (PinnedKernelRequest, add1_algebraic,
-                                  add1_geometric, arc_unimodularity_report,
-                                  kernel_basis, pinned_kernel, solve,
-                                  solve_mod2, solve_single_via_double, verify)
+from regionchoice.solvers import (PinnedKernelRequest, _factored, _pin_pair,
+                                  add1_algebraic, add1_geometric,
+                                  arc_unimodularity_report, kernel_basis,
+                                  pinned_kernel, solve, solve_mod2,
+                                  solve_single_via_double, verify)
 
 
 def unit(n, v):
@@ -98,22 +100,59 @@ def test_add1_algebraic_unit_residual():
             assert cert.residual == unit(4, v)
 
 
-def test_add1_algebraic_builds_the_matrix_once(monkeypatch):
+@pytest.fixture
+def cold_cache():
+    """An empty factorisation cache, emptied again afterwards."""
+    _factored.cache_clear()
+    yield
+    _factored.cache_clear()
+
+
+@pytest.fixture
+def factorisations(monkeypatch, cold_cache):
+    """The stages of every ``_UnitFactorisation`` built, in order."""
+    made = []
+
+    class Counting(zlinalg._UnitFactorisation):
+        def __init__(self, matrix, pins, stage):
+            made.append(stage)
+            super().__init__(matrix, pins, stage)
+
+    monkeypatch.setattr(zlinalg, "_UnitFactorisation", Counting)
+    return made
+
+
+def test_add1_algebraic_builds_and_factors_each_matrix_once(
+        monkeypatch, factorisations):
     from regionchoice import incidence
-    calls = []
+    builds = []
 
     def counting(diagram, rule):
-        calls.append(rule)
+        builds.append(rule)
         return build_matrix(diagram, rule)
 
-    D = random_diagram(3, 9)
-    expected = [add1_algebraic(D, rule, v) for rule in (SINGLE, DOUBLE)
-                for v in range(D.crossing_count)]
     monkeypatch.setattr(incidence, "build_matrix", counting)
-    for cert in expected:
-        calls.clear()
-        assert add1_algebraic(D, cert.rule, cert.crossing) == cert
-        assert calls == [cert.rule]
+    D = random_diagram(3, 9)
+    n = D.crossing_count
+    certs = [add1_algebraic(D, rule, v) for v in range(n)
+             for rule in (SINGLE, DOUBLE)]
+    assert builds == [SINGLE, DOUBLE]
+    assert factorisations == ["pinned solve"] * 2
+    for cert in certs:
+        (family,) = zlinalg.solve_pinned(
+            build_matrix(D, cert.rule).entries, _pin_pair(D),
+            [tuple(-x for x in unit(n, cert.crossing))])
+        assert cert.assignment == family.particular
+        assert cert.residual == unit(n, cert.crossing)
+
+
+def test_add1_refuses_a_bool_crossing():
+    D = catalog_entry("3_1").diagram
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="not an integer"):
+            add1_algebraic(D, SINGLE, flag)
+        with pytest.raises(ValueError, match="not an integer"):
+            add1_geometric(D, flag)
 
 
 def test_add1_algebraic_bad_crossing():
@@ -138,6 +177,18 @@ def test_add1_paths_differ_by_kernel():
         a = add1_algebraic(D, DOUBLE, v).assignment
         diff = tuple(x - y for x, y in zip(g, a))
         assert apply(M, diff) == (0, 0, 0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), moves=st.integers(0, 14))
+def test_add1_paths_differ_by_a_double_rule_kernel_vector(seed, moves):
+    D = random_diagram(seed, moves)
+    M = build_matrix(D, DOUBLE)
+    zeros = (0,) * D.crossing_count
+    for v in range(D.crossing_count):
+        g = add1_geometric(D, v).assignment
+        a = add1_algebraic(D, DOUBLE, v).assignment
+        assert apply(M, tuple(x - y for x, y in zip(g, a))) == zeros
 
 
 def single_via_double_per_certificate(D, b):
@@ -190,19 +241,68 @@ def test_single_via_double_matches_direct():
             assert apply(M, diff) == zero
 
 
-def test_single_via_double_reduces_twice(monkeypatch):
+def test_single_via_double_factors_twice_then_not_at_all(factorisations):
     D = random_diagram(5, 12)
     b = tuple(range(1, D.crossing_count + 1))
-    calls = []
-    solve_pinned = zlinalg.solve_pinned
+    u = solve_single_via_double(D, b)
+    assert len(factorisations) == 2
+    factorisations.clear()
+    assert solve_single_via_double(D, b) == u
+    assert factorisations == []
+    # both paths are zero on the pin pair, so the sum is the canonical
+    # single-rule particular
+    (family,) = zlinalg.solve_pinned(build_matrix(D, SINGLE).entries,
+                                     _pin_pair(D), [b])
+    assert u == family.particular
 
-    def counting(matrix, pins, rhs):
-        calls.append(matrix)
-        return solve_pinned(matrix, pins, rhs)
 
-    monkeypatch.setattr(zlinalg, "solve_pinned", counting)
-    solve_single_via_double(D, b)
-    assert len(calls) == 2
+def flip_kernel_entry(f):
+    k1, k2 = f.kernel
+    j = next(j for j, x in enumerate(k1) if x and j not in f.pins)
+    f.kernel = (k1[:j] + (-k1[j],) + k1[j + 1:], k2)
+
+
+def make_a_pivot_2(f):
+    i, j, _, rest = f.pivots[0]
+    f.pivots[0] = (i, j, 2, rest)
+
+
+@pytest.mark.parametrize("corrupt", [flip_kernel_entry, make_a_pivot_2])
+def test_a_corrupted_cached_factorisation_is_refused(corrupt, cold_cache):
+    D = random_diagram(4, 10)
+    n = D.crossing_count
+    calls = [lambda: solve(D, DOUBLE, (1,) * n),
+             lambda: add1_algebraic(D, DOUBLE, 0),
+             lambda: pinned_kernel(D, PinnedKernelRequest(1, 0, 1, DOUBLE))]
+    for call in calls:
+        _factored.cache_clear()
+        call()
+        corrupt(_factored(D, DOUBLE)[1])
+        with pytest.raises(InternalInvariantError,
+                           match="^pinned solve, certificate: "):
+            call()
+
+
+def test_the_factorisation_cache_stays_bounded(cold_cache):
+    for seed in range(50):
+        D = random_diagram(seed, 8)
+        solve(D, SINGLE, (1,) * D.crossing_count)
+        assert _factored.cache_info().currsize <= 8
+    assert _factored.cache_info().misses == 50
+
+
+def test_pinned_kernel_matches_the_per_arc_solve():
+    diagrams = ([catalog_entry(name).diagram for name in names()]
+                + [random_diagram(s, 4 + 2 * s) for s in range(8)])
+    for D in diagrams:
+        zeros = (0,) * D.crossing_count
+        for rule in (SINGLE, DOUBLE):
+            M = build_matrix(D, rule).entries
+            for arc in arcs(D):
+                (family,) = zlinalg.solve_pinned(M, arc.sides, [zeros])
+                for a, b in ((0, 1), (1, 0), (3, -2)):
+                    request = PinnedKernelRequest(arc.label, a, b, rule)
+                    assert pinned_kernel(D, request) == family.member(a, b)
 
 
 def test_mod2_solutions_verify():
