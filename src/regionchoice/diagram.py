@@ -534,159 +534,99 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _entry_slots(mate: dict[Dart, Dart], v: int) -> tuple[int, int]:
-    """Slots through which the oriented knot enters crossing ``v``."""
-    entries = []
-    d = start = (0, 0)
-    while True:
-        c, s = mate[d]
-        if c == v:
-            entries.append(s)
-        d = (c, (s + 2) % 4)
-        if d == start:
-            break
-    if len(entries) != 2:
-        raise InternalInvariantError(
-            f"knot traversal enters v{v + 1} {len(entries)} times")
-    return entries[0], entries[1]
-
-
 def splice(diagram: FlatDiagram, v: int) -> ComponentSplit:
     """Orientation-respecting smoothing of a knot at a self-crossing."""
     if not is_knot(diagram):
         raise DiagramError("splice requires a knot projection")
+    # bool is a subclass of int, but True and False are not indices
+    if isinstance(v, bool):
+        raise DiagramError(f"crossing index {v!r} is not an integer")
     if not 0 <= v < diagram.crossing_count:
         raise DiagramError(f"no crossing v{v + 1}")
     mate = _mates(diagram.crossings)
     corner = _region_at_corner(diagram)
-    i1, i2 = _entry_slots(mate, v)
 
-    # the smoothing joins entry i1 to exit i2+2 and entry i2 to exit i1+2,
-    # pairing adjacent slots into the two new strands
-    pair_of = {}
-    for a, b in (((i1) % 4, (i2 + 2) % 4), ((i2) % 4, (i1 + 2) % 4)):
-        pair_of[a], pair_of[b] = b, a
-
-    def step(d: Dart) -> Dart:
+    # the darts the knot leaves through, walked once from (0, 0)
+    walk = []
+    d = (0, 0)
+    while True:
+        walk.append(d)
         c, s = mate[d]
-        if c == v:
-            return (v, pair_of[s])
-        return (c, (s + 2) % 4)
-
-    # components of the spliced link, as a partition of the arcs
-    n = diagram.crossing_count
-    arc_comp = _UnionFind(2 * n + 1)
-    seen: set[Dart] = set()
-    for start in sorted(mate):
-        if start in seen:
-            continue
-        d = start
-        first_label = diagram.crossings[d[0]][d[1]]
-        while True:
-            seen.add(d)
-            arc_comp.union(first_label, diagram.crossings[d[0]][d[1]])
-            d = step(d)
-            if d == start:
-                break
-    roots = sorted({arc_comp.find(lab) for lab in range(1, 2 * n + 1)})
-    if len(roots) != 2:
+        d = (c, (s + 2) % 4)
+        if d == (0, 0):
+            break
+    arrivals = [i for i, d in enumerate(walk) if mate[d][0] == v]
+    if len(arrivals) != 2:
         raise InternalInvariantError(
-            f"splice produced {len(roots)} components, expected 2")
-    comp_of_arc = {lab: roots.index(arc_comp.find(lab))
-                   for lab in range(1, 2 * n + 1)}
+            f"knot traversal enters v{v + 1} {len(arrivals)} times")
+    p, q = arrivals
+    i1, i2 = mate[walk[p]][1], mate[walk[q]][1]
+    # the smoothing joins entry i1 to exit i2+2 and entry i2 to exit i1+2,
+    # so each component's walk starts just after v and ends arriving there;
     # component 0 is the one carrying the smallest dart
-    if comp_of_arc[diagram.crossings[0][0]] != 0:
-        comp_of_arc = {lab: 1 - k for lab, k in comp_of_arc.items()}
+    halves = (walk[q + 1:] + walk[:p + 1], walk[p + 1:q + 1])
 
     # region quotients: splicing merges the two corners of v not cut off by
     # a new strand; deleting a component merges regions across its arcs
-    m = diagram.region_count
-    quotients = [_UnionFind(m), _UnionFind(m)]
-    cut_corners = {s for s in range(4) if pair_of[s] == (s + 1) % 4}
-    merged_corners = [s for s in range(4) if s not in cut_corners]
-    for uf in quotients:
-        uf.union(corner[(v, merged_corners[0])], corner[(v, merged_corners[1])])
-    for arc in arcs(diagram):
-        # deleting component 1-k merges faces across its arcs in quotient k
-        uf = quotients[1 - comp_of_arc[arc.label]]
-        uf.union(arc.sides[0], arc.sides[1])
-
-    strand_pairs: list[tuple[int, int] | None] = [None, None]
-    for a, b in (((i1) % 4, (i2 + 2) % 4), ((i2) % 4, (i1 + 2) % 4)):
-        strand_pairs[comp_of_arc[diagram.crossings[v][a]]] = (a, b)
-
+    strands = ({i1, (i2 + 2) % 4}, {i2, (i1 + 2) % 4})
+    merged = [s for s in range(4) if {s, (s + 1) % 4} not in strands]
     components = []
-    for k in (0, 1):
-        components.append(
-            _build_component(diagram, v, k, comp_of_arc, mate, pair_of,
-                             quotients[k], strand_pairs[k], corner))
+    for k, half in enumerate(halves):
+        uf = _UnionFind(diagram.region_count)
+        uf.union(corner[(v, merged[0])], corner[(v, merged[1])])
+        for d in halves[1 - k]:
+            uf.union(corner[d], corner[mate[d]])
+        components.append(_build_component(diagram, v, half, mate, uf, corner))
     return ComponentSplit(v, components[0], components[1])
 
 
-def _component_classes(uf: _UnionFind, m: int) -> tuple[dict[int, int], list[int]]:
-    roots = sorted({uf.find(r) for r in range(m)})
-    index = {root: i for i, root in enumerate(roots)}
-    return index, [index[uf.find(r)] for r in range(m)]
-
-
-def _build_component(diagram, v, k, comp_of_arc, mate, pair_of,
-                     uf, strand_pair, corner) -> SplicedComponent:
-    n = diagram.crossing_count
+def _build_component(diagram, v, walk, mate, uf, corner) -> SplicedComponent:
+    """The component whose curve leaves through the darts ``walk``, from
+    just after ``v`` to its arrival back at ``v``; ``uf`` is its region
+    quotient of the diagram."""
     m = diagram.region_count
-
-    def strand_comps(c: int) -> tuple[int, int]:
-        return (comp_of_arc[diagram.crossings[c][0]],
-                comp_of_arc[diagram.crossings[c][1]])
-
-    kept = tuple(c for c in range(n) if c != v and strand_comps(c) == (k, k))
-    _, raw_map = _component_classes(uf, m)
-    class_count = len(set(raw_map))
-    if class_count != len(kept) + 2:
+    passes: dict[int, int] = {}
+    for c, _ in walk:
+        passes[c] = passes.get(c, 0) + 1
+    kept = tuple(sorted(c for c, k in passes.items() if k == 2 and c != v))
+    root_of = [uf.find(r) for r in range(m)]
+    roots = sorted(set(root_of))
+    if len(roots) != len(kept) + 2:
         raise InternalInvariantError(
-            f"component has {class_count} region classes for {len(kept)} "
+            f"component has {len(roots)} region classes for {len(kept)} "
             "crossings")
+    index = {root: i for i, root in enumerate(roots)}
+    raw_map = tuple(index[root] for root in root_of)
 
-    # side regions of the smoothed strand, in the component's quotient
-    d1, d2 = sorted(((v, strand_pair[0]), mate[(v, strand_pair[0])]))
+    # side regions of the smoothed strand, read off the arc arriving at v
+    d1, d2 = sorted((walk[-1], mate[walk[-1]]))
     raw_sides = (raw_map[corner[d1]], raw_map[corner[d2]])
     if raw_sides[0] == raw_sides[1]:
         raise InternalInvariantError("smoothed strand has equal side regions")
 
     if not kept:
-        # bare loop: two regions, the one containing region 0's class first
-        order = sorted(set(raw_map))
-        renum = {cls: i for i, cls in enumerate(order)}
-        region_map = tuple(renum[c] for c in raw_map)
-        return SplicedComponent(None, region_map, (), None,
-                                (renum[raw_sides[0]], renum[raw_sides[1]]))
+        # bare loop: two regions, the one containing region 0 first
+        return SplicedComponent(None, raw_map, (), None, raw_sides)
 
-    # walk the strand between kept crossings to form the component's arcs
+    # a component arc runs from a dart leaving a kept crossing to the next
+    # dart arriving at one; the walk starts and ends at v, so the one arc
+    # that wraps past its end carries the smoothed strand
     local = {c: i for i, c in enumerate(kept)}
-    endpoint_of: dict[Dart, Dart] = {}
-    through_v: set[frozenset] = set()
-    for c in kept:
-        for s in range(4):
-            d = (c, s)
-            passed_v = False
-            while True:
-                cc, ss = mate[d]
-                if cc == v:
-                    passed_v = True
-                    d = (v, pair_of[ss])
-                elif cc in local:
-                    endpoint_of[(c, s)] = (cc, ss)
-                    break
-                else:
-                    d = (cc, (ss + 2) % 4)
-            if passed_v:
-                through_v.add(frozenset(((c, s), endpoint_of[(c, s)])))
-    arcs_found = sorted({frozenset((d, e)) for d, e in endpoint_of.items()},
-                        key=lambda fs: sorted(fs))
-    label_of = {fs: i + 1 for i, fs in enumerate(arcs_found)}
-    dart_label: dict[Dart, int] = {}
-    for fs, lab in label_of.items():
-        for d in fs:
-            dart_label[d] = lab
+    ends = []
+    start = wrap_end = None
+    for d in walk:
+        if d[0] in local:
+            start = d
+        e = mate[d]
+        if e[0] in local:
+            if start is None:
+                wrap_end = e
+            else:
+                ends.append(tuple(sorted((start, e))))
+                start = None
+    strand = tuple(sorted((start, wrap_end)))
+    label_of = {pair: i + 1 for i, pair in enumerate(sorted(ends + [strand]))}
+    dart_label = {d: lab for pair, lab in label_of.items() for d in pair}
     crossings = tuple(tuple(dart_label[(c, s)] for s in range(4)) for c in kept)
     sub = FlatDiagram(crossings, None)
 
@@ -704,12 +644,7 @@ def _build_component(diagram, v, k, comp_of_arc, mate, pair_of,
         raise InternalInvariantError(
             "component faces do not biject with region classes")
     region_map = tuple(class_to_region[c] for c in raw_map)
-
-    if len(through_v) != 1:
-        raise InternalInvariantError(
-            f"{len(through_v)} component arcs pass the smoothing site")
-    strand_arc = label_of[next(iter(through_v))]
-    return SplicedComponent(sub, region_map, kept, strand_arc,
+    return SplicedComponent(sub, region_map, kept, label_of[strand],
                             (class_to_region[raw_sides[0]],
                              class_to_region[raw_sides[1]]))
 

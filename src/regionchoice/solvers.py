@@ -64,10 +64,10 @@ def _factored(diagram: FlatDiagram, rule: str
     ``ValueError``.
 
     The bound is set by the traffic: a sweep over one diagram needs 2
-    entries, and 8 keep 3 interleaved diagrams under both rules with room
-    for the one-shot spliced components of the geometric add-1.  Keeping
-    the factorisation on the diagram instead would keep it alive as long
-    as the diagram caches keep the diagram.
+    entries, and 8 keep 3 interleaved diagrams under both rules.  The
+    geometric add-1 factors its one-shot spliced component itself, outside
+    this cache.  Keeping the factorisation on the diagram instead would
+    keep it alive as long as the diagram caches keep the diagram.
     """
     if not is_knot(diagram):
         raise ValueError("the region choice solve requires a knot projection")
@@ -124,34 +124,29 @@ def kernel_basis(diagram: FlatDiagram, rule: str):
 
 
 def pinned_kernel(diagram: FlatDiagram, request: PinnedKernelRequest):
-    """Kernel solution with prescribed values on the two sides of an arc."""
-    return _kernel_member(diagram, request.rule,
-                          arc_by_label(diagram, request.arc).sides,
-                          (request.a, request.b), f"arc {request.arc}")
+    """Kernel solution with prescribed values on the two sides of an arc.
 
-
-def _kernel_member(diagram: FlatDiagram, rule: str, sides: tuple[int, int],
-                   values: tuple[int, int], arc: str):
-    """The kernel vector with ``values`` on the regions ``sides``, read off
-    the canonical kernel ``(k1, k2)``: the kernel minor on the sides is +-1
-    (criterion 6), so the integer inverse of that 2x2 block gives the
-    coefficients.  The vector is checked to be in the kernel and to take
-    ``values`` on ``sides``; ``arc`` names the arc in any failure."""
-    _, f = _certified(diagram, rule)
+    It is read off the canonical kernel ``(k1, k2)``: the kernel minor on
+    the arc's sides is +-1 (criterion 6), so the integer inverse of that
+    2x2 block gives the coefficients.  The vector is checked to be in the
+    kernel and to take the values on the sides."""
+    _, f = _certified(diagram, request.rule)
     k1, k2 = f.kernel
-    s1, s2 = sides
+    s1, s2 = arc_by_label(diagram, request.arc).sides
     det = _minor(k1, k2, s1, s2)
     if det not in (1, -1):
         raise InternalInvariantError(
-            f"kernel minor on the sides of {arc} is {det}, not +-1")
-    a, b = values
+            f"kernel minor on the sides of arc {request.arc} is {det}, "
+            "not +-1")
+    a, b = request.a, request.b
     # (alpha, beta) = block^-1 (a, b), and block^-1 = det * adj(block)
     alpha = det * (k2[s2] * a - k2[s1] * b)
     beta = det * (k1[s1] * b - k1[s2] * a)
     u = tuple(alpha * x + beta * y for x, y in zip(k1, k2))
-    if any(f.image(u)) or (u[s1], u[s2]) != values:
+    if any(f.image(u)) or (u[s1], u[s2]) != (a, b):
         raise InternalInvariantError(
-            f"pinned kernel vector for {arc} misses the kernel or its values")
+            f"pinned kernel vector for arc {request.arc} misses the kernel "
+            "or its values")
     return u
 
 
@@ -206,28 +201,31 @@ def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
     sign2 = _component_checkerboard(split.second)
     u = tuple(u1[split.first.region_map[r]] * sign2[split.second.region_map[r]]
               for r in range(diagram.region_count))
-    matrix = incidence.build_matrix(diagram, DOUBLE)
     target = _unit(diagram.crossing_count, crossing, 1)
-    res = incidence.apply(matrix, u)
-    if res == target:
-        return Add1Certificate(crossing, DOUBLE, u, GEOMETRIC, res)
-    neg = tuple(-x for x in u)
-    res = incidence.apply(matrix, neg)
-    if res == target:
-        return Add1Certificate(crossing, DOUBLE, neg, GEOMETRIC, res)
-    raise InternalInvariantError(
-        "geometric add-1 construction certified neither u nor -u")
+    # A(-u) = -Au, so one product decides between u and -u
+    res = incidence.apply(incidence.build_matrix(diagram, DOUBLE), u)
+    if res != target:
+        u, res = tuple(-x for x in u), tuple(-x for x in res)
+    if res != target:
+        raise InternalInvariantError(
+            "geometric add-1 construction certified neither u nor -u")
+    return Add1Certificate(crossing, DOUBLE, u, GEOMETRIC, res)
 
 
 def _component_pinned_kernel(split: ComponentSplit):
+    """The first component's kernel vector that is 0 and 1 on the sides of
+    the smoothed strand.  The component is factored here, pinned on those
+    sides, and not cached: it is used once.  Its kernel's second vector is
+    (0, 1) on the pins, and construction checks the certificate."""
     comp = split.first
     r1, r2 = comp.strand_sides
     if comp.diagram is None:
         values = [0, 0]
         values[r1], values[r2] = 0, 1
         return tuple(values)
-    return _kernel_member(comp.diagram, DOUBLE, (r1, r2), (0, 1),
-                          "the smoothed strand")
+    return zlinalg._UnitFactorisation(
+        incidence.build_matrix(comp.diagram, DOUBLE).entries, (r1, r2),
+        "geometric add-1").kernel[1]
 
 
 def _component_checkerboard(comp) -> CheckerboardColoring:

@@ -271,16 +271,54 @@ def test_random_diagram_stays_valid_knot():
 
 
 def test_splice_gives_two_components():
+    diagrams = [FlatDiagram(TREFOIL)] + [random_diagram(s, m)
+                                         for s in range(12) for m in (3, 8, 20)]
+    for D in diagrams:
+        n = D.crossing_count
+        for v in range(n):
+            split = splice(D, v)
+            kept = set(split.first.crossings) | set(split.second.crossings)
+            # crossings between the two new curves belong to neither
+            # sub-diagram; two closed curves on the sphere cross evenly often
+            assert kept <= set(range(n)) - {v}
+            assert not set(split.first.crossings) & set(split.second.crossings)
+            assert (n - 1 - len(split.first.crossings)
+                    - len(split.second.crossings)) % 2 == 0
+            for comp in (split.first, split.second):
+                assert len(comp.region_map) == D.region_count
+                assert max(comp.region_map) < comp.region_count
+                assert set(comp.region_map) == set(range(comp.region_count))
+                if comp.diagram is None:
+                    assert comp.strand_arc is None
+                    assert comp.region_count == 2
+                    continue
+                assert is_knot(comp.diagram)
+                assert (set(arc_by_label(comp.diagram, comp.strand_arc).sides)
+                        == set(comp.strand_sides))
+
+
+def test_splice_refuses_a_crossing_index_it_does_not_have():
     D = FlatDiagram(TREFOIL)
-    for v in range(3):
-        split = splice(D, v)
-        kept = set(split.first.crossings) | set(split.second.crossings)
-        # crossings between the two new curves belong to neither sub-diagram
-        assert kept <= {0, 1, 2} - {v}
-        assert not set(split.first.crossings) & set(split.second.crossings)
-        for comp in (split.first, split.second):
-            assert len(comp.region_map) == D.region_count
-            assert max(comp.region_map) < comp.region_count
+    for v in (-1, 3, True, False):
+        with pytest.raises(DiagramError):
+            splice(D, v)
+
+
+# sha256 of repr(splice(D, v)) + "\n" at every crossing of the catalog and
+# random_diagram(s, 6 + 2 s), s in 0..11, as the three-walk splice (entry
+# slots, then an arc union-find, then a strand re-walk) computed them
+SPLICE_SHA256 = \
+    "58a3b7470f23c23f7e30b660d95e950d132b1fd278a32d72f0926771283eeca0"
+
+
+def test_splice_matches_the_golden_digest():
+    h = hashlib.sha256()
+    diagrams = ([catalog_entry(name).diagram for name in names()]
+                + [random_diagram(s, 6 + 2 * s) for s in range(12)])
+    for D in diagrams:
+        for v in range(D.crossing_count):
+            h.update((repr(splice(D, v)) + "\n").encode())
+    assert h.hexdigest() == SPLICE_SHA256
 
 
 def test_splice_keeps_self_crossings():

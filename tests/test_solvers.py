@@ -226,6 +226,23 @@ def test_single_via_double_matches_the_golden_digest():
     assert h.hexdigest() == VIA_DOUBLE_SHA256
 
 
+# sha256 of repr(add1_geometric(D, v)) + "\n" at every crossing of the
+# catalog and random_diagram(s, 6 + 2 s), s in 0..11, as the construction
+# computed them through the factorisation cache and two dense products
+ADD1_GEOMETRIC_SHA256 = \
+    "f19fbf64df231f6f3731736b6a227d0f8967f94b1d8669d4a05d3bac9af4fb6f"
+
+
+def test_add1_geometric_matches_the_golden_digest():
+    h = hashlib.sha256()
+    diagrams = ([catalog_entry(name).diagram for name in names()]
+                + [random_diagram(s, 6 + 2 * s) for s in range(12)])
+    for D in diagrams:
+        for v in range(D.crossing_count):
+            h.update((repr(add1_geometric(D, v)) + "\n").encode())
+    assert h.hexdigest() == ADD1_GEOMETRIC_SHA256
+
+
 def test_single_via_double_matches_direct():
     rng = random.Random(11)
     for D in (catalog_entry("example2_4").diagram, random_diagram(5, 12)):
@@ -289,6 +306,17 @@ def test_the_factorisation_cache_stays_bounded(cold_cache):
         solve(D, SINGLE, (1,) * D.crossing_count)
         assert _factored.cache_info().currsize <= 8
     assert _factored.cache_info().misses == 50
+
+
+def test_add1_geometric_leaves_the_factorisation_cache_alone(cold_cache):
+    # the spliced component is factored once, outside the cache
+    D = random_diagram(6, 12)
+    for rule in (SINGLE, DOUBLE):
+        kernel_basis(D, rule)
+    before = _factored.cache_info()
+    for v in range(D.crossing_count):
+        add1_geometric(D, v)
+    assert _factored.cache_info() == before
 
 
 def test_pinned_kernel_matches_the_per_arc_solve():
