@@ -25,8 +25,7 @@ from .solvers import (ALGEBRAIC, Add1Certificate, GEOMETRIC,
                       arc_unimodularity_report, kernel_basis, pinned_kernel,
                       solve, solve_mod2, solve_single_via_double, verify)
 from .zlinalg import (E00Decomposition, EchelonForm, NotE00Error, Operation,
-                      SolutionFamily, determinant, minimize_in_family,
-                      reduce_to_e00, replay, rref_rational, solve_gf2,
-                      solve_pinned)
+                      SolutionFamily, minimize_in_family, reduce_to_e00,
+                      replay, rref_rational, solve_gf2, solve_pinned)
 
 __version__ = "0.1.0"

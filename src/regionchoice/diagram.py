@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import InitVar, dataclass
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import chain
 
 from .zlinalg import InternalInvariantError
 
@@ -34,17 +35,19 @@ class FlatDiagram:
 
     crossings: tuple[tuple[int, int, int, int], ...]
     name: str | None = None
-    # ``_darts_by_label(crossings)`` when the caller already built it (the
-    # random moves do); init-only, never stored
-    _darts: InitVar[dict[int, list[Dart]] | None] = None
 
-    def __post_init__(self, darts) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "crossings",
                            tuple(tuple(c) for c in self.crossings))
-        # the faces traced by the validation, kept so that nothing traces
-        # them again; an attribute, not a field, so ==, hash and repr
-        # ignore it
-        object.__setattr__(self, "_faces", _validate(self, darts))
+        # the validation's faces in region order, kept so that nothing
+        # traces them again; not a field, so ==, hash and repr ignore them
+        object.__setattr__(self, "_faces", _validate(self))
+
+    @cached_property
+    def _corner(self) -> dict[Dart, int]:
+        """Region index of every corner, built on first use."""
+        return {corner: i for i, face in enumerate(self._faces)
+                for corner in face}
 
     @property
     def crossing_count(self) -> int:
@@ -143,13 +146,10 @@ def _darts_by_label(crossings) -> dict[int, list[Dart]]:
     return by_label
 
 
-def _mates(crossings, darts=None) -> dict[Dart, Dart]:
-    """Each dart's partner: the other end of its arc.  ``darts`` is
-    ``_darts_by_label(crossings)``, built here when not given."""
-    if darts is None:
-        darts = _darts_by_label(crossings)
+def _mates(crossings) -> dict[Dart, Dart]:
+    """Each dart's partner: the other end of its arc."""
     return {d: (pair[0] if d == pair[1] else pair[1])
-            for pair in darts.values() for d in pair}
+            for pair in _darts_by_label(crossings).values() for d in pair}
 
 
 def _orbits(mate: dict[Dart, Dart], turn: int) -> list[tuple[Dart, ...]]:
@@ -159,6 +159,8 @@ def _orbits(mate: dict[Dart, Dart], turn: int) -> list[tuple[Dart, ...]]:
     """
     orbits = []
     seen: set[Dart] = set()
+    # in sorted order, every dart below a new start lies in an earlier
+    # orbit: the orbits come out sorted by least dart, the region order
     for start in sorted(mate):
         if start in seen:
             continue
@@ -177,9 +179,8 @@ def _orbits(mate: dict[Dart, Dart], turn: int) -> list[tuple[Dart, ...]]:
     return orbits
 
 
-def _validate(diagram: FlatDiagram, darts=None
-              ) -> tuple[tuple[Dart, ...], ...]:
-    """Check the diagram and return its faces, in trace order."""
+def _validate(diagram: FlatDiagram) -> tuple[tuple[Dart, ...], ...]:
+    """Check the diagram and return its faces, in canonical order."""
     n = len(diagram.crossings)
     if n == 0:
         raise DiagramError("diagram has no crossings")
@@ -200,7 +201,7 @@ def _validate(diagram: FlatDiagram, darts=None
         if got != 2:
             raise DiagramError(f"unpaired arc label {label} (appears {got}x)")
 
-    faces = _orbits(_mates(diagram.crossings, darts), 3)
+    faces = _orbits(_mates(diagram.crossings), 3)
     if len(faces) != n + 2:
         raise DiagramError(
             f"non-spherical map: {n} crossings but {len(faces)} faces "
@@ -217,30 +218,15 @@ def _validate(diagram: FlatDiagram, darts=None
     return tuple(faces)
 
 
-def _sorted_faces(diagram: FlatDiagram) -> list[tuple[Dart, ...]]:
-    """The stored faces in canonical region order (by smallest dart)."""
-    return sorted(diagram._faces, key=min)
-
-
-def _corner_regions(diagram: FlatDiagram) -> dict[Dart, int]:
-    """Region index of every corner, numbered as ``regions`` numbers them."""
-    return {corner: i for i, face in enumerate(_sorted_faces(diagram))
-            for corner in face}
-
-
 @lru_cache(maxsize=None)
 def regions(diagram: FlatDiagram) -> tuple[Region, ...]:
     """The ``n + 2`` faces of the diagram in canonical order."""
-    return tuple(Region(i, orbit)
-                 for i, orbit in enumerate(_sorted_faces(diagram)))
-
-
-_region_at_corner = lru_cache(maxsize=None)(_corner_regions)
+    return tuple(Region(i, orbit) for i, orbit in enumerate(diagram._faces))
 
 
 def region_at_corner(diagram: FlatDiagram, crossing: int, slot: int) -> int:
     """Region occupying the corner between slots ``slot`` and ``slot + 1``."""
-    return _region_at_corner(diagram)[(crossing, slot)]
+    return diagram._corner[(crossing, slot)]
 
 
 def corner_count(diagram: FlatDiagram, region: int, crossing: int) -> int:
@@ -276,7 +262,7 @@ def _doubled_crossings(diagram: FlatDiagram) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def arcs(diagram: FlatDiagram) -> tuple[Arc, ...]:
     """Arcs sorted by label, each with its two (distinct) side regions."""
-    corner = _region_at_corner(diagram)
+    corner = diagram._corner
     by_label = _darts_by_label(diagram.crossings)
     out = []
     for label in sorted(by_label):
@@ -290,7 +276,15 @@ def arcs(diagram: FlatDiagram) -> tuple[Arc, ...]:
     return tuple(out)
 
 
+def _require_int(value, what: str) -> None:
+    """Refuse an arc label, crossing index or count that is not an int;
+    bool is a subclass of int, but True and False are none of those."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DiagramError(f"{what} {value!r} is not an integer")
+
+
 def arc_by_label(diagram: FlatDiagram, label: int) -> Arc:
+    _require_int(label, "arc label")
     for arc in arcs(diagram):
         if arc.label == label:
             return arc
@@ -385,37 +379,55 @@ def to_dot(diagram: FlatDiagram) -> str:
 # Reidemeister edits
 
 
-def _relabel(crossings: list[list[int]], name: str | None
-             ) -> tuple[FlatDiagram, dict[int, list[Dart]]]:
-    """Renumber arc labels to 1..2n by smallest incident dart.
-
-    Returns the diagram and its darts by label, the one table both its
-    validation and the next move read.
-    """
-    old = _darts_by_label(crossings)
-    # each list is in (crossing, slot) order, so its head is the first dart
-    order = sorted(old, key=lambda lab: old[lab][0])
-    new_label = {label: i + 1 for i, label in enumerate(order)}
-    darts = {new_label[label]: old[label] for label in order}
+def _relabel(crossings: list[list[int]], name: str | None) -> FlatDiagram:
+    """Renumber arc labels to 1..2n in order of first appearance in
+    (crossing, slot) order, which is the order of their smallest darts."""
+    order = dict.fromkeys(chain.from_iterable(crossings))
+    new_label = {label: i for i, label in enumerate(order, 1)}
     return FlatDiagram(
-        tuple(tuple(new_label[x] for x in tup) for tup in crossings), name,
-        darts), darts
+        tuple(tuple(new_label[x] for x in tup) for tup in crossings), name)
 
 
-# The move bodies read plain tables built from the diagram's stored faces,
-# not the lru_cache'd functions: a grown diagram's intermediate steps are
-# not kept alive in those caches.
+# The moves read the diagram's own faces and corner map, not the
+# lru_cache'd functions: a grown diagram's intermediate steps are not kept
+# alive in those caches.
 
 
-def _arc_darts(darts: dict[int, list[Dart]], label: int) -> list[Dart]:
-    if label not in darts:
+def _arc_darts(diagram: FlatDiagram, label: int) -> list[Dart]:
+    """The arc's two darts in (crossing, slot) order, by one scan."""
+    _require_int(label, "arc label")
+    darts = [(c, s) for c, tup in enumerate(diagram.crossings)
+             if label in tup for s, x in enumerate(tup) if x == label]
+    if not darts:
         raise DiagramError(f"no arc labelled {label}")
-    return darts[label]
+    return darts
 
 
-def _r1(diagram: FlatDiagram, darts: dict[int, list[Dart]], arc_label: int,
-        side: str) -> tuple[FlatDiagram, dict[int, list[Dart]]]:
-    (c1, s1), (c2, s2) = _arc_darts(darts, arc_label)
+def _r2_pairs(diagram: FlatDiagram) -> list[tuple[int, int]]:
+    """Every ordered pair of distinct arcs that share a region.
+
+    Arcs come in label order; an arc's partners are the labels on its two
+    side regions, sorted, itself left out.
+    """
+    on_region: list[set[int]] = [set() for _ in range(diagram.region_count)]
+    sides: list[list[int]] = [[] for _ in range(diagram.arc_count + 1)]
+    for (c, s), r in diagram._corner.items():
+        label = diagram.crossings[c][s]
+        on_region[r].add(label)
+        sides[label].append(r)
+    pairs = []
+    for label in range(1, diagram.arc_count + 1):
+        r1, r2 = sides[label]
+        partners = (on_region[r1] | on_region[r2]) - {label}
+        pairs.extend((label, b) for b in sorted(partners))
+    return pairs
+
+
+def apply_r1(diagram: FlatDiagram, arc_label: int, side: str) -> FlatDiagram:
+    """Insert a kink on the arc, on the chosen side of its traversal."""
+    if side not in ("left", "right"):
+        raise DiagramError(f"side must be 'left' or 'right', got {side!r}")
+    (c1, s1), (c2, s2) = _arc_darts(diagram, arc_label)
     # a valid diagram's labels are exactly 1..2n
     p, q, loop = range(diagram.arc_count + 1, diagram.arc_count + 4)
     crossings = [list(tup) for tup in diagram.crossings]
@@ -428,11 +440,13 @@ def _r1(diagram: FlatDiagram, darts: dict[int, list[Dart]], arc_label: int,
     return _relabel(crossings, diagram.name)
 
 
-def _r2(diagram: FlatDiagram, darts: dict[int, list[Dart]],
-        corner: dict[Dart, int], arc1_label: int,
-        arc2_label: int) -> tuple[FlatDiagram, dict[int, list[Dart]]]:
-    arc1 = _arc_darts(darts, arc1_label)
-    arc2 = _arc_darts(darts, arc2_label)
+def apply_r2(diagram: FlatDiagram, arc1_label: int, arc2_label: int) -> FlatDiagram:
+    """Push the first arc across the second through a shared region."""
+    if arc1_label == arc2_label:
+        raise DiagramError("cannot push an arc across itself")
+    arc1 = _arc_darts(diagram, arc1_label)
+    arc2 = _arc_darts(diagram, arc2_label)
+    corner = diagram._corner
     shared = {corner[d] for d in arc1} & {corner[d] for d in arc2}
     if not shared:
         raise DiagramError(
@@ -455,41 +469,6 @@ def _r2(diagram: FlatDiagram, darts: dict[int, list[Dart]],
     return _relabel(crossings, diagram.name)
 
 
-def _r2_pairs(diagram: FlatDiagram, darts: dict[int, list[Dart]],
-              corner: dict[Dart, int]) -> list[tuple[int, int]]:
-    """Every ordered pair of distinct arcs that share a region.
-
-    Arcs come in label order; an arc's partners are the labels on its two
-    side regions, sorted, itself left out.
-    """
-    on_region: list[set[int]] = [set() for _ in range(diagram.region_count)]
-    for (c, s), r in corner.items():
-        on_region[r].add(diagram.crossings[c][s])
-    pairs = []
-    for label in range(1, diagram.arc_count + 1):
-        d1, d2 = darts[label]
-        partners = on_region[corner[d1]] | on_region[corner[d2]]
-        partners.discard(label)
-        pairs.extend((label, b) for b in sorted(partners))
-    return pairs
-
-
-def apply_r1(diagram: FlatDiagram, arc_label: int, side: str) -> FlatDiagram:
-    """Insert a kink on the arc, on the chosen side of its traversal."""
-    if side not in ("left", "right"):
-        raise DiagramError(f"side must be 'left' or 'right', got {side!r}")
-    return _r1(diagram, _darts_by_label(diagram.crossings), arc_label,
-               side)[0]
-
-
-def apply_r2(diagram: FlatDiagram, arc1_label: int, arc2_label: int) -> FlatDiagram:
-    """Push the first arc across the second through a shared region."""
-    if arc1_label == arc2_label:
-        raise DiagramError("cannot push an arc across itself")
-    return _r2(diagram, _darts_by_label(diagram.crossings),
-               _corner_regions(diagram), arc1_label, arc2_label)[0]
-
-
 def random_diagram(seed: int, move_count: int) -> FlatDiagram:
     """Grow a knot projection from the one-crossing curl by random moves.
 
@@ -498,19 +477,17 @@ def random_diagram(seed: int, move_count: int) -> FlatDiagram:
     contract: ``rng.choice`` picks by position, so reordering it changes
     every seeded diagram (the golden digest in ``tests/test_diagram.py``).
     """
+    _require_int(move_count, "move_count")
     if move_count < 0:
         raise DiagramError("move_count must be non-negative")
     rng = random.Random(seed)
-    diagram, darts = _relabel([[1, 2, 2, 1]], f"random-{seed}-{move_count}")
+    diagram = _relabel([[1, 2, 2, 1]], f"random-{seed}-{move_count}")
     for _ in range(move_count):
         if rng.random() < 0.5:
             label = rng.choice(range(1, diagram.arc_count + 1))
-            diagram, darts = _r1(diagram, darts, label,
-                                 rng.choice(("left", "right")))
+            diagram = apply_r1(diagram, label, rng.choice(("left", "right")))
         else:
-            corner = _corner_regions(diagram)
-            pair = rng.choice(_r2_pairs(diagram, darts, corner))
-            diagram, darts = _r2(diagram, darts, corner, *pair)
+            diagram = apply_r2(diagram, *rng.choice(_r2_pairs(diagram)))
     return diagram
 
 
@@ -538,13 +515,11 @@ def splice(diagram: FlatDiagram, v: int) -> ComponentSplit:
     """Orientation-respecting smoothing of a knot at a self-crossing."""
     if not is_knot(diagram):
         raise DiagramError("splice requires a knot projection")
-    # bool is a subclass of int, but True and False are not indices
-    if isinstance(v, bool):
-        raise DiagramError(f"crossing index {v!r} is not an integer")
+    _require_int(v, "crossing index")
     if not 0 <= v < diagram.crossing_count:
         raise DiagramError(f"no crossing v{v + 1}")
     mate = _mates(diagram.crossings)
-    corner = _region_at_corner(diagram)
+    corner = diagram._corner
 
     # the darts the knot leaves through, walked once from (0, 0)
     walk = []
@@ -632,11 +607,10 @@ def _build_component(diagram, v, walk, mate, uf, corner) -> SplicedComponent:
 
     # match the component's own faces to the quotient classes
     class_to_region: dict[int, int] = {}
-    sub_corner = _region_at_corner(sub)
     for c in kept:
         for s in range(4):
             cls = raw_map[corner[(c, s)]]
-            reg = sub_corner[(local[c], s)]
+            reg = sub._corner[(local[c], s)]
             if class_to_region.setdefault(cls, reg) != reg:
                 raise InternalInvariantError(
                     "component faces do not refine the region quotient")

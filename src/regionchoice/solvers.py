@@ -17,7 +17,7 @@ from . import incidence, zlinalg
 from .diagram import (CheckerboardColoring, ComponentSplit, FlatDiagram,
                       InternalInvariantError, arc_by_label, arcs,
                       checkerboard, is_knot, regions, splice)
-from .incidence import DOUBLE, SINGLE, RegionChoiceMatrix
+from .incidence import DOUBLE, SINGLE
 from .zlinalg import SolutionFamily
 
 ALGEBRAIC = "algebraic"
@@ -56,12 +56,12 @@ class VerificationReport:
 
 
 @lru_cache(maxsize=8)
-def _factored(diagram: FlatDiagram, rule: str
-              ) -> tuple[RegionChoiceMatrix, zlinalg._UnitFactorisation]:
-    """The rule's matrix and its one factorisation, pinned on
+def _factored(diagram: FlatDiagram, rule: str) -> zlinalg._UnitFactorisation:
+    """The one factorisation of the rule's matrix, pinned on
     ``_pin_pair(diagram)``, for the last few (diagram, rule) pairs asked.
-    Only a knot projection is solvable for every b, so a link raises
-    ``ValueError``.
+    It keeps the matrix it was built from, and every query reads that
+    matrix, its sparse rows and its kernel off it.  Only a knot projection
+    is solvable for every b, so a link raises ``ValueError``.
 
     The bound is set by the traffic: a sweep over one diagram needs 2
     entries, and 8 keep 3 interleaved diagrams under both rules.  The
@@ -71,31 +71,20 @@ def _factored(diagram: FlatDiagram, rule: str
     """
     if not is_knot(diagram):
         raise ValueError("the region choice solve requires a knot projection")
-    matrix = incidence.build_matrix(diagram, rule)
-    return matrix, zlinalg._UnitFactorisation(
-        matrix.entries, _pin_pair(diagram), "pinned solve")
+    return zlinalg._UnitFactorisation(
+        incidence.build_matrix(diagram, rule).entries, _pin_pair(diagram),
+        "pinned solve")
 
 
-def _certified(diagram: FlatDiagram, rule: str
-               ) -> tuple[RegionChoiceMatrix, zlinalg._UnitFactorisation]:
+def _certified(diagram: FlatDiagram, rule: str) -> zlinalg._UnitFactorisation:
     """``_factored(diagram, rule)`` with its certificate checked in this
     call: a cached factorisation is checked again, a new one was checked
     when it was built."""
     hits = _factored.cache_info().hits
-    matrix, f = _factored(diagram, rule)
+    f = _factored(diagram, rule)
     if _factored.cache_info().hits != hits:
         f.check()
-    return matrix, f
-
-
-def _reduce_and_solve(diagram: FlatDiagram, rule: str, rhs
-                      ) -> tuple[RegionChoiceMatrix, list[SolutionFamily]]:
-    """The rule's matrix and, from its one factorisation, the solution
-    family of ``A_rule u + b = o`` for each b in ``rhs``: canonical, that is
-    zero on ``_pin_pair(diagram)`` with the kernel pinned to (1, 0) and
-    (0, 1) there."""
-    matrix, f = _certified(diagram, rule)
-    return matrix, f.families(matrix.entries, rhs)
+    return f
 
 
 def _pin_pair(diagram: FlatDiagram) -> tuple[int, int]:
@@ -116,11 +105,11 @@ def _pin_pair(diagram: FlatDiagram) -> tuple[int, int]:
 
 def solve(diagram: FlatDiagram, rule: str, b) -> SolutionFamily:
     """All integral assignments u with ``A_rule u + b = o``."""
-    return _reduce_and_solve(diagram, rule, [b])[1][0]
+    return _certified(diagram, rule).families([b])[0]
 
 
 def kernel_basis(diagram: FlatDiagram, rule: str):
-    return _certified(diagram, rule)[1].kernel
+    return _certified(diagram, rule).kernel
 
 
 def pinned_kernel(diagram: FlatDiagram, request: PinnedKernelRequest):
@@ -130,7 +119,7 @@ def pinned_kernel(diagram: FlatDiagram, request: PinnedKernelRequest):
     the arc's sides is +-1 (criterion 6), so the integer inverse of that
     2x2 block gives the coefficients.  The vector is checked to be in the
     kernel and to take the values on the sides."""
-    _, f = _certified(diagram, request.rule)
+    f = _certified(diagram, request.rule)
     k1, k2 = f.kernel
     s1, s2 = arc_by_label(diagram, request.arc).sides
     det = _minor(k1, k2, s1, s2)
@@ -165,17 +154,15 @@ def arc_unimodularity_report(diagram: FlatDiagram, rule: str) -> dict[int, int]:
 def add1_algebraic(diagram: FlatDiagram, rule: str, crossing: int) -> Add1Certificate:
     """Assignment with unit residual at one crossing, by direct solving."""
     _check_crossing(diagram, crossing)
-    matrix, (family,) = _reduce_and_solve(
-        diagram, rule, [_unit(diagram.crossing_count, crossing, -1)])
-    u = family.particular
-    return Add1Certificate(crossing, rule, u, ALGEBRAIC,
-                           incidence.apply(matrix, u))
+    f = _certified(diagram, rule)
+    u = f.families([_unit(diagram.crossing_count, crossing, -1)])[0].particular
+    return Add1Certificate(crossing, rule, u, ALGEBRAIC, tuple(f.image(u)))
 
 
 def _check_crossing(diagram: FlatDiagram, crossing: int) -> None:
     """Refuse an index that names none of the diagram's crossings."""
     # bool is a subclass of int, but True and False are not indices
-    if isinstance(crossing, bool):
+    if not isinstance(crossing, int) or isinstance(crossing, bool):
         raise ValueError(f"crossing index {crossing!r} is not an integer")
     if not 0 <= crossing < diagram.crossing_count:
         raise ValueError(f"no crossing v{crossing + 1}")
@@ -243,15 +230,16 @@ def solve_single_via_double(diagram: FlatDiagram, b):
     the sum of the add-1 fixes for all overshoots is the one particular for
     ``-overshoot``.
     """
+    b = tuple(b)
     particular = solve(diagram, DOUBLE, b).particular
     overshoot = [0] * diagram.crossing_count
     for region, crossings in incidence.rule_gap_columns(diagram).items():
         for v in crossings:
             overshoot[v] += particular[region]
-    matrix, (fix,) = _reduce_and_solve(
-        diagram, SINGLE, [tuple(-x for x in overshoot)])
+    f = _certified(diagram, SINGLE)
+    (fix,) = f.families([tuple(-x for x in overshoot)])
     u = tuple(x + y for x, y in zip(particular, fix.particular))
-    if any(incidence.residual(matrix, u, tuple(b))):
+    if any(x + y for x, y in zip(f.image(u), b)):
         raise InternalInvariantError(
             "two-path single-rule construction has nonzero residual")
     return u

@@ -175,31 +175,6 @@ def reduce_to_e00(matrix: Matrix) -> E00Decomposition:
     return decomp
 
 
-def determinant(matrix: Matrix) -> int:
-    """Exact determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            swap = next((i for i in range(t + 1, n) if a[i][t] != 0), None)
-            if swap is None:
-                return 0
-            a[t], a[swap] = a[swap], a[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # pinned solving: sparse elimination of a unimodular square block
 
@@ -226,8 +201,7 @@ def solve_pinned(matrix: Matrix, pins: tuple[int, int],
     if r1 == r2 or not (0 <= r1 < cols and 0 <= r2 < cols):
         raise ValueError(f"pins must be two distinct columns, got {pins!r}")
     rhs = _right_hand_sides(rhs, rows)
-    return _UnitFactorisation(matrix, pins, "pinned solve").families(
-        matrix, rhs)
+    return _UnitFactorisation(matrix, pins, "pinned solve").families(rhs)
 
 
 def _right_hand_sides(rhs, rows: int) -> list[Vector]:
@@ -255,6 +229,7 @@ class _UnitFactorisation:
     def __init__(self, matrix: Matrix, pins: tuple[int, int] | None,
                  stage: str) -> None:
         self.stage = stage
+        self.matrix = matrix
         self.cols = len(matrix[0])
         self.rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
         if pins is None:
@@ -288,11 +263,11 @@ class _UnitFactorisation:
         if k1[r1] * k2[r2] - k2[r1] * k1[r2] != 1:
             self.fail("kernel minor on the pins is not 1")
 
-    def families(self, matrix: Matrix, rhs) -> list[SolutionFamily]:
+    def families(self, rhs) -> list[SolutionFamily]:
         """The solution family of ``A u + b = o`` for each b in ``rhs``, its
-        particular zero on the pins; ``matrix`` is ``A`` as the families
-        record it.  Every particular's residual is checked to be zero."""
-        families = [SolutionFamily(matrix, b,
+        particular zero on the pins and ``A`` the matrix this was built
+        from.  Every particular's residual is checked to be zero."""
+        families = [SolutionFamily(self.matrix, b,
                                    tuple(self.solve([-v for v in b])),
                                    self.kernel)
                     for b in _right_hand_sides(rhs, len(self.rows))]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regionchoice.catalog import catalog_entry, names
-from regionchoice.diagram import (D0, DiagramError, FlatDiagram, _corner_regions,
+from regionchoice.diagram import (D0, DiagramError, FlatDiagram,
                                   _darts_by_label, _mates, _orbits, _r2_pairs,
                                   apply_r1, apply_r2, arc_by_label, arcs,
                                   checkerboard, component_count, corner_count,
@@ -198,6 +198,58 @@ def test_seeded_diagrams_match_the_golden_digest():
     assert h.hexdigest() == GOLDEN_SHA256
 
 
+# sha256 of to_flat_pd(move) + "\n" for apply_r1 at every arc and side,
+# then apply_r2 at every pair of _r2_pairs, on each diagram of the catalog
+# and random_diagram(s, 6 + 2 s), s in 0..5 (2774 moves), as the move bodies
+# computed them when they still took the dart table and corner map as
+# arguments
+MOVES_SHA256 = \
+    "237eacc77e3edc73b9ffa6473c129d632e9be4ee9be09275ef2a420ff49e110a"
+
+
+def test_public_moves_match_the_golden_digest():
+    h = hashlib.sha256()
+    count = 0
+    diagrams = ([catalog_entry(name).diagram for name in names()]
+                + [random_diagram(s, 6 + 2 * s) for s in range(6)])
+    for D in diagrams:
+        moves = [apply_r1(D, label, side)
+                 for label in range(1, D.arc_count + 1)
+                 for side in ("left", "right")]
+        moves += [apply_r2(D, *pair) for pair in _r2_pairs(D)]
+        for grown in moves:
+            h.update((to_flat_pd(grown) + "\n").encode())
+        count += len(moves)
+    assert count == 2774
+    assert h.hexdigest() == MOVES_SHA256
+
+
+def test_labels_and_move_counts_must_be_ints():
+    D = catalog_entry("4_1").diagram
+    for label in (True, False, 1.0, "1", None):
+        with pytest.raises(DiagramError):
+            arc_by_label(D, label)
+        with pytest.raises(DiagramError):
+            apply_r1(D, label, "left")
+        with pytest.raises(DiagramError):
+            apply_r2(D, label, 2)
+    for moves in (True, False, 1.0):
+        with pytest.raises(DiagramError):
+            random_diagram(1, moves)
+
+
+def test_the_constructor_takes_no_dart_table():
+    # a table with the far darts of arcs 1 and 7 swapped describes other
+    # faces; it must not get past the constructor, let alone into the
+    # caches that G shares with every diagram equal to it
+    G = random_diagram(0, 6)
+    table = _darts_by_label(G.crossings)
+    table[1][1], table[7][1] = table[7][1], table[1][1]
+    with pytest.raises(TypeError):
+        regions(FlatDiagram(G.crossings, G.name, table))
+    assert tuple(reg.corners for reg in regions(G)) == G._faces
+
+
 def test_random_diagram_builds_the_dart_table_once_per_move(monkeypatch):
     from regionchoice import diagram
     calls = []
@@ -208,8 +260,8 @@ def test_random_diagram_builds_the_dart_table_once_per_move(monkeypatch):
 
     monkeypatch.setattr(diagram, "_darts_by_label", counted)
     D = random_diagram(5, 20)
-    # one for the starting curl, then one per move, shared by the move's
-    # relabelling, the validation of its result and the next move
+    # one per diagram built, by its validation: the starting curl, then one
+    # per move; the moves find their arcs' darts by scanning the crossings
     assert len(calls) == 21
     assert to_flat_pd(D) == to_flat_pd(random_diagram(5, 20))
 
@@ -223,8 +275,7 @@ def test_r2_pairs_from_incidence_equal_the_quadratic_filter():
     for D in grown() + [catalog_entry(name).diagram for name in names()]:
         oracle = [(a.label, b.label) for a in arcs(D) for b in arcs(D)
                   if a.label != b.label and set(a.sides) & set(b.sides)]
-        pairs = _r2_pairs(D, _darts_by_label(D.crossings), _corner_regions(D))
-        assert pairs == oracle
+        assert _r2_pairs(D) == oracle
 
 
 def test_regions_come_from_the_stored_faces():
@@ -247,8 +298,7 @@ def test_moves_leave_the_diagram_caches_alone():
     for seed in range(3):
         D = random_diagram(1000 + seed, 43)
     apply_r1(D, 1, "left")
-    apply_r2(D, *_r2_pairs(D, _darts_by_label(D.crossings),
-                           _corner_regions(D))[0])
+    apply_r2(D, *_r2_pairs(D)[0])
     assert (arcs.cache_info().currsize,
             regions.cache_info().currsize) == before
 
@@ -299,7 +349,7 @@ def test_splice_gives_two_components():
 
 def test_splice_refuses_a_crossing_index_it_does_not_have():
     D = FlatDiagram(TREFOIL)
-    for v in (-1, 3, True, False):
+    for v in (-1, 3, True, False, 1.0):
         with pytest.raises(DiagramError):
             splice(D, v)
 

@@ -22,8 +22,9 @@ from regionchoice.diagram import (FlatDiagram, arcs, random_diagram,
 from regionchoice.incidence import DOUBLE, SINGLE, apply, build_matrix
 from regionchoice.solvers import _pin_pair, kernel_basis, solve
 from regionchoice.zlinalg import (E00Decomposition, Operation, _APPLY,
-                                  determinant, reduce_to_e00)
+                                  reduce_to_e00)
 from test_echelon import shuffled
+from test_zlinalg import determinant
 
 DIAGRAMS = ([catalog_entry(name).diagram for name in names()]
             + [random_diagram(seed, 4 + 3 * seed) for seed in range(10)])

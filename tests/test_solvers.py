@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from regionchoice import zlinalg
 from regionchoice.catalog import catalog_entry, names
-from regionchoice.diagram import (D0, FlatDiagram, InternalInvariantError,
-                                  arcs, random_diagram)
+from regionchoice.diagram import (D0, DiagramError, FlatDiagram,
+                                  InternalInvariantError, arcs,
+                                  random_diagram)
 from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
                                     residual, rule_gap_columns)
 from regionchoice.solvers import (PinnedKernelRequest, _factored, _pin_pair,
@@ -148,11 +149,18 @@ def test_add1_algebraic_builds_and_factors_each_matrix_once(
 
 def test_add1_refuses_a_bool_crossing():
     D = catalog_entry("3_1").diagram
-    for flag in (True, False):
+    for flag in (True, False, 1.0):
         with pytest.raises(ValueError, match="not an integer"):
             add1_algebraic(D, SINGLE, flag)
         with pytest.raises(ValueError, match="not an integer"):
             add1_geometric(D, flag)
+
+
+def test_pinned_kernel_refuses_an_arc_that_is_not_an_int():
+    D = catalog_entry("4_1").diagram
+    for arc in (True, 1.0):
+        with pytest.raises(DiagramError):
+            pinned_kernel(D, PinnedKernelRequest(arc, 0, 1))
 
 
 def test_add1_algebraic_bad_crossing():
@@ -294,7 +302,7 @@ def test_a_corrupted_cached_factorisation_is_refused(corrupt, cold_cache):
     for call in calls:
         _factored.cache_clear()
         call()
-        corrupt(_factored(D, DOUBLE)[1])
+        corrupt(_factored(D, DOUBLE))
         with pytest.raises(InternalInvariantError,
                            match="^pinned solve, certificate: "):
             call()

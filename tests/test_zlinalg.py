@@ -5,9 +5,36 @@ from fractions import Fraction
 import pytest
 
 from regionchoice.zlinalg import (EchelonForm, InternalInvariantError,
-                                  NotE00Error, SolutionFamily, determinant,
+                                  NotE00Error, SolutionFamily,
                                   minimize_in_family, reduce_to_e00, replay,
                                   rref_rational, solve_gf2, solve_pinned)
+
+
+def determinant(matrix):
+    """Exact determinant by fraction-free Gaussian elimination (Bareiss);
+    the unimodularity check on the P and Q of the (I | 0 0) tests."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    a = [list(row) for row in matrix]
+    sign = 1
+    prev = 1
+    for t in range(n - 1):
+        if a[t][t] == 0:
+            swap = next((i for i in range(t + 1, n) if a[i][t] != 0), None)
+            if swap is None:
+                return 0
+            a[t], a[swap] = a[swap], a[t]
+            sign = -sign
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
+            a[i][t] = 0
+        prev = a[t][t]
+    return sign * a[n - 1][n - 1]
+
 
 CURL = ((2, 1, 1),)
 TREFOIL = ((1, 1, 1, 1, 0),
