@@ -283,6 +283,13 @@ def _require_int(value, what: str) -> None:
         raise DiagramError(f"{what} {value!r} is not an integer")
 
 
+def _require_crossing(diagram: FlatDiagram, v: int) -> None:
+    """Refuse an index that names none of the diagram's crossings."""
+    _require_int(v, "crossing index")
+    if not 0 <= v < diagram.crossing_count:
+        raise DiagramError(f"no crossing v{v + 1}")
+
+
 def arc_by_label(diagram: FlatDiagram, label: int) -> Arc:
     _require_int(label, "arc label")
     for arc in arcs(diagram):
@@ -513,23 +520,15 @@ class _UnionFind:
 
 def splice(diagram: FlatDiagram, v: int) -> ComponentSplit:
     """Orientation-respecting smoothing of a knot at a self-crossing."""
-    if not is_knot(diagram):
-        raise DiagramError("splice requires a knot projection")
-    _require_int(v, "crossing index")
-    if not 0 <= v < diagram.crossing_count:
-        raise DiagramError(f"no crossing v{v + 1}")
+    _require_crossing(diagram, v)
     mate = _mates(diagram.crossings)
     corner = diagram._corner
-
-    # the darts the knot leaves through, walked once from (0, 0)
-    walk = []
-    d = (0, 0)
-    while True:
-        walk.append(d)
-        c, s = mate[d]
-        d = (c, (s + 2) % 4)
-        if d == (0, 0):
-            break
+    # a knot has two strand orbits, one each way; walk the darts it leaves
+    # through in the one from (0, 0), the least dart
+    orbits = _orbits(mate, 2)
+    if len(orbits) != 2:
+        raise DiagramError("splice requires a knot projection")
+    walk = orbits[0]
     arrivals = [i for i, d in enumerate(walk) if mate[d][0] == v]
     if len(arrivals) != 2:
         raise InternalInvariantError(

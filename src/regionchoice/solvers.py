@@ -15,8 +15,9 @@ from functools import lru_cache
 
 from . import incidence, zlinalg
 from .diagram import (CheckerboardColoring, ComponentSplit, FlatDiagram,
-                      InternalInvariantError, arc_by_label, arcs,
-                      checkerboard, is_knot, regions, splice)
+                      InternalInvariantError, _require_crossing,
+                      arc_by_label, arcs, checkerboard, is_knot, regions,
+                      splice)
 from .incidence import DOUBLE, SINGLE
 from .zlinalg import SolutionFamily
 
@@ -153,19 +154,10 @@ def arc_unimodularity_report(diagram: FlatDiagram, rule: str) -> dict[int, int]:
 
 def add1_algebraic(diagram: FlatDiagram, rule: str, crossing: int) -> Add1Certificate:
     """Assignment with unit residual at one crossing, by direct solving."""
-    _check_crossing(diagram, crossing)
+    _require_crossing(diagram, crossing)
     f = _certified(diagram, rule)
     u = f.families([_unit(diagram.crossing_count, crossing, -1)])[0].particular
     return Add1Certificate(crossing, rule, u, ALGEBRAIC, tuple(f.image(u)))
-
-
-def _check_crossing(diagram: FlatDiagram, crossing: int) -> None:
-    """Refuse an index that names none of the diagram's crossings."""
-    # bool is a subclass of int, but True and False are not indices
-    if not isinstance(crossing, int) or isinstance(crossing, bool):
-        raise ValueError(f"crossing index {crossing!r} is not an integer")
-    if not 0 <= crossing < diagram.crossing_count:
-        raise ValueError(f"no crossing v{crossing + 1}")
 
 
 def _unit(n: int, crossing: int, value: int) -> tuple[int, ...]:
@@ -182,7 +174,6 @@ def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
     merge back.  A single global negation absorbs the two-fold coloring and
     pin-order ambiguity.
     """
-    _check_crossing(diagram, crossing)
     split = splice(diagram, crossing)
     u1 = _component_pinned_kernel(split)
     sign2 = _component_checkerboard(split.second)

@@ -15,6 +15,7 @@ certifies integral solvability for every right-hand side.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,11 +142,7 @@ def reduce_to_e00(matrix: Matrix) -> E00Decomposition:
     ``S = (I | 0 0)`` and raises ``InternalInvariantError`` naming the stage
     otherwise; another shape raises ``NotE00Error``.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if rows == 0 or cols != rows + 2:
-        raise NotE00Error(f"expected an n x (n+2) matrix with n >= 1, got "
-                          f"{rows} x {cols}")
+    rows, cols = _shape(matrix, NotE00Error)
     f = _UnitFactorisation(matrix, None, "E00")
     log = [Operation("add_row", t, s, m) for t, s, m in f.ops]
     log += [Operation("negate_row", i)
@@ -193,24 +190,22 @@ def solve_pinned(matrix: Matrix, pins: tuple[int, int],
     kernel minor on ``pins``) and raises ``InternalInvariantError``, naming
     the failed stage, if any part of it fails.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if cols != rows + 2:
-        raise ValueError(f"expected an n x (n+2) matrix, got {rows} x {cols}")
+    _, cols = _shape(matrix)
     r1, r2 = pins
     if r1 == r2 or not (0 <= r1 < cols and 0 <= r2 < cols):
         raise ValueError(f"pins must be two distinct columns, got {pins!r}")
-    rhs = _right_hand_sides(rhs, rows)
     return _UnitFactorisation(matrix, pins, "pinned solve").families(rhs)
 
 
-def _right_hand_sides(rhs, rows: int) -> list[Vector]:
-    """``rhs`` as tuples, each checked to have ``rows`` entries."""
-    rhs = [tuple(b) for b in rhs]
-    for b in rhs:
-        if len(b) != rows:
-            raise ValueError(f"b has length {len(b)}, expected {rows}")
-    return rhs
+def _shape(matrix: Matrix, error=ValueError) -> tuple[int, int]:
+    """The shape ``(n, n + 2)`` of an n x (n+2) matrix with n >= 1; any
+    other shape raises ``error``."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    if rows == 0 or cols != rows + 2:
+        raise error(f"expected an n x (n+2) matrix with n >= 1, got "
+                    f"{rows} x {cols}")
+    return rows, cols
 
 
 class _UnitFactorisation:
@@ -267,10 +262,15 @@ class _UnitFactorisation:
         """The solution family of ``A u + b = o`` for each b in ``rhs``, its
         particular zero on the pins and ``A`` the matrix this was built
         from.  Every particular's residual is checked to be zero."""
+        rhs = [tuple(b) for b in rhs]
+        for b in rhs:
+            if len(b) != len(self.rows):
+                raise ValueError(
+                    f"b has length {len(b)}, expected {len(self.rows)}")
         families = [SolutionFamily(self.matrix, b,
                                    tuple(self.solve([-v for v in b])),
                                    self.kernel)
-                    for b in _right_hand_sides(rhs, len(self.rows))]
+                    for b in rhs]
         for family in families:
             if any(x + y
                    for x, y in zip(self.image(family.particular), family.b)):
@@ -466,75 +466,60 @@ def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
         u = tuple(x + a * y + b * z for x, y, z in zip(u0, k1, k2))
         return (_norm(u, norm), u)
 
-    # Start from the member at the rounded least-squares coefficients.
-    # Every member v no larger has |v|_2^2 <= bound, so its a lies in the
-    # projection of that ellipse, (a - a0)^2 <= reach^2; scan it all, ties
-    # included.
-    start = round(a0)
-    best = key_at(start, round(b0))
-    bound = best[0] if norm == "L2" else len(u0) * best[0] ** 2
-    least = dot(u0, u0) + a0 * r1 + b0 * r2
-    reach = math.isqrt(math.floor((bound - least) * g22 / det)) + 1
-    a_lo, a_hi = math.floor(a0) - reach, math.ceil(a0) + reach
-    if norm == "Linf":
-        # For Linf the ellipse is loose.  The members no larger lie in the
-        # polygon |u0 + a k1 + b k2|_inf <= best, whose real projection
-        # onto a is an interval holding start; bisect for its integer ends.
-        def inside(a: int) -> bool:
-            w = [x + a * y for x, y in zip(u0, k1)]
-            return _has_real_coefficient(w, k2, best[0])
-
-        a_lo = _last_inside(inside, start, a_lo)
-        a_hi = _last_inside(inside, start, a_hi)
-    # The members of one row a are w + b k2: convex in b under either norm,
+    # Start from the member at the rounded least-squares coefficients and
+    # walk the rows a outward, up from start and then down from start - 1.
+    # The rows holding a real member no larger than the best are an
+    # interval (the projection of a convex set) around the best's row, which
+    # lies behind the walk; so each direction stops at its first row with no
+    # such member, and the best only shrinking keeps that stop exact.
+    # The members of one row are w + b k2: convex in b under either norm,
     # and lexicographically monotone in b, rising with b when k2's first
     # nonzero entry is positive.  Scanned in lexicographic order, the row's
     # least key is where its norm stops falling, and only that member is
     # built and compared with the best.
+    start = round(a0)
+    best = key_at(start, round(b0))
     rising = next(x for x in k2 if x) > 0
-    for a in range(a_lo, a_hi + 1):
-        w = [x + a * y for x, y in zip(u0, k1)]
-        window = _coefficients_within(w, k2, best[0], norm)
-        row = None
-        for b in window if rising else reversed(window):
-            size = (max(abs(x + b * y) for x, y in zip(w, k2))
-                    if norm == "Linf"
-                    else sum((x + b * y) ** 2 for x, y in zip(w, k2)))
-            if row is not None and size >= row[0]:
+    for rows in (itertools.count(start), itertools.count(start - 1, -1)):
+        for a in rows:
+            w = [x + a * y for x, y in zip(u0, k1)]
+            window = _coefficients_within(w, k2, best[0], norm)
+            if window is None:
                 break
-            row = (size, b)
-        if row is not None and row[0] <= best[0]:
-            best = min(best, key_at(a, row[1]))
+            row = None
+            for b in window if rising else reversed(window):
+                size = (max(abs(x + b * y) for x, y in zip(w, k2))
+                        if norm == "Linf"
+                        else sum((x + b * y) ** 2 for x, y in zip(w, k2)))
+                if row is not None and size >= row[0]:
+                    break
+                row = (size, b)
+            if row is not None and row[0] <= best[0]:
+                best = min(best, key_at(a, row[1]))
     return best[1]
 
 
-def _last_inside(inside, a_in: int, a_out: int) -> int:
-    """The integer nearest ``a_out`` with ``inside`` true, by bisection.
-
-    ``inside(a_in)`` holds, ``inside(a_out)`` does not, and ``inside`` is
-    true on an interval (the projection of a convex set).
-    """
-    while abs(a_out - a_in) > 1:
-        mid = (a_in + a_out) // 2
-        if inside(mid):
-            a_in = mid
-        else:
-            a_out = mid
-    return a_in
-
-
-def _has_real_coefficient(w: list[int], k: Vector, limit: int) -> bool:
-    """True iff some real b has |w + b k|_inf <= limit.
-
-    Each coordinate bounds b to [(-limit - c) / d, (limit - c) / d]; the
-    rational bounds are kept as (numerator, positive denominator) pairs and
-    compared exactly by cross-multiplication.
-    """
+def _coefficients_within(w: list[int], k: Vector, limit: int,
+                         norm: str) -> range | None:
+    """A range of integers b holding every b with norm(w + b k) <= limit,
+    or None when no real b has it; ``k`` is not zero."""
+    if norm == "L2":
+        # |k|^2 b^2 + 2 (w.k) b + |w|^2 - limit <= 0
+        g = sum(x * x for x in k)
+        p = sum(x * y for x, y in zip(w, k))
+        disc = p * p - g * (sum(x * x for x in w) - limit)
+        if disc < 0:
+            return None
+        s = math.isqrt(disc) + 1
+        return range((-p - s) // g, (-p + s) // g + 1)
+    # Each coordinate bounds b to [(-limit - c) / d, (limit - c) / d]; the
+    # rational bounds are kept as (numerator, positive denominator) pairs and
+    # compared exactly by cross-multiplication.
     lo = hi = None
     for c, d in zip(w, k):
         if d == 0:
             if abs(c) > limit:
-                return False
+                return None
             continue
         if d < 0:
             c, d = -c, -d       # |c + b d| = |-c - b d|
@@ -542,35 +527,9 @@ def _has_real_coefficient(w: list[int], k: Vector, limit: int) -> bool:
             lo = (-limit - c, d)
         if hi is None or (limit - c) * hi[1] < hi[0] * d:
             hi = (limit - c, d)
-    return lo is None or lo[0] * hi[1] <= hi[0] * lo[1]
-
-
-def _coefficients_within(w: list[int], k: Vector, limit: int,
-                         norm: str) -> range:
-    """A range of integers b holding every b with norm(w + b k) <= limit."""
-    if norm == "L2":
-        # |k|^2 b^2 + 2 (w.k) b + |w|^2 - limit <= 0
-        g = sum(x * x for x in k)
-        p = sum(x * y for x, y in zip(w, k))
-        disc = p * p - g * (sum(x * x for x in w) - limit)
-        if disc < 0:
-            return range(0)
-        s = math.isqrt(disc) + 1
-        return range((-p - s) // g, (-p + s) // g + 1)
-    lo, hi = None, None
-    for c, d in zip(w, k):
-        if d == 0:
-            if abs(c) > limit:
-                return range(0)
-            continue
-        # |c + b d| <= limit: b d lies in [-limit - c, limit - c]
-        x, y = (-limit - c, limit - c) if d > 0 else (limit - c, -limit - c)
-        b_lo, b_hi = -(-x // d), y // d
-        lo = b_lo if lo is None else max(lo, b_lo)
-        hi = b_hi if hi is None else min(hi, b_hi)
-        if lo > hi:
-            return range(0)
-    return range(lo, hi + 1)
+    if lo[0] * hi[1] > hi[0] * lo[1]:
+        return None
+    return range(-(-lo[0] // lo[1]), hi[0] // hi[1] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +629,7 @@ def rref_rational(matrix: Matrix) -> EchelonForm:
     call checks that every such ``x`` solves ``A x = e_k`` exactly and
     raises ``InternalInvariantError`` naming the stage otherwise.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if rows == 0 or cols != rows + 2:
-        raise ValueError(f"expected an n x (n+2) matrix with n >= 1, got "
-                         f"{rows} x {cols}")
+    rows, cols = _shape(matrix)
     f = _UnitFactorisation(matrix, None, "echelon")
     k1, k2 = f.kernel
     f2 = max(j for j in range(cols) if k1[j] or k2[j])

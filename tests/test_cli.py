@@ -251,3 +251,45 @@ def test_reference_labels_need_a_catalog_diagram(capsys, tmp_path, command):
                        "--reference-labels")
     assert code == 2
     assert "--diagram" in err
+
+
+def test_regions_text(capsys):
+    code, out, _ = run(capsys, "regions", "--diagram", "3_1")
+    assert code == 0
+    assert out.splitlines() == ["5 regions", "r1: v1.0 v2.2",
+                                "r2: v1.1 v2.1 v3.1", "r3: v1.2 v3.0",
+                                "r4: v1.3 v3.3 v2.3", "r5: v2.0 v3.2"]
+
+
+def test_regions_json(capsys):
+    code, out, _ = run(capsys, "regions", "--diagram", "d0",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["regions"] == [{"index": 0, "corners": [[0, 0], [0, 2]]},
+                              {"index": 1, "corners": [[0, 1]]},
+                              {"index": 2, "corners": [[0, 3]]}]
+    assert doc["text_lines"][0] == "3 regions"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "--diagram", "3_1", "--b", "1,x,0"),
+     "error: cannot parse point vector '1,x,0'\n"),
+    (("add1", "--diagram", "3_1", "--crossing", "vx"),
+     "error: cannot parse crossing 'vx'\n"),
+], ids=["point-vector", "crossing"])
+def test_unparseable_argument_exits_2_without_traceback(capsys, argv,
+                                                        message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def test_unreadable_file_exits_2_without_traceback(capsys, tmp_path):
+    path = tmp_path / "missing.json"
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -120,6 +120,25 @@ def test_parse_rejects_garbage():
         parse_flat_pd(json.dumps({"crossings": [[1, 2, 3]]}))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: parse_flat_pd('{"crossings": []}'), "diagram has no crossings"),
+    (lambda: FlatDiagram(((2, 2, 2, 2),)), "missing arc label 1"),
+    (lambda: FlatDiagram(((1, 1, 1, 2),)),
+     r"unpaired arc label 1 \(appears 3x\)"),
+    (lambda: parse_flat_pd('{"crossings": [1, 2]}'),
+     '"crossings" must be a list of 4-element lists'),
+    (lambda: parse_flat_pd('{"crossings": [[1, 2, 2, 1]], "name": 5}'),
+     '"name" must be a string'),
+    (lambda: apply_r1(D0, 99, "left"), "no arc labelled 99"),
+    (lambda: random_diagram(1, -1), "move_count must be non-negative"),
+], ids=["no-crossings", "missing-label", "unpaired-label",
+        "crossings-not-lists", "name-not-string", "r1-missing-arc",
+        "negative-move-count"])
+def test_each_refusal_names_its_cause(build, message):
+    with pytest.raises(DiagramError, match=f"^{message}$"):
+        build()
+
+
 def test_dot_output_mentions_every_crossing():
     out = to_dot(FlatDiagram(TREFOIL))
     for v in ("v1", "v2", "v3"):

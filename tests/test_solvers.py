@@ -8,7 +8,7 @@ from regionchoice import zlinalg
 from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (D0, DiagramError, FlatDiagram,
                                   InternalInvariantError, arcs,
-                                  random_diagram)
+                                  random_diagram, regions)
 from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
                                     residual, rule_gap_columns)
 from regionchoice.solvers import (PinnedKernelRequest, _factored, _pin_pair,
@@ -385,3 +385,43 @@ def test_minimize_does_not_depend_on_how_the_family_is_written():
         (tuple(x + y for x, y in zip(k1, k2)), k2))
     assert (zlinalg.minimize_in_family(fam, "Linf")
             == zlinalg.minimize_in_family(rebased, "Linf"))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), moves=st.integers(0, 24),
+       rule=st.sampled_from((SINGLE, DOUBLE)), shuffle=st.integers(0, 10 ** 6))
+def test_relabeling_permutes_the_solution_set(seed, moves, rule, shuffle):
+    D = random_diagram(seed, moves)
+    n, m = D.crossing_count, D.region_count
+    rng = random.Random(shuffle)
+    b = tuple(rng.randint(-50, 50) for _ in range(n))
+
+    # new arc labels trace the same faces, so nothing changes
+    label = list(range(1, 2 * n + 1))
+    rng.shuffle(label)
+    relabeled = FlatDiagram(tuple(tuple(label[x - 1] for x in c)
+                                  for c in D.crossings))
+    assert build_matrix(relabeled, rule) == build_matrix(D, rule)
+    assert solve(relabeled, rule, b) == solve(D, rule, b)
+
+    # new crossing order: row i is old row order[i], and region r is new
+    # region sigma[r], the one with the same corners moved to their new
+    # crossing numbers
+    order = list(range(n))
+    rng.shuffle(order)
+    moved = FlatDiagram(tuple(D.crossings[c] for c in order))
+    at = {c: i for i, c in enumerate(order)}
+    region_of = {frozenset(reg.corners): reg.index for reg in regions(moved)}
+    sigma = [region_of[frozenset((at[c], s) for c, s in reg.corners)]
+             for reg in regions(D)]
+    assert sorted(sigma) == list(range(m))
+    b_moved = tuple(b[c] for c in order)
+    matrix = build_matrix(moved, rule)
+    for norm in ("Linf", "L2"):
+        old = zlinalg.minimize_in_family(solve(D, rule, b), norm)
+        new = zlinalg.minimize_in_family(solve(moved, rule, b_moved), norm)
+        assert zlinalg._norm(old, norm) == zlinalg._norm(new, norm)
+        mapped = [0] * m
+        for r, x in enumerate(old):
+            mapped[sigma[r]] = x
+        assert residual(matrix, mapped, b_moved) == (0,) * n

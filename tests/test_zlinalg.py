@@ -6,6 +6,7 @@ import pytest
 
 from regionchoice.zlinalg import (EchelonForm, InternalInvariantError,
                                   NotE00Error, SolutionFamily,
+                                  _coefficients_within, _gauss_reduce, _norm,
                                   minimize_in_family, reduce_to_e00, replay,
                                   rref_rational, solve_gf2, solve_pinned)
 
@@ -142,14 +143,40 @@ def test_minimize_improves_or_matches():
                                           for a, c in window))
 
 
+def _integer_window(w, k, limit, norm):
+    """A range of integers b holding every b with norm(w + b k) <= limit."""
+    if norm == "L2":
+        # |k|^2 b^2 + 2 (w.k) b + |w|^2 - limit <= 0
+        g = sum(x * x for x in k)
+        p = sum(x * y for x, y in zip(w, k))
+        disc = p * p - g * (sum(x * x for x in w) - limit)
+        if disc < 0:
+            return range(0)
+        s = math.isqrt(disc) + 1
+        return range((-p - s) // g, (-p + s) // g + 1)
+    lo, hi = None, None
+    for c, d in zip(w, k):
+        if d == 0:
+            if abs(c) > limit:
+                return range(0)
+            continue
+        # |c + b d| <= limit: b d lies in [-limit - c, limit - c]
+        x, y = (-limit - c, limit - c) if d > 0 else (limit - c, -limit - c)
+        b_lo, b_hi = -(-x // d), y // d
+        lo = b_lo if lo is None else max(lo, b_lo)
+        hi = b_hi if hi is None else min(hi, b_hi)
+        if lo > hi:
+            return range(0)
+    return range(lo, hi + 1)
+
+
 def _ellipse_scan(family, norm):
     """Least (norm, member) over every a in the L2 ellipse's projection.
 
-    The scan minimize_in_family ran before its Linf window came from the
-    polygon's projection; kept as an oracle for that window.
+    The scan minimize_in_family ran before it walked the rows outward and
+    stopped at the first with no real member; kept as an oracle for that
+    walk, with its own integer window.
     """
-    from regionchoice.zlinalg import (_coefficients_within, _gauss_reduce,
-                                      _norm)
     k1, k2 = _gauss_reduce(*family.kernel)
     u0 = family.particular
 
@@ -172,7 +199,7 @@ def _ellipse_scan(family, norm):
     reach = math.isqrt(math.floor((bound - least) * g22 / det)) + 1
     for a in range(math.floor(a0) - reach, math.ceil(a0) + reach + 1):
         w = [x + a * y for x, y in zip(u0, k1)]
-        for b in _coefficients_within(w, k2, best[0], norm):
+        for b in _integer_window(w, k2, best[0], norm):
             best = min(best, key_at(a, b))
     return best[1]
 
@@ -192,6 +219,41 @@ def test_minimize_matches_the_full_ellipse_scan():
         for norm in ("Linf", "L2"):
             assert minimize_in_family(fam, norm) == _ellipse_scan(fam, norm)
         checked += 1
+
+
+def test_window_is_none_exactly_when_no_real_coefficient_qualifies():
+    rng = random.Random(29)
+    nones = 0
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        w = [rng.randint(-40, 40) for _ in range(n)]
+        k = [rng.randint(-4, 4) for _ in range(n)]
+        if not any(k):
+            continue
+        limit = rng.randint(0, 60)
+        # whether some real b has norm(w + b k) <= limit, in exact rationals
+        norm = rng.choice(("Linf", "L2"))
+        if norm == "L2":
+            g = sum(x * x for x in k)
+            p = sum(x * y for x, y in zip(w, k))
+            real = sum(x * x for x in w) - Fraction(p * p, g) <= limit
+        else:
+            lo = max(Fraction(-limit - c, d) if d > 0
+                     else Fraction(limit - c, d) for c, d in zip(w, k) if d)
+            hi = min(Fraction(limit - c, d) if d > 0
+                     else Fraction(-limit - c, d) for c, d in zip(w, k) if d)
+            real = lo <= hi and all(abs(c) <= limit
+                                    for c, d in zip(w, k) if d == 0)
+        window = _coefficients_within(w, k, limit, norm)
+        assert (window is None) == (not real)
+        nones += window is None
+        within = [b for b in _integer_window(w, k, limit, norm)
+                  if _norm([x + b * y for x, y in zip(w, k)], norm) <= limit]
+        if window is None:
+            assert within == []
+        else:
+            assert set(within) <= set(window)
+    assert 0 < nones < 2000
 
 
 def test_minimize_rejects_unknown_norm():
