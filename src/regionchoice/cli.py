@@ -1,13 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 input or validation error, 3 reserved (no
-subcommand returns it), 4 internal invariant violation.
+subcommand returns it), 4 internal invariant violation.  A closed stdout,
+such as a pipe whose reader has gone, ends a command quietly with exit 0.
+``solve --mod2`` solves the single rule only, and refuses ``--rule double``
+and ``--minimize`` with exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import incidence, solvers, zlinalg
@@ -120,6 +124,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.mod2 and args.rule == incidence.DOUBLE:
+        raise CliError("--mod2 supports the single rule only")
+    if args.mod2 and args.minimize:
+        raise CliError("--mod2 takes no --minimize")
     diagram = _load_diagram(args)
     n = diagram.crossing_count
     b = _parse_b(args.b, n, mod2=args.mod2)
@@ -309,7 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nobody reads the output any more.  Point stdout at devnull, so
+        # that the flush at exit has nowhere left to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (CliError, DiagramError, CatalogError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_INPUT)

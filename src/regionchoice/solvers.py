@@ -116,23 +116,19 @@ def kernel_basis(diagram: FlatDiagram, rule: str):
 def pinned_kernel(diagram: FlatDiagram, request: PinnedKernelRequest):
     """Kernel solution with prescribed values on the two sides of an arc.
 
-    It is read off the canonical kernel ``(k1, k2)``: the kernel minor on
-    the arc's sides is +-1 (criterion 6), so the integer inverse of that
-    2x2 block gives the coefficients.  The vector is checked to be in the
+    The kernel minor ``d`` on the arc's sides is +-1 (criterion 6), so with
+    ``z1``, ``z2`` the kernel vectors that are ``(d, 0)`` and ``(0, d)``
+    there, ``d (a z1 + b z2)`` is the one.  It is checked to be in the
     kernel and to take the values on the sides."""
     f = _certified(diagram, request.rule)
-    k1, k2 = f.kernel
     s1, s2 = arc_by_label(diagram, request.arc).sides
-    det = _minor(k1, k2, s1, s2)
-    if det not in (1, -1):
+    d, z1, z2 = zlinalg._pair_basis(f.kernel, s1, s2)
+    if d not in (1, -1):
         raise InternalInvariantError(
-            f"kernel minor on the sides of arc {request.arc} is {det}, "
+            f"kernel minor on the sides of arc {request.arc} is {d}, "
             "not +-1")
     a, b = request.a, request.b
-    # (alpha, beta) = block^-1 (a, b), and block^-1 = det * adj(block)
-    alpha = det * (k2[s2] * a - k2[s1] * b)
-    beta = det * (k1[s1] * b - k1[s2] * a)
-    u = tuple(alpha * x + beta * y for x, y in zip(k1, k2))
+    u = tuple(d * (a * x + b * y) for x, y in zip(z1, z2))
     if any(f.image(u)) or (u[s1], u[s2]) != (a, b):
         raise InternalInvariantError(
             f"pinned kernel vector for arc {request.arc} misses the kernel "
@@ -140,15 +136,10 @@ def pinned_kernel(diagram: FlatDiagram, request: PinnedKernelRequest):
     return u
 
 
-def _minor(k1, k2, r1: int, r2: int) -> int:
-    """Determinant of the kernel basis restricted to regions r1, r2."""
-    return k1[r1] * k2[r2] - k2[r1] * k1[r2]
-
-
 def arc_unimodularity_report(diagram: FlatDiagram, rule: str) -> dict[int, int]:
     """Per arc label, |det| of the kernel basis restricted to its sides."""
     k1, k2 = kernel_basis(diagram, rule)
-    return {arc.label: abs(_minor(k1, k2, *arc.sides))
+    return {arc.label: abs(zlinalg._minor(k1, k2, *arc.sides))
             for arc in arcs(diagram)}
 
 

@@ -212,9 +212,9 @@ class _UnitFactorisation:
     """An n x (n+2) matrix ``A`` factored once by ``_factor_unit``, leaving
     two columns, the pins, unpivoted: the square rest ``B`` is unimodular.
 
-    With ``pins`` given those two columns are deleted before the
-    elimination; with ``pins=None`` every column may be pivoted and the two
-    the elimination leaves become the pins.  Construction checks the
+    One ``_factor_unit`` call makes it: with ``pins`` given those two
+    columns are left out of the elimination; with ``pins=None`` the two
+    columns the elimination leaves become the pins.  Construction checks the
     certificate shared by every caller (pivot product +-1, both kernel
     vectors in the kernel, kernel minor 1 on the pins); ``stage`` names the
     caller in every ``InternalInvariantError``.  ``check`` runs that
@@ -227,18 +227,12 @@ class _UnitFactorisation:
         self.matrix = matrix
         self.cols = len(matrix[0])
         self.rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
-        if pins is None:
-            self.ops, self.pivots, left = _factor_unit(
-                [dict(row) for row in self.rows], range(self.cols), stage,
-                free=True)
-            pins = tuple(sorted(left))
-        else:
-            self.ops, self.pivots, _ = _factor_unit(
-                [{j: x for j, x in row.items() if j not in pins}
-                 for row in self.rows],
-                [j for j in range(self.cols) if j not in pins], stage)
-        self.pins = pins
-        r1, r2 = pins
+        skip = pins or ()
+        self.ops, self.pivots, left = _factor_unit(
+            [{j: x for j, x in row.items() if j not in skip}
+             for row in self.rows],
+            [j for j in range(self.cols) if j not in skip], stage)
+        self.pins = r1, r2 = pins or tuple(sorted(left))
         self.kernel = (
             tuple(self.solve([-row.get(r1, 0) for row in self.rows], (1, 0))),
             tuple(self.solve([-row.get(r2, 0) for row in self.rows], (0, 1))))
@@ -255,7 +249,7 @@ class _UnitFactorisation:
         (r1, r2), (k1, k2) = self.pins, self.kernel
         if any(self.image(k1)) or any(self.image(k2)):
             self.fail("kernel vector outside the kernel")
-        if k1[r1] * k2[r2] - k2[r1] * k1[r2] != 1:
+        if _minor(k1, k2, r1, r2) != 1:
             self.fail("kernel minor on the pins is not 1")
 
     def families(self, rhs) -> list[SolutionFamily]:
@@ -292,8 +286,7 @@ class _UnitFactorisation:
         raise InternalInvariantError(f"{self.stage}, certificate: {what}")
 
 
-def _factor_unit(rows: list[dict[int, int]], columns, stage: str,
-                 free: bool = False):
+def _factor_unit(rows: list[dict[int, int]], columns, stage: str):
     """Eliminate a sparse integer matrix in place with +-1 pivots, one per
     row.
 
@@ -301,9 +294,8 @@ def _factor_unit(rows: list[dict[int, int]], columns, stage: str,
     indices that may be pivoted.  A pivot is the +-1 entry of a live row
     with the least Markowitz cost (other entries in its row times other live
     entries in its column); the scan stops at the first row holding a cost-0
-    pivot.  When no +-1 entry is live, ``_make_unit`` makes one (``free``
-    says whether it may pass over a column; see there).  Returns the row
-    operations ``(target, source, m)``, meaning ``row[target] += m *
+    pivot.  When no +-1 entry is live, ``_make_unit`` makes one.  Returns
+    the row operations ``(target, source, m)``, meaning ``row[target] += m *
     row[source]``, the pivots in order as ``(row, column, pivot, rest of the
     pivot row)``, and the set of columns left unpivoted.
     """
@@ -342,7 +334,7 @@ def _factor_unit(rows: list[dict[int, int]], columns, stage: str,
             if best is not None and best[0] == 0:
                 break
         if best is None:
-            _make_unit(rows, col_rows, live_cols, add_row, stage, free)
+            _make_unit(rows, col_rows, live_cols, add_row, stage)
             continue
         _, i, j = best
         p = rows[i][j]
@@ -356,42 +348,28 @@ def _factor_unit(rows: list[dict[int, int]], columns, stage: str,
     return ops, pivots, live_cols
 
 
-def _make_unit(rows, col_rows, live_cols, add_row, stage: str,
-               free: bool) -> None:
-    """Euclid row steps on one live column until one of its entries is +-1.
+def _make_unit(rows, col_rows, live_cols, add_row, stage: str) -> None:
+    """Euclid row steps on the sparsest live column whose live entries have
+    gcd 1, until one of them is +-1.
 
-    The column is the sparsest live one.  When every column must be pivoted,
-    a gcd other than 1 there means the matrix is not unimodular.  When two
-    columns may stay unpivoted (``free``), columns whose live entries have a
-    gcd other than 1 are passed over, and only a matrix with no live column
-    of gcd 1 is refused.
+    A unimodular square block stays unimodular under +-1 pivots and row
+    steps, and each of its columns has gcd 1, so it is never refused; any
+    other block is, here, since n pivots of +-1 would make its det +-1.
     """
     order = sorted(live_cols, key=lambda c: (len(col_rows[c]), c))
-    if free:
-        j = next((c for c in order
-                  if math.gcd(*(rows[k][c] for k in col_rows[c])) == 1), None)
-        if j is None:
-            raise InternalInvariantError(
-                f"{stage}, elimination: no live column has gcd 1, so no "
-                "unimodular column basis is reachable")
-    else:
-        j = order[0]
+    j = next((c for c in order
+              if math.gcd(*(rows[k][c] for k in col_rows[c])) == 1), None)
+    if j is None:
+        raise InternalInvariantError(
+            f"{stage}, elimination: no live column has gcd 1, so no "
+            "unimodular column basis is reachable")
     while True:
         holders = sorted(col_rows[j], key=lambda k: (abs(rows[k][j]), k))
-        if not holders:
-            raise InternalInvariantError(
-                f"{stage}, elimination: column {j} has no live entry, "
-                "so the pinned block is singular")
-        source = holders[0]
-        e = rows[source][j]
+        e = rows[holders[0]][j]
         if e in (1, -1):
             return
-        if len(holders) == 1:
-            raise InternalInvariantError(
-                f"{stage}, elimination: column {j} has gcd {abs(e)}, "
-                "so the pinned block is not unimodular")
         for k in holders[1:]:
-            add_row(k, source, -(rows[k][j] // e))
+            add_row(k, holders[0], -(rows[k][j] // e))
 
 
 def _substitute(ops, pivots, y: list[int], cols: int) -> list[int]:
@@ -405,6 +383,21 @@ def _substitute(ops, pivots, y: list[int], cols: int) -> list[int]:
         # p is +-1, so dividing by it is multiplying by it
         x[j] = p * (y[i] - sum(v * x[c] for c, v in rest.items()))
     return x
+
+
+def _minor(k1, k2, r1: int, r2: int) -> int:
+    """Determinant of the kernel basis restricted to columns r1, r2."""
+    return k1[r1] * k2[r2] - k2[r1] * k1[r2]
+
+
+def _pair_basis(kernel, r1: int, r2: int) -> tuple[int, list[int], list[int]]:
+    """The kernel minor ``d`` on columns ``(r1, r2)`` and the kernel vectors
+    ``z1``, ``z2`` that are ``(d, 0)`` and ``(0, d)`` there: the kernel
+    basis times the adjugate of its 2x2 block on the pair."""
+    k1, k2 = kernel
+    z1 = [k2[r2] * a - k1[r2] * b for a, b in zip(k1, k2)]
+    z2 = [k1[r1] * b - k2[r1] * a for a, b in zip(k1, k2)]
+    return _minor(k1, k2, r1, r2), z1, z2
 
 
 # ---------------------------------------------------------------------------
@@ -633,19 +626,16 @@ def rref_rational(matrix: Matrix) -> EchelonForm:
     f = _UnitFactorisation(matrix, None, "echelon")
     k1, k2 = f.kernel
     f2 = max(j for j in range(cols) if k1[j] or k2[j])
-    f1, d = next(((j, k1[j] * k2[f2] - k2[j] * k1[f2])
-                  for j in range(f2 - 1, -1, -1)
-                  if k1[j] * k2[f2] != k2[j] * k1[f2]), (None, 0))
-    if not d:
+    f1 = next((j for j in range(f2 - 1, -1, -1) if _minor(k1, k2, j, f2)),
+              None)
+    if f1 is None:
         f.fail("the kernel basis has no nonzero minor")
+    d, z1, z2 = _pair_basis(f.kernel, f1, f2)
     pivot_cols = tuple(j for j in range(cols) if j != f1 and j != f2)
 
     def on_pair(x: list[int]) -> list[int]:
-        """``D`` times the vector ``x + alpha k1 + beta k2`` that is zero on
-        ``(f1, f2)``."""
-        alpha = x[f2] * k2[f1] - x[f1] * k2[f2]
-        beta = x[f1] * k1[f2] - x[f2] * k1[f1]
-        return [d * v + alpha * a + beta * b for v, a, b in zip(x, k1, k2)]
+        """``D x`` moved along the kernel to zero on ``(f1, f2)``."""
+        return [d * v - x[f1] * a - x[f2] * b for v, a, b in zip(x, z1, z2)]
 
     fractions: dict[int, Fraction] = {}
 
@@ -663,9 +653,6 @@ def rref_rational(matrix: Matrix) -> EchelonForm:
                 or f.image(x) != [d * int(i == k) for i in range(rows)]):
             f.fail(f"A_S^-1 e_{k + 1} does not solve A x = e_{k + 1}")
         b_columns.append([frac(x[j]) for j in pivot_cols])
-    # the kernel vectors with D times (1, 0) and (0, 1) on (f1, f2)
-    z1 = [k2[f2] * a - k1[f2] * b for a, b in zip(k1, k2)]
-    z2 = [k1[f1] * b - k2[f1] * a for a, b in zip(k1, k2)]
     zero, one = Fraction(0), Fraction(1)
     coeffs = []
     for p in pivot_cols:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,28 @@ def test_solve_mod2_rejects_nonbits(capsys):
     code, _, _ = run(capsys, "solve", "--diagram", "5_1",
                      "--b", "2,0,0,0,0", "--mod2")
     assert code == 2
+
+
+def test_solve_mod2_is_the_single_rule(capsys):
+    code, out, _ = run(capsys, "solve", "--diagram", "example2_4",
+                       "--b", "1,0,0,0", "--mod2", "--rule", "single")
+    assert code == 0
+    assert out.splitlines() == ["regions: r1 r3 r4",
+                                "PASS residual mod 2 = [0, 0, 0, 0]"]
+
+
+@pytest.mark.parametrize("option, message", [
+    (("--rule", "double"), "error: --mod2 supports the single rule only\n"),
+    (("--minimize",), "error: --mod2 takes no --minimize\n"),
+    (("--minimize", "L2"), "error: --mod2 takes no --minimize\n"),
+], ids=["double-rule", "minimize", "minimize-L2"])
+def test_solve_mod2_refuses_an_option_it_would_ignore(capsys, option,
+                                                      message):
+    code, out, err = run(capsys, "solve", "--diagram", "example2_4",
+                         "--b", "1,0,0,0", "--mod2", *option)
+    assert code == 2
+    assert out == ""
+    assert err == message
 
 
 def test_add1_algebraic(capsys):
@@ -293,3 +319,30 @@ def test_unreadable_file_exits_2_without_traceback(capsys, tmp_path):
     assert out == ""
     assert err.startswith(f"error: cannot read {path}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("catalog",),
+    ("solve", "--diagram", "3_1", "--b", "1,0,0"),
+    ("dot", "--diagram", "3_1"),
+    ("random", "--seed", "5", "--moves", "40"),
+    ("matrix", "--diagram", "6_3", "--format", "json"),
+], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_0_quietly(argv, unbuffered):
+    # a pipe whose read end is closed before the child writes to it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "regionchoice.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert child.stderr == b""
+    assert child.returncode == 0

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -327,16 +328,49 @@ def test_solve_pinned_makes_a_unit_pivot_by_euclid_steps():
         assert product(a, fam.kernel[0]) == product(a, fam.kernel[1]) == (0, 0)
 
 
+PINNED_REFUSAL = ("pinned solve, elimination: no live column has gcd 1, "
+                  "so no unimodular column basis is reachable")
+
+
 def test_solve_pinned_refuses_a_block_with_det_2():
     with pytest.raises(InternalInvariantError,
-                       match="elimination: column .* gcd 2"):
+                       match=f"^{re.escape(PINNED_REFUSAL)}$"):
         solve_pinned(((2, 0, 1, 0), (1, 1, 0, 1)), (2, 3), [(1, 1)])
 
 
 def test_solve_pinned_refuses_a_singular_block():
     with pytest.raises(InternalInvariantError,
-                       match="elimination: .*singular"):
+                       match=f"^{re.escape(PINNED_REFUSAL)}$"):
         solve_pinned(((1, 1, 1, 0), (1, 1, 0, 1)), (2, 3), [(0, 0)])
+
+
+def test_solve_pinned_answers_exactly_when_the_pinned_block_is_unimodular():
+    # the determinant of the block left by deleting the pins is the oracle
+    rng = random.Random(2012)
+    answered = refused = 0
+    for _ in range(5000):
+        n = rng.randint(1, 5)
+        density = rng.choice((0.3, 0.5, 0.7, 1.0))
+        top = rng.choice((1, 2, 5))
+        a = tuple(tuple(rng.randint(-top, top) if rng.random() < density
+                        else 0 for _ in range(n + 2)) for _ in range(n))
+        pins = tuple(rng.sample(range(n + 2), 2))
+        b = tuple(rng.randint(-9, 9) for _ in range(n))
+        block = [[x for j, x in enumerate(row) if j not in pins] for row in a]
+        if determinant(block) in (1, -1):
+            (fam,) = solve_pinned(a, pins, [b])
+            k1, k2 = fam.kernel
+            assert product(a, fam.particular) == tuple(-x for x in b)
+            assert product(a, k1) == product(a, k2) == (0,) * n
+            assert [fam.particular[p] for p in pins] == [0, 0]
+            assert [(k1[p], k2[p]) for p in pins] == [(1, 0), (0, 1)]
+            answered += 1
+        else:
+            with pytest.raises(InternalInvariantError) as exc:
+                solve_pinned(a, pins, [b])
+            assert str(exc.value) == PINNED_REFUSAL
+            refused += 1
+    assert answered > 500 and refused > 500
 
 
 @pytest.mark.parametrize("matrix, pins, b", [
