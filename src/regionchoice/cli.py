@@ -323,7 +323,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # Nobody reads the output any more.  Point stdout at devnull, so
         # that the flush at exit has nowhere left to fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except (CliError, DiagramError, CatalogError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 
 from .zlinalg import InternalInvariantError
 
@@ -386,116 +387,222 @@ def to_dot(diagram: FlatDiagram) -> str:
 # Reidemeister edits
 
 
-def _relabel(crossings: list[list[int]], name: str | None) -> FlatDiagram:
-    """Renumber arc labels to 1..2n in order of first appearance in
-    (crossing, slot) order, which is the order of their smallest darts."""
-    order = dict.fromkeys(chain.from_iterable(crossings))
-    new_label = {label: i for i, label in enumerate(order, 1)}
-    return FlatDiagram(
-        tuple(tuple(new_label[x] for x in tup) for tup in crossings), name)
+class _Map:
+    """A knot projection under R1/R2 moves, edited in place.
 
-
-# The moves read the diagram's own faces and corner map, not the
-# lru_cache'd functions: a grown diagram's intermediate steps are not kept
-# alive in those caches.
-
-
-def _arc_darts(diagram: FlatDiagram, label: int) -> list[Dart]:
-    """The arc's two darts in (crossing, slot) order, by one scan."""
-    _require_int(label, "arc label")
-    darts = [(c, s) for c, tup in enumerate(diagram.crossings)
-             if label in tup for s, x in enumerate(tup) if x == label]
-    if not darts:
-        raise DiagramError(f"no arc labelled {label}")
-    return darts
-
-
-def _r2_pairs(diagram: FlatDiagram) -> list[tuple[int, int]]:
-    """Every ordered pair of distinct arcs that share a region.
-
-    Arcs come in label order; an arc's partners are the labels on its two
-    side regions, sorted, itself left out.
+    Darts are ints ``4 c + s``, so their order is (crossing, slot) order.
+    Darts never move: a move re-pairs some darts with the darts of the
+    crossings it appends, and retraces only the faces that held a re-paired
+    dart.  An arc is named by its least dart, and ``least`` lists the names
+    in order: an arc's label is its 1-based position there, the label of
+    first appearance in (crossing, slot) order that the grown diagram
+    carries.  A face is named by its least dart too, so faces in name order
+    are the regions in canonical order.
     """
-    on_region: list[set[int]] = [set() for _ in range(diagram.region_count)]
-    sides: list[list[int]] = [[] for _ in range(diagram.arc_count + 1)]
-    for (c, s), r in diagram._corner.items():
-        label = diagram.crossings[c][s]
-        on_region[r].add(label)
-        sides[label].append(r)
-    pairs = []
-    for label in range(1, diagram.arc_count + 1):
-        r1, r2 = sides[label]
-        partners = (on_region[r1] | on_region[r2]) - {label}
-        pairs.extend((label, b) for b in sorted(partners))
-    return pairs
+
+    def __init__(self, diagram: FlatDiagram) -> None:
+        self.mate: list[int] = [0] * (4 * diagram.crossing_count)
+        end: dict[int, int] = {}
+        for d, label in enumerate(chain.from_iterable(diagram.crossings)):
+            e = end.setdefault(label, d)
+            self.mate[d], self.mate[e] = e, d
+        self.least = [d for d, e in enumerate(self.mate) if d < e]
+        # each arc's number of R2 partners, in label order; a ``stale`` arc
+        # lies on a face traced since its count was last taken
+        self.count = [0] * len(self.least)
+        self.stale: set[int] = set()
+        self.face = [0] * len(self.mate)
+        self.arcs_on: dict[int, set[int]] = {}
+        for orbit in diagram._faces:
+            self._set_face([4 * c + s for c, s in orbit])
+
+    def _set_face(self, orbit: list[int]) -> None:
+        name = min(orbit)
+        for d in orbit:
+            self.face[d] = name
+        arcs_on = {min(d, self.mate[d]) for d in orbit}
+        self.arcs_on[name] = arcs_on
+        self.stale |= arcs_on
+
+    def crossings(self) -> list[list[int]]:
+        label = {a: i for i, a in enumerate(self.least, 1)}
+        flat = [label[min(d, e)] for d, e in enumerate(self.mate)]
+        return [flat[i:i + 4] for i in range(0, len(flat), 4)]
+
+    def r1(self, a: int, side: str) -> None:
+        """Kink arc ``a``: its least dart joins the new crossing's slot 0
+        and its other end slot 1 (left) or 3 (right); the other two slots
+        close a loop."""
+        x = len(self.mate)
+        if side == "left":
+            self._join(((a, x), (self.mate[a], x + 1), (x + 2, x + 3)), "R1")
+        else:
+            self._join(((a, x), (self.mate[a], x + 3), (x + 1, x + 2)), "R1")
+
+    def shared(self, a: int, b: int) -> set[int]:
+        """The faces on both arcs."""
+        face, mate = self.face, self.mate
+        return {face[a], face[mate[a]]} & {face[b], face[mate[b]]}
+
+    def r2(self, a: int, b: int) -> None:
+        """Push arc ``a`` across arc ``b`` through the shared region with
+        the smaller least dart."""
+        face, mate = self.face, self.mate
+        arc1, arc2 = (a, mate[a]), (b, mate[b])
+        region = min(self.shared(a, b))
+        # each arc's dart on the shared region first, then its far end
+        d1, d2 = arc1 if face[a] == region else arc1[::-1]
+        d3, d4 = arc2 if face[b] == region else arc2[::-1]
+        # new crossings x, y read (q_m, p1, q_l, p0) and (q_r, p1, q_m, p2):
+        # arc a becomes p0 p1 p2 and arc b becomes q_l q_m q_r
+        x, y = len(mate), len(mate) + 4
+        self._join(((d1, x + 3), (d2, y + 3), (d3, y), (d4, x + 2),
+                    (x + 1, y + 1), (x, y + 2)), "R2")
+
+    def _join(self, pairs, move: str) -> None:
+        """Pair the two darts of each pair, all darts of the appended
+        crossings among them, and retrace the faces that held a re-paired
+        dart.  The checks equal a full validation of the new diagram, since
+        no other face changed."""
+        mate, face = self.mate, self.face
+        size = len(mate)
+        touched = [d for pair in pairs for d in pair]
+        old = {face[d] for d in touched if d < size}
+        grown = max(touched) + 1
+        mate.extend([-1] * (grown - size))
+        face.extend([-1] * (grown - size))
+        for d, e in pairs:
+            mate[d], mate[e] = e, d
+        n = (grown + 3) // 4
+        if len(set(touched)) < len(touched) or -1 in mate[size:] or grown % 4:
+            raise InternalInvariantError(
+                f"{move} move to {n} crossings: an arc it touched does not "
+                "have two ends")
+        # an old dart is re-paired only with a new, larger one, so every old
+        # arc keeps its least dart; the arcs that start at a re-paired old
+        # dart or at a new dart are new
+        least = self.least
+        for a in (min(pair) for pair in pairs):
+            i = bisect_left(least, a)
+            if i == len(least) or least[i] != a:
+                least.insert(i, a)
+                self.count.insert(i, 0)
+
+        # every new face holds a re-paired or new dart, and every dart of
+        # an old face that held one lies on a new face
+        orbits = []
+        seen: set[int] = set()
+        for start in touched:
+            if start in seen:
+                continue
+            orbit = []
+            d = start
+            while True:
+                orbit.append(d)
+                m = mate[d]
+                # cross to the mate, then turn to the clockwise slot
+                d = m - (m & 3) + ((m - 1) & 3)
+                if d == start:
+                    break
+            seen.update(orbit)
+            at = sorted(d >> 2 for d in orbit)
+            for c, later in zip(at, at[2:]):
+                if c == later:
+                    raise InternalInvariantError(
+                        f"{move} move to {n} crossings: a region touches "
+                        f"crossing v{c + 1} {at.count(c)} times")
+            orbits.append(orbit)
+        for name in old:
+            del self.arcs_on[name]
+        for orbit in orbits:
+            self._set_face(orbit)
+        if len(self.arcs_on) != n + 2:
+            raise InternalInvariantError(
+                f"{move} move to {n} crossings: {len(self.arcs_on)} faces "
+                f"(expected {n + 2})")
+
+    def _sides(self, a: int) -> tuple[set[int], set[int]]:
+        """The arcs on each of the two faces along arc ``a``."""
+        return (self.arcs_on[self.face[a]],
+                self.arcs_on[self.face[self.mate[a]]])
+
+    def r2_pair(self, pick) -> tuple[int, int]:
+        """The R2 pair at position ``pick(total)`` of the ``total`` ordered
+        pairs of distinct arcs that share a face: by first arc, then by
+        partner, both in label order."""
+        for a in self.stale:
+            one, two = self._sides(a)
+            self.count[bisect_left(self.least, a)] = (
+                len(one) + len(two) - len(one & two) - 1)
+        self.stale.clear()
+        totals = list(accumulate(self.count))
+        k = pick(totals[-1])
+        i = bisect_right(totals, k)
+        a = self.least[i]
+        one, two = self._sides(a)
+        return a, sorted((one | two) - {a})[k - (totals[i - 1] if i else 0)]
+
+
+# The moves seed a map from the diagram's own faces, not from the
+# lru_cache'd functions, so no diagram a move reads is kept alive in those
+# caches; a grown diagram's intermediate steps are not diagrams at all.
+
+
+def _least_dart(diagram: FlatDiagram, label: int) -> int:
+    """The arc's least dart, as a map names it, by one scan."""
+    _require_int(label, "arc label")
+    for d, x in enumerate(chain.from_iterable(diagram.crossings)):
+        if x == label:
+            return d
+    raise DiagramError(f"no arc labelled {label}")
 
 
 def apply_r1(diagram: FlatDiagram, arc_label: int, side: str) -> FlatDiagram:
     """Insert a kink on the arc, on the chosen side of its traversal."""
     if side not in ("left", "right"):
         raise DiagramError(f"side must be 'left' or 'right', got {side!r}")
-    (c1, s1), (c2, s2) = _arc_darts(diagram, arc_label)
-    # a valid diagram's labels are exactly 1..2n
-    p, q, loop = range(diagram.arc_count + 1, diagram.arc_count + 4)
-    crossings = [list(tup) for tup in diagram.crossings]
-    crossings[c1][s1] = p
-    crossings[c2][s2] = q
-    if side == "left":
-        crossings.append([p, q, loop, loop])
-    else:
-        crossings.append([p, loop, loop, q])
-    return _relabel(crossings, diagram.name)
+    a = _least_dart(diagram, arc_label)
+    grow = _Map(diagram)
+    grow.r1(a, side)
+    return FlatDiagram(grow.crossings(), diagram.name)
 
 
 def apply_r2(diagram: FlatDiagram, arc1_label: int, arc2_label: int) -> FlatDiagram:
     """Push the first arc across the second through a shared region."""
     if arc1_label == arc2_label:
         raise DiagramError("cannot push an arc across itself")
-    arc1 = _arc_darts(diagram, arc1_label)
-    arc2 = _arc_darts(diagram, arc2_label)
-    corner = diagram._corner
-    shared = {corner[d] for d in arc1} & {corner[d] for d in arc2}
-    if not shared:
+    a, b = _least_dart(diagram, arc1_label), _least_dart(diagram, arc2_label)
+    grow = _Map(diagram)
+    if not grow.shared(a, b):
         raise DiagramError(
             f"arcs {arc1_label} and {arc2_label} share no region")
-    region = min(shared)
-
-    # each arc's dart owned by the shared region first, then its far end
-    (c1, s1), (c2, s2) = arc1 if corner[arc1[0]] == region else arc1[::-1]
-    (c3, s3), (c4, s4) = arc2 if corner[arc2[0]] == region else arc2[::-1]
-
-    p0, p1, p2, q_l, q_m, q_r = range(diagram.arc_count + 1,
-                                      diagram.arc_count + 7)
-    crossings = [list(tup) for tup in diagram.crossings]
-    crossings[c1][s1] = p0
-    crossings[c2][s2] = p2
-    crossings[c3][s3] = q_r
-    crossings[c4][s4] = q_l
-    crossings.append([q_m, p1, q_l, p0])
-    crossings.append([q_r, p1, q_m, p2])
-    return _relabel(crossings, diagram.name)
+    grow.r2(a, b)
+    return FlatDiagram(grow.crossings(), diagram.name)
 
 
 def random_diagram(seed: int, move_count: int) -> FlatDiagram:
     """Grow a knot projection from the one-crossing curl by random moves.
 
-    Each move is R1 on a random arc and side, or R2 on a random pair from
-    ``_r2_pairs``.  The order of that list is part of the seeded-output
-    contract: ``rng.choice`` picks by position, so reordering it changes
-    every seeded diagram (the golden digest in ``tests/test_diagram.py``).
+    Each move is R1 on a random arc label and side, or R2 on the pair at a
+    random position of every ordered pair of distinct arcs that share a
+    region, listed by first label and then by partner label.  That order is
+    part of the seeded-output contract: ``rng.choice`` picks by position,
+    so reordering it changes every seeded diagram (the golden digests in
+    ``tests/test_diagram.py``).  The moves run on one map, edited in place
+    with local checks; only the grown diagram is built and fully validated.
     """
     _require_int(move_count, "move_count")
     if move_count < 0:
         raise DiagramError("move_count must be non-negative")
     rng = random.Random(seed)
-    diagram = _relabel([[1, 2, 2, 1]], f"random-{seed}-{move_count}")
+    grow = _Map(D0)
     for _ in range(move_count):
         if rng.random() < 0.5:
-            label = rng.choice(range(1, diagram.arc_count + 1))
-            diagram = apply_r1(diagram, label, rng.choice(("left", "right")))
+            label = rng.choice(range(1, len(grow.least) + 1))
+            grow.r1(grow.least[label - 1], rng.choice(("left", "right")))
         else:
-            diagram = apply_r2(diagram, *rng.choice(_r2_pairs(diagram)))
-    return diagram
+            grow.r2(*grow.r2_pair(lambda total: rng.choice(range(total))))
+    return FlatDiagram(grow.crossings(), f"random-{seed}-{move_count}")
 
 
 # ---------------------------------------------------------------------------

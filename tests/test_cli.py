@@ -346,3 +346,21 @@ def test_closed_stdout_exits_0_quietly(argv, unbuffered):
         os.close(write_end)
     assert child.stderr == b""
     assert child.returncode == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts the open fds in /proc/self/fd")
+def test_closed_stdout_leaves_no_fd_open(monkeypatch):
+    # in process, stdout on a pipe whose read end is closed, never fd 1
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    for _ in range(5):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(["catalog"]) == 0
+    monkeypatch.undo()
+    assert open_fds() == before

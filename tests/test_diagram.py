@@ -1,21 +1,51 @@
 import dataclasses
 import hashlib
 import json
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (D0, DiagramError, FlatDiagram,
-                                  _darts_by_label, _mates, _orbits, _r2_pairs,
-                                  apply_r1, apply_r2, arc_by_label, arcs,
-                                  checkerboard, component_count, corner_count,
-                                  is_knot, is_reducible, parse_flat_pd,
-                                  random_diagram, reducible_crossings,
-                                  region_at_corner, regions, splice, to_dot,
-                                  to_flat_pd)
+                                  InternalInvariantError, _Map,
+                                  _darts_by_label, _mates, _orbits, apply_r1,
+                                  apply_r2, arc_by_label, arcs, checkerboard,
+                                  component_count, corner_count, is_knot,
+                                  is_reducible, parse_flat_pd, random_diagram,
+                                  reducible_crossings, region_at_corner,
+                                  regions, splice, to_dot, to_flat_pd)
 
 TREFOIL = ((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3))
+
+
+def _relabel(crossings):
+    """Renumber arc labels to 1..2n in order of first appearance in
+    (crossing, slot) order, which is the order of their smallest darts."""
+    order = dict.fromkeys(chain.from_iterable(crossings))
+    new_label = {label: i for i, label in enumerate(order, 1)}
+    return [[new_label[x] for x in tup] for tup in crossings]
+
+
+def _r2_pairs(diagram):
+    """Every ordered pair of distinct arcs that share a region, the order
+    ``random_diagram`` picks R2 pairs from by position.
+
+    Arcs come in label order; an arc's partners are the labels on its two
+    side regions, sorted, itself left out.
+    """
+    on_region = [set() for _ in range(diagram.region_count)]
+    sides = [[] for _ in range(diagram.arc_count + 1)]
+    for (c, s), r in diagram._corner.items():
+        label = diagram.crossings[c][s]
+        on_region[r].add(label)
+        sides[label].append(r)
+    pairs = []
+    for label in range(1, diagram.arc_count + 1):
+        r1, r2 = sides[label]
+        partners = (on_region[r1] | on_region[r2]) - {label}
+        pairs.extend((label, b) for b in sorted(partners))
+    return pairs
 
 
 def test_d0_has_three_regions():
@@ -217,6 +247,22 @@ def test_seeded_diagrams_match_the_golden_digest():
     assert h.hexdigest() == GOLDEN_SHA256
 
 
+# the same digest over larger diagrams, as random_diagram computed them when
+# every move built and validated a FlatDiagram
+LARGE_SEEDS = range(6)
+LARGE_MOVES = (90, 250)
+LARGE_SHA256 = \
+    "1f7265ead154d72770a51ef8db1e2d0cfb07ea6abbf50c0b7e95ea9ca9fbbd87"
+
+
+def test_large_seeded_diagrams_match_the_golden_digest():
+    h = hashlib.sha256()
+    for s in LARGE_SEEDS:
+        for m in LARGE_MOVES:
+            h.update((to_flat_pd(random_diagram(s, m)) + "\n").encode())
+    assert h.hexdigest() == LARGE_SHA256
+
+
 # sha256 of to_flat_pd(move) + "\n" for apply_r1 at every arc and side,
 # then apply_r2 at every pair of _r2_pairs, on each diagram of the catalog
 # and random_diagram(s, 6 + 2 s), s in 0..5 (2774 moves), as the move bodies
@@ -279,9 +325,9 @@ def test_random_diagram_builds_the_dart_table_once_per_move(monkeypatch):
 
     monkeypatch.setattr(diagram, "_darts_by_label", counted)
     D = random_diagram(5, 20)
-    # one per diagram built, by its validation: the starting curl, then one
-    # per move; the moves find their arcs' darts by scanning the crossings
-    assert len(calls) == 21
+    # one, by the validation of the grown diagram: the moves run on one map
+    # seeded from the curl's stored faces, and build no diagram
+    assert len(calls) == 1
     assert to_flat_pd(D) == to_flat_pd(random_diagram(5, 20))
 
 
@@ -295,6 +341,70 @@ def test_r2_pairs_from_incidence_equal_the_quadratic_filter():
         oracle = [(a.label, b.label) for a in arcs(D) for b in arcs(D)
                   if a.label != b.label and set(a.sides) & set(b.sides)]
         assert _r2_pairs(D) == oracle
+
+
+def test_r2_picks_follow_the_pair_list():
+    # the map's labels are the canonical ones, which random_diagram's
+    # diagrams carry; the catalog's are renumbered to them
+    for D in grown() + [FlatDiagram(_relabel(catalog_entry(name).diagram
+                                             .crossings))
+                        for name in names()]:
+        grow = _Map(D)
+        pairs = _r2_pairs(D)
+        totals = []
+
+        def at(k):
+            def pick(total):
+                totals.append(total)
+                return k
+            return pick
+
+        picks = [grow.r2_pair(at(k)) for k in range(len(pairs))]
+        assert totals == [len(pairs)] * len(pairs)
+        assert [(grow.least.index(a) + 1, grow.least.index(b) + 1)
+                for a, b in picks] == pairs
+
+
+def test_every_move_leaves_the_faces_a_full_retrace_gives(monkeypatch):
+    join = _Map._join
+    moves = []
+
+    def checked(self, pairs, move):
+        join(self, pairs, move)
+        crossings = self.crossings()
+        # labels by first appearance, so the label order is _relabel's
+        assert _relabel(crossings) == crossings
+        faces: dict[int, set[int]] = {}
+        for d, name in enumerate(self.face):
+            faces.setdefault(name, set()).add(d)
+        # a face is named by its least dart, the region order
+        assert all(name == min(darts) for name, darts in faces.items())
+        assert sorted(map(sorted, faces.values())) == sorted(
+            sorted(4 * c + s for c, s in orbit)
+            for orbit in _orbits(_mates(crossings), 3))
+        assert self.arcs_on == {
+            name: {min(d, self.mate[d]) for d in darts}
+            for name, darts in faces.items()}
+        moves.append(move)
+
+    monkeypatch.setattr(_Map, "_join", checked)
+    for seed in range(200):
+        D = random_diagram(seed, 60)
+        assert D.crossing_count == 1 + sum(
+            1 if m == "R1" else 2 for m in moves[-60:])
+    assert len(moves) == 200 * 60
+
+
+@pytest.mark.parametrize("pairs, message", [
+    (((0, 4), (3, 5), (4, 6)), "an arc it touched does not have two ends"),
+    (((0, 4), (3, 6), (5, 7)), "a region touches crossing v1 3 times"),
+    (((0, 3), (4, 5), (6, 7)), r"6 faces \(expected 4\)"),
+], ids=["dart-paired-twice", "crossing-touched-thrice", "split-off-crossing"])
+def test_a_move_that_breaks_the_map_is_refused_by_name(pairs, message):
+    # a kink on the curl with its new crossing wired wrongly
+    with pytest.raises(InternalInvariantError,
+                       match=f"^R1 move to 2 crossings: {message}$"):
+        _Map(D0)._join(pairs, "R1")
 
 
 def test_regions_come_from_the_stored_faces():
