@@ -133,9 +133,9 @@ def cmd_solve(args) -> int:
     b = _parse_b(args.b, n, mod2=args.mod2)
     if args.mod2:
         chosen = solvers.solve_mod2(diagram, b)
-        matrix = incidence.build_matrix(diagram, incidence.SINGLE)
         u = tuple(1 if r in chosen else 0 for r in range(diagram.region_count))
-        res = tuple(x % 2 for x in incidence.residual(matrix, u, b))
+        report = solvers.verify(diagram, incidence.SINGLE, u, b)
+        res = tuple(x % 2 for x in report.residual)
         ok = not any(res)
         _emit({
             "regions": [f"r{r + 1}" for r in chosen],

@@ -147,6 +147,16 @@ def _darts_by_label(crossings) -> dict[int, list[Dart]]:
     return by_label
 
 
+def _int_mates(crossings) -> list[int]:
+    """Each int dart ``4 c + s``'s partner, the other end of its arc."""
+    mate = [0] * (4 * len(crossings))
+    end: dict[int, int] = {}
+    for d, label in enumerate(chain.from_iterable(crossings)):
+        e = end.setdefault(label, d)
+        mate[d], mate[e] = e, d
+    return mate
+
+
 def _mates(crossings) -> dict[Dart, Dart]:
     """Each dart's partner: the other end of its arc."""
     return {d: (pair[0] if d == pair[1] else pair[1])
@@ -302,10 +312,22 @@ def arc_by_label(diagram: FlatDiagram, label: int) -> Arc:
 @lru_cache(maxsize=None)
 def component_count(diagram: FlatDiagram) -> int:
     """Number of closed curves underlying the projection."""
-    orbits = _orbits(_mates(diagram.crossings), 2)
-    if len(orbits) % 2 != 0:
+    # on int darts 4 c + s, going straight through a crossing is s -> s ^ 2;
+    # each curve is two directed strand orbits
+    mate = _int_mates(diagram.crossings)
+    seen = bytearray(len(mate))
+    orbits = 0
+    for start in range(len(mate)):
+        if seen[start]:
+            continue
+        orbits += 1
+        d = start
+        while not seen[d]:
+            seen[d] = 1
+            d = mate[d] ^ 2
+    if orbits % 2 != 0:
         raise InternalInvariantError("odd number of directed strand orbits")
-    return len(orbits) // 2
+    return orbits // 2
 
 
 def is_knot(diagram: FlatDiagram) -> bool:
@@ -401,11 +423,7 @@ class _Map:
     """
 
     def __init__(self, diagram: FlatDiagram) -> None:
-        self.mate: list[int] = [0] * (4 * diagram.crossing_count)
-        end: dict[int, int] = {}
-        for d, label in enumerate(chain.from_iterable(diagram.crossings)):
-            e = end.setdefault(label, d)
-            self.mate[d], self.mate[e] = e, d
+        self.mate = _int_mates(diagram.crossings)
         self.least = [d for d, e in enumerate(self.mate) if d < e]
         # each arc's number of R2 partners, in label order; a ``stale`` arc
         # lies on a face traced since its count was last taken

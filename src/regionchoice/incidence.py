@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .diagram import FlatDiagram, _doubled_crossings, regions
+from .zlinalg import _dense
 
 SINGLE = "single"
 DOUBLE = "double"
@@ -40,36 +41,53 @@ class RegionChoiceMatrix:
 
 def build_matrix(diagram: FlatDiagram, rule: str) -> RegionChoiceMatrix:
     """Region choice matrix of the diagram under canonical labeling."""
+    return RegionChoiceMatrix(
+        rule, _dense(_rows(diagram, rule), diagram.region_count),
+        tuple(f"v{i + 1}" for i in range(diagram.crossing_count)),
+        tuple(f"r{reg.index + 1}" for reg in regions(diagram)))
+
+
+def _rows(diagram: FlatDiagram, rule: str) -> list[dict[int, int]]:
+    """The matrix as sparse rows: per crossing, ``{region: entry}`` over the
+    regions touching it, in increasing region order.  One step per corner,
+    read off the diagram's faces: a corner at crossing v puts its region in
+    row v, once under the single rule and once per corner under the double
+    rule.  Every matrix the package builds starts here."""
     if rule not in (SINGLE, DOUBLE):
         raise ValueError(f"unknown rule {rule!r}")
-    regs = regions(diagram)
-    n = diagram.crossing_count
-    rows = [[0] * len(regs) for _ in range(n)]
-    # one step per corner: a corner at crossing v puts region j in row v
-    for reg in regs:
-        j = reg.index
-        for v, _ in reg.corners:
-            rows[v][j] = 1 if rule == SINGLE else rows[v][j] + 1
-    return RegionChoiceMatrix(
-        rule, tuple(map(tuple, rows)),
-        tuple(f"v{i + 1}" for i in range(n)),
-        tuple(f"r{j + 1}" for j in range(len(regs))))
+    rows: list[dict[int, int]] = [{} for _ in diagram.crossings]
+    for j, face in enumerate(diagram._faces):
+        for v, _ in face:
+            row = rows[v]
+            row[j] = 1 if rule == SINGLE else row.get(j, 0) + 1
+    return rows
 
 
 def apply(matrix: RegionChoiceMatrix, u) -> tuple[int, ...]:
     """Exact integer matrix-vector product."""
-    rows, cols = matrix.shape
-    if len(u) != cols:
-        raise ValueError(f"assignment has length {len(u)}, expected {cols}")
+    _require_length(u, matrix.shape[1], "assignment")
     return tuple(sum(a * x for a, x in zip(row, u)) for row in matrix.entries)
 
 
 def residual(matrix: RegionChoiceMatrix, u, b) -> tuple[int, ...]:
     """``M u + b``; the zero vector certifies a solution."""
-    rows, _ = matrix.shape
-    if len(b) != rows:
-        raise ValueError(f"point vector has length {len(b)}, expected {rows}")
+    _require_length(b, matrix.shape[0], "point vector")
     return tuple(x + y for x, y in zip(apply(matrix, u), b))
+
+
+def _residual(rows: list[dict[int, int]], cols: int, u, b) -> tuple[int, ...]:
+    """``M u + b`` on the sparse rows of ``_rows``, with the length checks
+    of ``residual``."""
+    _require_length(b, len(rows), "point vector")
+    _require_length(u, cols, "assignment")
+    return tuple(sum(x * u[j] for j, x in row.items()) + y
+                 for row, y in zip(rows, b))
+
+
+def _require_length(vector, expected: int, what: str) -> None:
+    if len(vector) != expected:
+        raise ValueError(
+            f"{what} has length {len(vector)}, expected {expected}")
 
 
 def rule_gap_columns(diagram: FlatDiagram) -> dict[int, tuple[int, ...]]:

@@ -16,8 +16,7 @@ from functools import lru_cache
 from . import incidence, zlinalg
 from .diagram import (CheckerboardColoring, ComponentSplit, FlatDiagram,
                       InternalInvariantError, _require_crossing,
-                      arc_by_label, arcs, checkerboard, is_knot, regions,
-                      splice)
+                      arc_by_label, arcs, checkerboard, is_knot, splice)
 from .incidence import DOUBLE, SINGLE
 from .zlinalg import SolutionFamily
 
@@ -60,9 +59,9 @@ class VerificationReport:
 def _factored(diagram: FlatDiagram, rule: str) -> zlinalg._UnitFactorisation:
     """The one factorisation of the rule's matrix, pinned on
     ``_pin_pair(diagram)``, for the last few (diagram, rule) pairs asked.
-    It keeps the matrix it was built from, and every query reads that
-    matrix, its sparse rows and its kernel off it.  Only a knot projection
-    is solvable for every b, so a link raises ``ValueError``.
+    It keeps the sparse rows it was built from, and every query reads
+    them and its kernel off it.  Only a knot projection is solvable for
+    every b, so a link raises ``ValueError``.
 
     The bound is set by the traffic: a sweep over one diagram needs 2
     entries, and 8 keep 3 interleaved diagrams under both rules.  The
@@ -73,8 +72,8 @@ def _factored(diagram: FlatDiagram, rule: str) -> zlinalg._UnitFactorisation:
     if not is_knot(diagram):
         raise ValueError("the region choice solve requires a knot projection")
     return zlinalg._UnitFactorisation(
-        incidence.build_matrix(diagram, rule).entries, _pin_pair(diagram),
-        "pinned solve")
+        incidence._rows(diagram, rule), diagram.region_count,
+        _pin_pair(diagram), "pinned solve")
 
 
 def _certified(diagram: FlatDiagram, rule: str) -> zlinalg._UnitFactorisation:
@@ -98,10 +97,9 @@ def _pin_pair(diagram: FlatDiagram) -> tuple[int, int]:
     region's arcs are looked at.  Corners ``(c, s)`` and ``(c, s + 1)`` lie
     on the two sides of the arc in slot ``s + 1`` of crossing ``c``, and
     each arc beside a face is that arc for one of the face's corners."""
-    regs = regions(diagram)
-    region_of = {corner: reg.index for reg in regs for corner in reg.corners}
-    lo = max(region_of[(c, (s + 1) % 4)] for c, s in regs[-1].corners)
-    return lo, regs[-1].index
+    faces = diagram._faces
+    lo = max(diagram._corner[(c, (s + 1) % 4)] for c, s in faces[-1])
+    return lo, len(faces) - 1
 
 
 def solve(diagram: FlatDiagram, rule: str, b) -> SolutionFamily:
@@ -170,9 +168,11 @@ def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
     sign2 = _component_checkerboard(split.second)
     u = tuple(u1[split.first.region_map[r]] * sign2[split.second.region_map[r]]
               for r in range(diagram.region_count))
-    target = _unit(diagram.crossing_count, crossing, 1)
+    n = diagram.crossing_count
+    target = _unit(n, crossing, 1)
     # A(-u) = -Au, so one product decides between u and -u
-    res = incidence.apply(incidence.build_matrix(diagram, DOUBLE), u)
+    res = incidence._residual(incidence._rows(diagram, DOUBLE),
+                              diagram.region_count, u, (0,) * n)
     if res != target:
         u, res = tuple(-x for x in u), tuple(-x for x in res)
     if res != target:
@@ -193,8 +193,8 @@ def _component_pinned_kernel(split: ComponentSplit):
         values[r1], values[r2] = 0, 1
         return tuple(values)
     return zlinalg._UnitFactorisation(
-        incidence.build_matrix(comp.diagram, DOUBLE).entries, (r1, r2),
-        "geometric add-1").kernel[1]
+        incidence._rows(comp.diagram, DOUBLE), comp.diagram.region_count,
+        (r1, r2), "geometric add-1").kernel[1]
 
 
 def _component_checkerboard(comp) -> CheckerboardColoring:
@@ -232,9 +232,15 @@ def solve_mod2(diagram: FlatDiagram, b) -> tuple[int, ...]:
     for a knot projection."""
     if not is_knot(diagram):
         raise ValueError("the mod-2 solve requires a knot projection")
-    matrix = incidence.build_matrix(diagram, SINGLE)
-    bits = zlinalg.solve_gf2(incidence.mod2(matrix),
-                             tuple(x % 2 for x in b))
+    b = tuple(x % 2 for x in b)
+    rows = incidence._rows(diagram, SINGLE)
+    if len(b) != len(rows):
+        raise ValueError(f"b has length {len(b)}, expected {len(rows)}")
+    cols = diagram.region_count
+    # every single-rule entry is 1, so a row's bits are its regions
+    bits = zlinalg._solve_gf2(
+        [sum(1 << j for j in row) | x << cols for row, x in zip(rows, b)],
+        cols)
     if bits is None:
         raise InternalInvariantError(
             "mod-2 region choice problem reported unsolvable for a knot "
@@ -243,9 +249,10 @@ def solve_mod2(diagram: FlatDiagram, b) -> tuple[int, ...]:
 
 
 def verify(diagram: FlatDiagram, rule: str, u, b) -> VerificationReport:
-    """Recompute the matrix and check ``A u + b = o``."""
-    matrix = incidence.build_matrix(diagram, rule)
-    res = incidence.residual(matrix, tuple(u), tuple(b))
+    """Recompute the matrix, as sparse rows from the diagram's faces, and
+    check ``A u + b = o``."""
+    res = incidence._residual(incidence._rows(diagram, rule),
+                              diagram.region_count, tuple(u), tuple(b))
     return VerificationReport(
         rule, res, not any(res),
         tuple((f"v{i + 1}", x) for i, x in enumerate(res)))

@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NoReturn
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -143,7 +144,7 @@ def reduce_to_e00(matrix: Matrix) -> E00Decomposition:
     otherwise; another shape raises ``NotE00Error``.
     """
     rows, cols = _shape(matrix, NotE00Error)
-    f = _UnitFactorisation(matrix, None, "E00")
+    f = _UnitFactorisation(_sparse(matrix), cols, None, "E00")
     log = [Operation("add_row", t, s, m) for t, s, m in f.ops]
     log += [Operation("negate_row", i)
             for i, _, pivot, _ in f.pivots if pivot == -1]
@@ -194,7 +195,8 @@ def solve_pinned(matrix: Matrix, pins: tuple[int, int],
     r1, r2 = pins
     if r1 == r2 or not (0 <= r1 < cols and 0 <= r2 < cols):
         raise ValueError(f"pins must be two distinct columns, got {pins!r}")
-    return _UnitFactorisation(matrix, pins, "pinned solve").families(rhs)
+    return _UnitFactorisation(_sparse(matrix), cols, pins,
+                              "pinned solve").families(rhs)
 
 
 def _shape(matrix: Matrix, error=ValueError) -> tuple[int, int]:
@@ -208,9 +210,29 @@ def _shape(matrix: Matrix, error=ValueError) -> tuple[int, int]:
     return rows, cols
 
 
+def _sparse(matrix: Matrix) -> list[dict[int, int]]:
+    """The rows of a dense matrix as ``{column: entry}`` over the nonzero
+    entries, in increasing column order."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+def _dense(rows: list[dict[int, int]], cols: int) -> Matrix:
+    """The dense matrix with ``cols`` columns of sparse rows."""
+    out = []
+    for row in rows:
+        line = [0] * cols
+        for j, x in row.items():
+            line[j] = x
+        out.append(tuple(line))
+    return tuple(out)
+
+
 class _UnitFactorisation:
-    """An n x (n+2) matrix ``A`` factored once by ``_factor_unit``, leaving
+    """An n x (n+2) matrix ``A``, given as sparse rows (as ``_sparse`` makes
+    them) and its column count, factored once by ``_factor_unit``, leaving
     two columns, the pins, unpivoted: the square rest ``B`` is unimodular.
+    Every product reads the rows, which are kept, not copied; the dense
+    ``matrix`` is built from them on first use.
 
     One ``_factor_unit`` call makes it: with ``pins`` given those two
     columns are left out of the elimination; with ``pins=None`` the two
@@ -221,12 +243,11 @@ class _UnitFactorisation:
     certificate again, for a caller that keeps the factorisation.
     """
 
-    def __init__(self, matrix: Matrix, pins: tuple[int, int] | None,
-                 stage: str) -> None:
+    def __init__(self, rows: list[dict[int, int]], cols: int,
+                 pins: tuple[int, int] | None, stage: str) -> None:
         self.stage = stage
-        self.matrix = matrix
-        self.cols = len(matrix[0])
-        self.rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+        self.rows = rows
+        self.cols = cols
         skip = pins or ()
         self.ops, self.pivots, left = _factor_unit(
             [{j: x for j, x in row.items() if j not in skip}
@@ -237,6 +258,11 @@ class _UnitFactorisation:
             tuple(self.solve([-row.get(r1, 0) for row in self.rows], (1, 0))),
             tuple(self.solve([-row.get(r2, 0) for row in self.rows], (0, 1))))
         self.check()
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        """``A`` as a dense tuple, for the solution families."""
+        return _dense(self.rows, self.cols)
 
     def check(self) -> None:
         """The certificate: pivot product +-1, both kernel vectors in the
@@ -549,28 +575,35 @@ def solve_gf2(matrix, b):
             if x % 2:
                 m |= 1 << j
         masks.append(m | ((bit % 2) << cols))
-    pivots = []  # (column, mask)
+    return _solve_gf2(masks, cols)
+
+
+def _solve_gf2(masks: list[int], cols: int):
+    """``solve_gf2`` on bit rows: bit ``j < cols`` of a mask is the row's
+    entry in column ``j`` and bit ``cols`` its right-hand side.
+
+    Each row is reduced by the pivot rows before it and pivots on its
+    lowest column bit; the free columns are 0, and each pivot column is
+    resolved from the last pivot upwards as the parity of its row against
+    the columns resolved so far."""
+    columns = (1 << cols) - 1
+    pivots = []  # (column bit, mask)
     for m in masks:
-        for col, pm in pivots:
-            if (m >> col) & 1:
+        for bit, pm in pivots:
+            if m & bit:
                 m ^= pm
-        for col in range(cols):
-            if (m >> col) & 1:
-                pivots.append((col, m))
-                break
-        else:
-            if (m >> cols) & 1:
-                return None
-    u = [0] * cols
-    # back-substitute: pivots were fully reduced against earlier pivots only,
-    # so resolve from the last pivot upwards
-    for col, pm in reversed(pivots):
-        acc = (pm >> cols) & 1
-        for j in range(cols):
-            if j != col and (pm >> j) & 1:
-                acc ^= u[j]
-        u[col] = acc
-    return tuple(u)
+        m_cols = m & columns
+        if m_cols:
+            pivots.append((m_cols & -m_cols, m))
+        elif m >> cols:
+            return None
+    # a pivot row's other column bits are all later pivots' or free, so
+    # they are resolved before it
+    u = 0
+    for bit, pm in reversed(pivots):
+        if ((pm >> cols) + (pm & u).bit_count()) & 1:
+            u |= bit
+    return tuple((u >> j) & 1 for j in range(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +656,7 @@ def rref_rational(matrix: Matrix) -> EchelonForm:
     raises ``InternalInvariantError`` naming the stage otherwise.
     """
     rows, cols = _shape(matrix)
-    f = _UnitFactorisation(matrix, None, "echelon")
+    f = _UnitFactorisation(_sparse(matrix), cols, None, "echelon")
     k1, k2 = f.kernel
     f2 = max(j for j in range(cols) if k1[j] or k2[j])
     f1 = next((j for j in range(f2 - 1, -1, -1) if _minor(k1, k2, j, f2)),

@@ -204,15 +204,15 @@ def test_r2_on_curl_loop_arcs():
 
 def test_r2_needs_shared_region():
     D = apply_r2(D0, 1, 2)
-    # find two arcs with disjoint sides, if any exist here they must fail
-    seen = False
+    # every pair of arcs with disjoint sides is refused, and there are 6
+    refused = 0
     for a in arcs(D):
         for b in arcs(D):
             if a.label < b.label and not set(a.sides) & set(b.sides):
-                seen = True
-                with pytest.raises(DiagramError):
+                with pytest.raises(DiagramError, match="share no region"):
                     apply_r2(D, a.label, b.label)
-    assert seen or True  # small diagrams may have no disjoint pair
+                refused += 1
+    assert refused == 6
 
 
 def test_r2_same_arc_rejected():

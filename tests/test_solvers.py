@@ -115,29 +115,36 @@ def factorisations(monkeypatch, cold_cache):
     made = []
 
     class Counting(zlinalg._UnitFactorisation):
-        def __init__(self, matrix, pins, stage):
+        def __init__(self, rows, cols, pins, stage):
             made.append(stage)
-            super().__init__(matrix, pins, stage)
+            super().__init__(rows, cols, pins, stage)
 
     monkeypatch.setattr(zlinalg, "_UnitFactorisation", Counting)
     return made
 
 
-def test_add1_algebraic_builds_and_factors_each_matrix_once(
-        monkeypatch, factorisations):
+@pytest.fixture
+def row_builds(monkeypatch):
+    """The rule of every sparse region choice matrix built, in order."""
     from regionchoice import incidence
-    builds = []
+    built = []
+    rows = incidence._rows
 
     def counting(diagram, rule):
-        builds.append(rule)
-        return build_matrix(diagram, rule)
+        built.append(rule)
+        return rows(diagram, rule)
 
-    monkeypatch.setattr(incidence, "build_matrix", counting)
+    monkeypatch.setattr(incidence, "_rows", counting)
+    return built
+
+
+def test_add1_algebraic_builds_and_factors_each_matrix_once(
+        row_builds, factorisations):
     D = random_diagram(3, 9)
     n = D.crossing_count
     certs = [add1_algebraic(D, rule, v) for v in range(n)
              for rule in (SINGLE, DOUBLE)]
-    assert builds == [SINGLE, DOUBLE]
+    assert row_builds == [SINGLE, DOUBLE]
     assert factorisations == ["pinned solve"] * 2
     for cert in certs:
         (family,) = zlinalg.solve_pinned(
@@ -266,14 +273,45 @@ def test_single_via_double_matches_direct():
             assert apply(M, diff) == zero
 
 
-def test_single_via_double_factors_twice_then_not_at_all(factorisations):
+def test_no_solver_builds_or_multiplies_a_dense_matrix(monkeypatch, capsys,
+                                                       cold_cache):
+    from regionchoice import incidence
+    from regionchoice.cli import main
+
+    def dense(*args):
+        raise AssertionError("a solver built or multiplied a dense matrix")
+
+    for name in ("build_matrix", "apply", "residual", "mod2"):
+        monkeypatch.setattr(incidence, name, dense)
+    D = random_diagram(6, 14)
+    n = D.crossing_count
+    b = tuple(range(n))
+    for rule in (SINGLE, DOUBLE):
+        family = solve(D, rule, b)
+        assert verify(D, rule, family.particular, b).passed
+        assert add1_algebraic(D, rule, n - 1).residual == unit(n, n - 1)
+        arc_unimodularity_report(D, rule)
+        pinned_kernel(D, PinnedKernelRequest(1, 2, -1, rule))
+    for v in range(n):
+        assert add1_geometric(D, v).residual == unit(n, v)
+    solve_single_via_double(D, b)
+    solve_mod2(D, b)
+    assert main(["solve", "--diagram", "5_1", "--b", "1,0,1,0,0",
+                 "--mod2"]) == 0
+    assert "PASS residual mod 2 = [0, 0, 0, 0, 0]" in capsys.readouterr().out
+
+
+def test_single_via_double_factors_twice_then_not_at_all(row_builds,
+                                                          factorisations):
     D = random_diagram(5, 12)
     b = tuple(range(1, D.crossing_count + 1))
     u = solve_single_via_double(D, b)
-    assert len(factorisations) == 2
+    assert row_builds == [DOUBLE, SINGLE]
+    assert factorisations == ["pinned solve"] * 2
+    row_builds.clear()
     factorisations.clear()
     assert solve_single_via_double(D, b) == u
-    assert factorisations == []
+    assert row_builds == factorisations == []
     # both paths are zero on the pin pair, so the sum is the canonical
     # single-rule particular
     (family,) = zlinalg.solve_pinned(build_matrix(D, SINGLE).entries,

@@ -1,0 +1,169 @@
+"""The sparse matrix path against the dense routines it replaced.
+
+Every solver reads the region choice matrix as sparse rows built by
+``incidence._rows``, eliminates mod 2 on bit rows in ``zlinalg._solve_gf2``
+and counts components on int darts.  The dense routines they replaced stay
+here as oracles: ``dense_matrix`` is the corner loop ``build_matrix`` ran
+over ``regions``, ``column_scan_gf2`` the elimination ``solve_gf2`` ran,
+scanning every column of every row, and the component count is the
+tuple-dart strand walk ``_orbits(_mates(...), 2)``.
+"""
+
+import random
+
+import pytest
+
+from regionchoice.catalog import catalog_entry, names
+from regionchoice.diagram import (FlatDiagram, _mates, _orbits,
+                                  component_count, random_diagram, regions)
+from regionchoice.incidence import DOUBLE, SINGLE, _rows, build_matrix, mod2
+from regionchoice.solvers import solve_mod2
+from regionchoice.zlinalg import _solve_gf2, solve_gf2
+
+# the Hopf diagram and one R2 move on it: two components each
+LINKS = [FlatDiagram(((1, 2, 3, 4), (1, 4, 3, 2))),
+         FlatDiagram(((1, 2, 3, 4), (5, 4, 3, 6), (7, 8, 2, 1),
+                      (6, 8, 7, 5)))]
+KNOTS = ([catalog_entry(name).diagram for name in names()]
+         + [random_diagram(s, 3 + s % 40) for s in range(200)])
+
+
+def dense_matrix(diagram, rule):
+    """The entries, one step per corner of every region."""
+    regs = regions(diagram)
+    rows = [[0] * len(regs) for _ in range(diagram.crossing_count)]
+    for reg in regs:
+        for v, _ in reg.corners:
+            rows[v][reg.index] = (1 if rule == SINGLE
+                                  else rows[v][reg.index] + 1)
+    return tuple(map(tuple, rows))
+
+
+def column_scan_gf2(matrix, b):
+    """``A u = b`` over GF(2) by Gaussian elimination on bitmask rows, each
+    pivot found and each back-substitution made by a scan of the columns."""
+    rows = [list(r) for r in matrix]
+    if len(b) != len(rows):
+        raise ValueError(f"b has length {len(b)}, expected {len(rows)}")
+    if not rows:
+        return ()
+    cols = len(rows[0])
+    masks = []
+    for row, bit in zip(rows, b):
+        if len(row) != cols:
+            raise ValueError("ragged matrix")
+        m = 0
+        for j, x in enumerate(row):
+            if x % 2:
+                m |= 1 << j
+        masks.append(m | ((bit % 2) << cols))
+    pivots = []
+    for m in masks:
+        for col, pm in pivots:
+            if (m >> col) & 1:
+                m ^= pm
+        for col in range(cols):
+            if (m >> col) & 1:
+                pivots.append((col, m))
+                break
+        else:
+            if (m >> cols) & 1:
+                return None
+    u = [0] * cols
+    for col, pm in reversed(pivots):
+        acc = (pm >> cols) & 1
+        for j in range(cols):
+            if j != col and (pm >> j) & 1:
+                acc ^= u[j]
+        u[col] = acc
+    return tuple(u)
+
+
+def outcome(call, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("rule", [SINGLE, DOUBLE])
+def test_rows_are_the_nonzeros_of_the_matrix(rule):
+    for D in KNOTS + LINKS:
+        dense = build_matrix(D, rule).entries
+        assert dense == dense_matrix(D, rule)
+        assert _rows(D, rule) == [{j: x for j, x in enumerate(row) if x}
+                                  for row in dense]
+        # in increasing region order, the order the elimination reads
+        assert all(list(row) == sorted(row) for row in _rows(D, rule))
+
+
+def test_rows_refuse_an_unknown_rule():
+    with pytest.raises(ValueError, match="unknown rule 'triple'"):
+        _rows(LINKS[0], "triple")
+
+
+def test_solve_mod2_equals_the_column_scan():
+    rng = random.Random(5)
+    for D in KNOTS:
+        bits = mod2(build_matrix(D, SINGLE))
+        for _ in range(3):
+            b = tuple(rng.randint(-3, 3) for _ in range(D.crossing_count))
+            u = column_scan_gf2(bits, tuple(x % 2 for x in b))
+            assert solve_mod2(D, b) == tuple(r for r, x in enumerate(u) if x)
+    # the length refusal solve_gf2 made for it
+    with pytest.raises(ValueError, match=r"^b has length 2, expected 3$"):
+        solve_mod2(catalog_entry("3_1").diagram, (1, 0))
+
+
+def test_bit_rows_of_links_equal_the_column_scan_on_every_b():
+    # these links' mod-2 matrices have rank n - 1, so half of all b are
+    # inconsistent: None on both paths
+    inconsistent = 0
+    for D in LINKS:
+        n, cols = D.crossing_count, D.region_count
+        masks = [sum(1 << j for j in row) for row in _rows(D, SINGLE)]
+        bits = mod2(build_matrix(D, SINGLE))
+        for k in range(2 ** n):
+            b = tuple((k >> i) & 1 for i in range(n))
+            got = _solve_gf2([m | x << cols for m, x in zip(masks, b)], cols)
+            assert got == column_scan_gf2(bits, b)
+            inconsistent += got is None
+    assert inconsistent == 2 + 8
+
+
+def test_solve_gf2_equals_the_column_scan_on_random_systems():
+    rng = random.Random(11)
+    answered = refused = 0
+    for _ in range(4000):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 9)
+        density = rng.random()
+        matrix = [[rng.randint(-3, 3) if rng.random() < density else 0
+                   for _ in range(cols)] for _ in range(rows)]
+        b = [rng.randint(-2, 2) for _ in range(rows)]
+        got = solve_gf2(matrix, b)
+        assert got == column_scan_gf2(matrix, b)
+        answered += got is not None
+        refused += got is None
+    assert answered > 1000 and refused > 1000
+
+
+@pytest.mark.parametrize("matrix, b", [
+    (((1, 0), (1, 1)), (1,)),
+    (((1, 0),), (1, 0)),
+    ((), (1,)),
+    (((1, 0), (1,)), (0, 1)),
+    (((1,), (1, 0)), (0, 1)),
+    ((), ()),
+    (((),), (1,)),
+    (((),), (0,)),
+])
+def test_solve_gf2_refuses_and_answers_as_the_column_scan(matrix, b):
+    assert outcome(solve_gf2, matrix, b) == outcome(column_scan_gf2, matrix, b)
+
+
+def test_component_count_equals_the_strand_orbits():
+    component_count.cache_clear()
+    for D in KNOTS + LINKS:
+        assert component_count(D) == len(_orbits(_mates(D.crossings), 2)) // 2
+    assert [component_count(D) for D in LINKS] == [2, 2]
