@@ -1,12 +1,15 @@
 """Flat knot/link projections as combinatorial maps on the sphere.
 
 A projection is encoded by a flat PD code: one 4-tuple of arc labels per
-crossing, listed in counterclockwise slot order.  A *dart* is a pair
-``(crossing, slot)`` naming one arc end.  The strand continues through a
-crossing from slot ``s`` to slot ``(s + 2) % 4``; faces are the orbits of
-"traverse the arc, then turn to the clockwise-adjacent slot at the arrival
-crossing".  With these conventions a connected diagram with ``n`` crossings
-embeds on the sphere iff the face trace yields exactly ``n + 2`` faces.
+crossing, listed in counterclockwise slot order.  A *dart* names one arc
+end: slot ``s`` of crossing ``c`` is the int ``4 c + s``, so dart order is
+(crossing, slot) order.  The public ``Region.corners`` and ``Arc.darts``
+spell a dart as the pair ``(c, s)``.  The strand continues through a
+crossing from slot ``s`` to slot ``(s + 2) % 4``, dart ``d`` to ``d ^ 2``;
+faces are the orbits of "traverse the arc, then turn to the
+clockwise-adjacent slot at the arrival crossing".  With these conventions a
+connected diagram with ``n`` crossings embeds on the sphere iff the face
+trace yields exactly ``n + 2`` faces.
 
 Regions are numbered canonically by the smallest dart in their corner list;
 crossings keep their input order.
@@ -18,7 +21,7 @@ import json
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain
 
 from .zlinalg import InternalInvariantError
@@ -40,15 +43,13 @@ class FlatDiagram:
     def __post_init__(self) -> None:
         object.__setattr__(self, "crossings",
                            tuple(tuple(c) for c in self.crossings))
-        # the validation's faces in region order, kept so that nothing
-        # traces them again; not a field, so ==, hash and repr ignore them
-        object.__setattr__(self, "_faces", _validate(self))
-
-    @cached_property
-    def _corner(self) -> dict[Dart, int]:
-        """Region index of every corner, built on first use."""
-        return {corner: i for i, face in enumerate(self._faces)
-                for corner in face}
+        # the validation's mate table, faces in region order and region of
+        # every dart, kept so that nothing builds them again; not fields,
+        # so ==, hash and repr ignore them
+        mate, faces, region = _validate(self.crossings)
+        object.__setattr__(self, "_mate", mate)
+        object.__setattr__(self, "_faces", faces)
+        object.__setattr__(self, "_region", region)
 
     @property
     def crossing_count(self) -> int:
@@ -138,17 +139,8 @@ class ComponentSplit:
 # core map machinery
 
 
-def _darts_by_label(crossings) -> dict[int, list[Dart]]:
-    """The darts carrying each arc label, in (crossing, slot) order."""
-    by_label: dict[int, list[Dart]] = {}
-    for c, tup in enumerate(crossings):
-        for s, label in enumerate(tup):
-            by_label.setdefault(label, []).append((c, s))
-    return by_label
-
-
 def _int_mates(crossings) -> list[int]:
-    """Each int dart ``4 c + s``'s partner, the other end of its arc."""
+    """Each dart's partner, the other end of its arc."""
     mate = [0] * (4 * len(crossings))
     end: dict[int, int] = {}
     for d, label in enumerate(chain.from_iterable(crossings)):
@@ -157,46 +149,37 @@ def _int_mates(crossings) -> list[int]:
     return mate
 
 
-def _mates(crossings) -> dict[Dart, Dart]:
-    """Each dart's partner: the other end of its arc."""
-    return {d: (pair[0] if d == pair[1] else pair[1])
-            for pair in _darts_by_label(crossings).values() for d in pair}
+def _walk(mate: list[int], start: int, turn: int) -> list[int]:
+    """The orbit of "cross to the mate, then move ``turn`` slots on" from
+    dart ``start``.  Turn 3 traces a face; turn 2 goes straight through
+    every crossing, along a strand."""
+    orbit = []
+    d = start
+    while True:
+        orbit.append(d)
+        m = mate[d]
+        d = m - (m & 3) + ((m + turn) & 3)
+        if d == start:
+            return orbit
 
 
-def _orbits(mate: dict[Dart, Dart], turn: int) -> list[tuple[Dart, ...]]:
-    """Orbits of "cross to the mate, then move ``turn`` slots on", each
-    started at its smallest dart.  Turn 3 traces the faces; turn 2 goes
-    straight through every crossing, giving two strand orbits per component.
-    """
-    orbits = []
-    seen: set[Dart] = set()
-    # in sorted order, every dart below a new start lies in an earlier
-    # orbit: the orbits come out sorted by least dart, the region order
-    for start in sorted(mate):
-        if start in seen:
-            continue
-        orbit = []
-        d = start
-        while True:
-            orbit.append(d)
-            seen.add(d)
-            c, s = mate[d]
-            d = (c, (s + turn) % 4)
-            if d == start:
-                break
-            if d in seen:
-                raise InternalInvariantError("dart walk is not a permutation")
-        orbits.append(tuple(orbit))
-    return orbits
+def _crowded(face) -> list[tuple[int, int]]:
+    """The crossings that the face has more than two corners at, in trace
+    order, with their corner counts."""
+    count: dict[int, int] = {}
+    for d in face:
+        count[d >> 2] = count.get(d >> 2, 0) + 1
+    return [(c, k) for c, k in count.items() if k > 2]
 
 
-def _validate(diagram: FlatDiagram) -> tuple[tuple[Dart, ...], ...]:
-    """Check the diagram and return its faces, in canonical order."""
-    n = len(diagram.crossings)
+def _validate(crossings) -> tuple[list[int], tuple, list[int]]:
+    """Check the crossings and return their mate table, their faces in
+    canonical order and the region of every dart."""
+    n = len(crossings)
     if n == 0:
         raise DiagramError("diagram has no crossings")
     counts: dict[int, int] = {}
-    for tup in diagram.crossings:
+    for tup in crossings:
         if len(tup) != 4:
             raise DiagramError(f"crossing {tup!r} does not have 4 darts")
         for label in tup:
@@ -212,32 +195,48 @@ def _validate(diagram: FlatDiagram) -> tuple[tuple[Dart, ...], ...]:
         if got != 2:
             raise DiagramError(f"unpaired arc label {label} (appears {got}x)")
 
-    faces = _orbits(_mates(diagram.crossings), 3)
+    mate = _int_mates(crossings)
+    # -1 until traced: every dart below a new start lies on an earlier
+    # face, so the faces come out sorted by least dart, the region order
+    region = [-1] * len(mate)
+    faces = []
+    for start in range(len(mate)):
+        if region[start] < 0:
+            face = _walk(mate, start, 3)
+            for d in face:
+                region[d] = len(faces)
+            faces.append(tuple(face))
     if len(faces) != n + 2:
         raise DiagramError(
             f"non-spherical map: {n} crossings but {len(faces)} faces "
             f"(expected {n + 2})")
-    for orbit in faces:
-        per_crossing: dict[int, int] = {}
-        for c, _ in orbit:
-            per_crossing[c] = per_crossing.get(c, 0) + 1
-        for c, k in per_crossing.items():
-            if k > 2:
-                raise DiagramError(
-                    f"region touches crossing v{c + 1} {k} times "
-                    "(more than twice is outside the supported domain)")
-    return tuple(faces)
+    for face in faces:
+        for c, k in _crowded(face):
+            raise DiagramError(
+                f"region touches crossing v{c + 1} {k} times "
+                "(more than twice is outside the supported domain)")
+    return mate, tuple(faces), region
+
+
+def _dart(d: int) -> Dart:
+    """Dart ``d`` as the public ``(crossing, slot)`` pair."""
+    return d >> 2, d & 3
 
 
 @lru_cache(maxsize=None)
 def regions(diagram: FlatDiagram) -> tuple[Region, ...]:
     """The ``n + 2`` faces of the diagram in canonical order."""
-    return tuple(Region(i, orbit) for i, orbit in enumerate(diagram._faces))
+    return tuple(Region(i, tuple(map(_dart, face)))
+                 for i, face in enumerate(diagram._faces))
 
 
 def region_at_corner(diagram: FlatDiagram, crossing: int, slot: int) -> int:
     """Region occupying the corner between slots ``slot`` and ``slot + 1``."""
-    return diagram._corner[(crossing, slot)]
+    _require_crossing(diagram, crossing)
+    _require_int(slot, "slot")
+    if not 0 <= slot < 4:
+        raise DiagramError(f"no slot {slot}")
+    return diagram._region[4 * crossing + slot]
 
 
 def corner_count(diagram: FlatDiagram, region: int, crossing: int) -> int:
@@ -273,18 +272,25 @@ def _doubled_crossings(diagram: FlatDiagram) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def arcs(diagram: FlatDiagram) -> tuple[Arc, ...]:
     """Arcs sorted by label, each with its two (distinct) side regions."""
-    corner = diagram._corner
-    by_label = _darts_by_label(diagram.crossings)
-    out = []
-    for label in sorted(by_label):
-        d1, d2 = by_label[label]
-        # the two faces traversing the arc are the ones owning its darts
-        sides = (corner[d1], corner[d2])
-        if sides[0] == sides[1]:
+    region = diagram._region
+    return tuple(Arc(label, (_dart(d), _dart(e)), (region[d], region[e]))
+                 for label, (d, e) in enumerate(_arc_darts(diagram), 1))
+
+
+def _arc_darts(diagram: FlatDiagram) -> list[tuple[int, int]]:
+    """Each arc's two darts, the smaller first, in label order.  The two
+    faces traversing an arc are the ones owning its darts, its sides, and
+    they are checked to differ."""
+    mate, region = diagram._mate, diagram._region
+    ends = [(0, 0)] * diagram.arc_count
+    for d, label in enumerate(chain.from_iterable(diagram.crossings)):
+        if d < mate[d]:
+            ends[label - 1] = (d, mate[d])
+    for label, (d, e) in enumerate(ends, 1):
+        if region[d] == region[e]:
             raise InternalInvariantError(
                 f"arc {label} has the same region on both sides")
-        out.append(Arc(label, (d1, d2), sides))
-    return tuple(out)
+    return ends
 
 
 def _require_int(value, what: str) -> None:
@@ -312,19 +318,15 @@ def arc_by_label(diagram: FlatDiagram, label: int) -> Arc:
 @lru_cache(maxsize=None)
 def component_count(diagram: FlatDiagram) -> int:
     """Number of closed curves underlying the projection."""
-    # on int darts 4 c + s, going straight through a crossing is s -> s ^ 2;
     # each curve is two directed strand orbits
-    mate = _int_mates(diagram.crossings)
+    mate = diagram._mate
     seen = bytearray(len(mate))
     orbits = 0
     for start in range(len(mate)):
-        if seen[start]:
-            continue
-        orbits += 1
-        d = start
-        while not seen[d]:
-            seen[d] = 1
-            d = mate[d] ^ 2
+        if not seen[start]:
+            orbits += 1
+            for d in _walk(mate, start, 2):
+                seen[d] = 1
     if orbits % 2 != 0:
         raise InternalInvariantError("odd number of directed strand orbits")
     return orbits // 2
@@ -337,12 +339,17 @@ def is_knot(diagram: FlatDiagram) -> bool:
 @lru_cache(maxsize=None)
 def checkerboard(diagram: FlatDiagram) -> CheckerboardColoring:
     """Proper 2-coloring of regions across arcs, region 0 colored +1."""
+    return _checkerboard(diagram)
+
+
+def _checkerboard(diagram: FlatDiagram) -> CheckerboardColoring:
+    """``checkerboard`` without its cache, for one-shot diagrams."""
     m = diagram.region_count
+    region = diagram._region
     adjacency: list[set[int]] = [set() for _ in range(m)]
-    for arc in arcs(diagram):
-        a, b = arc.sides
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+    for d, e in _arc_darts(diagram):
+        adjacency[region[d]].add(region[e])
+        adjacency[region[e]].add(region[d])
     signs = [0] * m
     signs[0] = 1
     queue = [0]
@@ -412,18 +419,18 @@ def to_dot(diagram: FlatDiagram) -> str:
 class _Map:
     """A knot projection under R1/R2 moves, edited in place.
 
-    Darts are ints ``4 c + s``, so their order is (crossing, slot) order.
-    Darts never move: a move re-pairs some darts with the darts of the
-    crossings it appends, and retraces only the faces that held a re-paired
-    dart.  An arc is named by its least dart, and ``least`` lists the names
-    in order: an arc's label is its 1-based position there, the label of
-    first appearance in (crossing, slot) order that the grown diagram
-    carries.  A face is named by its least dart too, so faces in name order
-    are the regions in canonical order.
+    It starts from a copy of the diagram's int-dart mate table, which it
+    edits, and from its faces.  Darts never move: a move re-pairs some darts
+    with the darts of the crossings it appends, and retraces only the faces
+    that held a re-paired dart.  An arc is named by its least dart, and
+    ``least`` lists the names in order: an arc's label is its 1-based
+    position there, the label of first appearance in (crossing, slot) order
+    that the grown diagram carries.  A face is named by its least dart too,
+    so faces in name order are the regions in canonical order.
     """
 
     def __init__(self, diagram: FlatDiagram) -> None:
-        self.mate = _int_mates(diagram.crossings)
+        self.mate = list(diagram._mate)
         self.least = [d for d, e in enumerate(self.mate) if d < e]
         # each arc's number of R2 partners, in label order; a ``stale`` arc
         # lies on a face traced since its count was last taken
@@ -431,10 +438,10 @@ class _Map:
         self.stale: set[int] = set()
         self.face = [0] * len(self.mate)
         self.arcs_on: dict[int, set[int]] = {}
-        for orbit in diagram._faces:
-            self._set_face([4 * c + s for c, s in orbit])
+        for face in diagram._faces:
+            self._set_face(face)
 
-    def _set_face(self, orbit: list[int]) -> None:
+    def _set_face(self, orbit) -> None:
         name = min(orbit)
         for d in orbit:
             self.face[d] = name
@@ -513,22 +520,12 @@ class _Map:
         for start in touched:
             if start in seen:
                 continue
-            orbit = []
-            d = start
-            while True:
-                orbit.append(d)
-                m = mate[d]
-                # cross to the mate, then turn to the clockwise slot
-                d = m - (m & 3) + ((m - 1) & 3)
-                if d == start:
-                    break
+            orbit = _walk(mate, start, 3)
             seen.update(orbit)
-            at = sorted(d >> 2 for d in orbit)
-            for c, later in zip(at, at[2:]):
-                if c == later:
-                    raise InternalInvariantError(
-                        f"{move} move to {n} crossings: a region touches "
-                        f"crossing v{c + 1} {at.count(c)} times")
+            for c, k in _crowded(orbit):
+                raise InternalInvariantError(
+                    f"{move} move to {n} crossings: a region touches "
+                    f"crossing v{c + 1} {k} times")
             orbits.append(orbit)
         for name in old:
             del self.arcs_on[name]
@@ -561,9 +558,9 @@ class _Map:
         return a, sorted((one | two) - {a})[k - (totals[i - 1] if i else 0)]
 
 
-# The moves seed a map from the diagram's own faces, not from the
-# lru_cache'd functions, so no diagram a move reads is kept alive in those
-# caches; a grown diagram's intermediate steps are not diagrams at all.
+# The moves seed a map from the diagram's own mate table and faces, not
+# from the lru_cache'd functions, so no diagram a move reads is kept alive
+# in those caches; a grown diagram's intermediate steps are not diagrams.
 
 
 def _least_dart(diagram: FlatDiagram, label: int) -> int:
@@ -646,20 +643,18 @@ class _UnionFind:
 def splice(diagram: FlatDiagram, v: int) -> ComponentSplit:
     """Orientation-respecting smoothing of a knot at a self-crossing."""
     _require_crossing(diagram, v)
-    mate = _mates(diagram.crossings)
-    corner = diagram._corner
-    # a knot has two strand orbits, one each way; walk the darts it leaves
-    # through in the one from (0, 0), the least dart
-    orbits = _orbits(mate, 2)
-    if len(orbits) != 2:
+    mate, region = diagram._mate, diagram._region
+    # a knot has two strand orbits, one each way, so the one from dart 0
+    # holds half of the darts: walk the darts it leaves through
+    walk = _walk(mate, 0, 2)
+    if 2 * len(walk) != len(mate):
         raise DiagramError("splice requires a knot projection")
-    walk = orbits[0]
-    arrivals = [i for i, d in enumerate(walk) if mate[d][0] == v]
+    arrivals = [i for i, d in enumerate(walk) if mate[d] >> 2 == v]
     if len(arrivals) != 2:
         raise InternalInvariantError(
             f"knot traversal enters v{v + 1} {len(arrivals)} times")
     p, q = arrivals
-    i1, i2 = mate[walk[p]][1], mate[walk[q]][1]
+    i1, i2 = mate[walk[p]] & 3, mate[walk[q]] & 3
     # the smoothing joins entry i1 to exit i2+2 and entry i2 to exit i1+2,
     # so each component's walk starts just after v and ends arriving there;
     # component 0 is the one carrying the smallest dart
@@ -672,21 +667,22 @@ def splice(diagram: FlatDiagram, v: int) -> ComponentSplit:
     components = []
     for k, half in enumerate(halves):
         uf = _UnionFind(diagram.region_count)
-        uf.union(corner[(v, merged[0])], corner[(v, merged[1])])
+        uf.union(region[4 * v + merged[0]], region[4 * v + merged[1]])
         for d in halves[1 - k]:
-            uf.union(corner[d], corner[mate[d]])
-        components.append(_build_component(diagram, v, half, mate, uf, corner))
+            uf.union(region[d], region[mate[d]])
+        components.append(_build_component(diagram, v, half, uf))
     return ComponentSplit(v, components[0], components[1])
 
 
-def _build_component(diagram, v, walk, mate, uf, corner) -> SplicedComponent:
+def _build_component(diagram, v, walk, uf) -> SplicedComponent:
     """The component whose curve leaves through the darts ``walk``, from
     just after ``v`` to its arrival back at ``v``; ``uf`` is its region
     quotient of the diagram."""
+    mate, region = diagram._mate, diagram._region
     m = diagram.region_count
     passes: dict[int, int] = {}
-    for c, _ in walk:
-        passes[c] = passes.get(c, 0) + 1
+    for d in walk:
+        passes[d >> 2] = passes.get(d >> 2, 0) + 1
     kept = tuple(sorted(c for c, k in passes.items() if k == 2 and c != v))
     root_of = [uf.find(r) for r in range(m)]
     roots = sorted(set(root_of))
@@ -699,7 +695,7 @@ def _build_component(diagram, v, walk, mate, uf, corner) -> SplicedComponent:
 
     # side regions of the smoothed strand, read off the arc arriving at v
     d1, d2 = sorted((walk[-1], mate[walk[-1]]))
-    raw_sides = (raw_map[corner[d1]], raw_map[corner[d2]])
+    raw_sides = (raw_map[region[d1]], raw_map[region[d2]])
     if raw_sides[0] == raw_sides[1]:
         raise InternalInvariantError("smoothed strand has equal side regions")
 
@@ -714,10 +710,10 @@ def _build_component(diagram, v, walk, mate, uf, corner) -> SplicedComponent:
     ends = []
     start = wrap_end = None
     for d in walk:
-        if d[0] in local:
+        if d >> 2 in local:
             start = d
         e = mate[d]
-        if e[0] in local:
+        if e >> 2 in local:
             if start is None:
                 wrap_end = e
             else:
@@ -726,15 +722,16 @@ def _build_component(diagram, v, walk, mate, uf, corner) -> SplicedComponent:
     strand = tuple(sorted((start, wrap_end)))
     label_of = {pair: i + 1 for i, pair in enumerate(sorted(ends + [strand]))}
     dart_label = {d: lab for pair, lab in label_of.items() for d in pair}
-    crossings = tuple(tuple(dart_label[(c, s)] for s in range(4)) for c in kept)
+    crossings = tuple(tuple(dart_label[4 * c + s] for s in range(4))
+                      for c in kept)
     sub = FlatDiagram(crossings, None)
 
     # match the component's own faces to the quotient classes
     class_to_region: dict[int, int] = {}
     for c in kept:
         for s in range(4):
-            cls = raw_map[corner[(c, s)]]
-            reg = sub._corner[(local[c], s)]
+            cls = raw_map[region[4 * c + s]]
+            reg = sub._region[4 * local[c] + s]
             if class_to_region.setdefault(cls, reg) != reg:
                 raise InternalInvariantError(
                     "component faces do not refine the region quotient")

@@ -57,8 +57,8 @@ def _rows(diagram: FlatDiagram, rule: str) -> list[dict[int, int]]:
         raise ValueError(f"unknown rule {rule!r}")
     rows: list[dict[int, int]] = [{} for _ in diagram.crossings]
     for j, face in enumerate(diagram._faces):
-        for v, _ in face:
-            row = rows[v]
+        for d in face:
+            row = rows[d >> 2]
             row[j] = 1 if rule == SINGLE else row.get(j, 0) + 1
     return rows
 

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 from . import incidence, zlinalg
 from .diagram import (CheckerboardColoring, ComponentSplit, FlatDiagram,
-                      InternalInvariantError, _require_crossing,
-                      arc_by_label, arcs, checkerboard, is_knot, splice)
+                      InternalInvariantError, _checkerboard,
+                      _require_crossing, arc_by_label, arcs, is_knot, splice)
 from .incidence import DOUBLE, SINGLE
 from .zlinalg import SolutionFamily
 
@@ -94,11 +94,12 @@ def _pin_pair(diagram: FlatDiagram) -> tuple[int, int]:
     cache.
 
     Every arc beside the last region has it as its high side, so only that
-    region's arcs are looked at.  Corners ``(c, s)`` and ``(c, s + 1)`` lie
-    on the two sides of the arc in slot ``s + 1`` of crossing ``c``, and
-    each arc beside a face is that arc for one of the face's corners."""
-    faces = diagram._faces
-    lo = max(diagram._corner[(c, (s + 1) % 4)] for c, s in faces[-1])
+    region's arcs are looked at.  The corners at darts ``4 c + s`` and
+    ``4 c + (s + 1) % 4`` lie on the two sides of the arc in slot
+    ``s + 1`` of crossing ``c``, and each arc beside a face is that arc for
+    one of the face's corners."""
+    faces, region = diagram._faces, diagram._region
+    lo = max(region[d - (d & 3) + ((d + 1) & 3)] for d in faces[-1])
     return lo, len(faces) - 1
 
 
@@ -200,7 +201,7 @@ def _component_pinned_kernel(split: ComponentSplit):
 def _component_checkerboard(comp) -> CheckerboardColoring:
     if comp.diagram is None:
         return CheckerboardColoring((1, -1))
-    return checkerboard(comp.diagram)
+    return _checkerboard(comp.diagram)
 
 
 def solve_single_via_double(diagram: FlatDiagram, b):

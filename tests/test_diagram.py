@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (D0, DiagramError, FlatDiagram,
-                                  InternalInvariantError, _Map,
-                                  _darts_by_label, _mates, _orbits, apply_r1,
+                                  InternalInvariantError, _Map, apply_r1,
                                   apply_r2, arc_by_label, arcs, checkerboard,
                                   component_count, corner_count, is_knot,
                                   is_reducible, parse_flat_pd, random_diagram,
@@ -17,6 +16,48 @@ from regionchoice.diagram import (D0, DiagramError, FlatDiagram,
                                   regions, splice, to_dot, to_flat_pd)
 
 TREFOIL = ((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3))
+
+
+# The tuple-dart map the library traced on before its int darts ``4 c + s``,
+# kept as the reference oracle: darts are pairs ``(crossing, slot)``.
+
+def darts_by_label(crossings):
+    """The darts carrying each arc label, in (crossing, slot) order."""
+    by_label = {}
+    for c, tup in enumerate(crossings):
+        for s, label in enumerate(tup):
+            by_label.setdefault(label, []).append((c, s))
+    return by_label
+
+
+def tuple_mates(crossings):
+    """Each dart's partner: the other end of its arc."""
+    return {d: (pair[0] if d == pair[1] else pair[1])
+            for pair in darts_by_label(crossings).values() for d in pair}
+
+
+def tuple_orbits(mate, turn):
+    """Orbits of "cross to the mate, then move ``turn`` slots on", each
+    started at its smallest dart and sorted by it.  Turn 3 traces the faces;
+    turn 2 goes straight through every crossing, giving two strand orbits
+    per component."""
+    orbits = []
+    seen = set()
+    for start in sorted(mate):
+        if start in seen:
+            continue
+        orbit = []
+        d = start
+        while True:
+            orbit.append(d)
+            seen.add(d)
+            c, s = mate[d]
+            d = (c, (s + turn) % 4)
+            if d == start:
+                break
+            assert d not in seen, "dart walk is not a permutation"
+        orbits.append(tuple(orbit))
+    return orbits
 
 
 def _relabel(crossings):
@@ -36,8 +77,8 @@ def _r2_pairs(diagram):
     """
     on_region = [set() for _ in range(diagram.region_count)]
     sides = [[] for _ in range(diagram.arc_count + 1)]
-    for (c, s), r in diagram._corner.items():
-        label = diagram.crossings[c][s]
+    for d, r in enumerate(diagram._region):
+        label = diagram.crossings[d >> 2][d & 3]
         on_region[r].add(label)
         sides[label].append(r)
     pairs = []
@@ -95,6 +136,17 @@ def test_region_corner_lookup():
     assert region_at_corner(D0, 0, 0) == region_at_corner(D0, 0, 2)
     assert corner_count(D0, 0, 0) == 2
     assert corner_count(D0, 1, 0) == 1
+
+
+def test_region_at_corner_refuses_a_corner_it_does_not_have():
+    D = FlatDiagram(TREFOIL)
+    for crossing, slot, message in [
+            (3, 0, "no crossing v4"), (-1, 0, "no crossing v0"),
+            (True, 0, "crossing index True is not an integer"),
+            (0, 4, "no slot 4"), (1, -1, "no slot -1"),
+            (0, 1.0, "slot 1.0 is not an integer")]:
+        with pytest.raises(DiagramError, match=f"^{message}$"):
+            region_at_corner(D, crossing, slot)
 
 
 def test_d0_crossing_is_reducible():
@@ -161,9 +213,20 @@ def test_parse_rejects_garbage():
      '"name" must be a string'),
     (lambda: apply_r1(D0, 99, "left"), "no arc labelled 99"),
     (lambda: random_diagram(1, -1), "move_count must be non-negative"),
+    (lambda: FlatDiagram(((2, 3, 2, 3), (1, 4, 4, 1))),
+     r"region touches crossing v1 4 times \(more than twice is outside the "
+     r"supported domain\)"),
+    # one face touches v3 and v2 three times each, v3 first in trace order
+    (lambda: FlatDiagram(((7, 2, 3, 6), (8, 4, 6, 3), (8, 4, 2, 7),
+                          (1, 1, 5, 5))),
+     r"region touches crossing v3 3 times \(more than twice is outside the "
+     r"supported domain\)"),
+    (lambda: FlatDiagram(((1, 3, 2, 4), (2, 4, 1, 3))),
+     r"non-spherical map: 2 crossings but 2 faces \(expected 4\)"),
 ], ids=["no-crossings", "missing-label", "unpaired-label",
         "crossings-not-lists", "name-not-string", "r1-missing-arc",
-        "negative-move-count"])
+        "negative-move-count", "crossing-touched-four-times",
+        "first-crowded-crossing-in-trace-order", "non-spherical"])
 def test_each_refusal_names_its_cause(build, message):
     with pytest.raises(DiagramError, match=f"^{message}$"):
         build()
@@ -308,27 +371,62 @@ def test_the_constructor_takes_no_dart_table():
     # faces; it must not get past the constructor, let alone into the
     # caches that G shares with every diagram equal to it
     G = random_diagram(0, 6)
-    table = _darts_by_label(G.crossings)
+    table = darts_by_label(G.crossings)
     table[1][1], table[7][1] = table[7][1], table[1][1]
     with pytest.raises(TypeError):
         regions(FlatDiagram(G.crossings, G.name, table))
-    assert tuple(reg.corners for reg in regions(G)) == G._faces
+    assert ([reg.corners for reg in regions(G)]
+            == tuple_orbits(tuple_mates(G.crossings), 3))
 
 
-def test_random_diagram_builds_the_dart_table_once_per_move(monkeypatch):
+@pytest.fixture
+def mate_tables(monkeypatch):
+    """The crossing counts of the mate tables built while it is in use."""
     from regionchoice import diagram
+    build = diagram._int_mates
     calls = []
 
     def counted(crossings):
         calls.append(len(crossings))
-        return _darts_by_label(crossings)
+        return build(crossings)
 
-    monkeypatch.setattr(diagram, "_darts_by_label", counted)
+    monkeypatch.setattr(diagram, "_int_mates", counted)
+    return calls
+
+
+def test_random_diagram_builds_the_dart_table_once_per_move(mate_tables):
     D = random_diagram(5, 20)
     # one, by the validation of the grown diagram: the moves run on one map
-    # seeded from the curl's stored faces, and build no diagram
-    assert len(calls) == 1
+    # seeded from the curl's stored table, and build no diagram
+    assert mate_tables == [D.crossing_count]
     assert to_flat_pd(D) == to_flat_pd(random_diagram(5, 20))
+
+
+def test_readers_build_no_mate_table(mate_tables):
+    # a name never used before, so no cache holds this diagram yet
+    D = FlatDiagram(random_diagram(8, 30).crossings, "no mate table")
+    del mate_tables[:]
+    misses = [f.cache_info().misses
+              for f in (arcs, component_count, checkerboard)]
+    arcs(D), component_count(D), checkerboard(D)
+    assert [f.cache_info().misses
+            for f in (arcs, component_count, checkerboard)] == [
+                k + 1 for k in misses]
+    regions(D), region_at_corner(D, 1, 2), reducible_crossings(D)
+    apply_r1(D, 1, "left")
+    # the one table is the grown diagram's own, built by its validation
+    assert mate_tables == [D.crossing_count + 1]
+
+
+def test_splice_builds_a_mate_table_only_for_each_component(mate_tables):
+    D = random_diagram(3, 25)
+    del mate_tables[:]
+    for v in range(D.crossing_count):
+        split = splice(D, v)
+        assert mate_tables == [comp.diagram.crossing_count
+                               for comp in (split.first, split.second)
+                               if comp.diagram is not None]
+        del mate_tables[:]
 
 
 def grown():
@@ -381,7 +479,7 @@ def test_every_move_leaves_the_faces_a_full_retrace_gives(monkeypatch):
         assert all(name == min(darts) for name, darts in faces.items())
         assert sorted(map(sorted, faces.values())) == sorted(
             sorted(4 * c + s for c, s in orbit)
-            for orbit in _orbits(_mates(crossings), 3))
+            for orbit in tuple_orbits(tuple_mates(crossings), 3))
         assert self.arcs_on == {
             name: {min(d, self.mate[d]) for d in darts}
             for name, darts in faces.items()}
@@ -409,7 +507,7 @@ def test_a_move_that_breaks_the_map_is_refused_by_name(pairs, message):
 
 def test_regions_come_from_the_stored_faces():
     for D in grown() + [catalog_entry(name).diagram for name in names()]:
-        fresh = sorted(_orbits(_mates(D.crossings), 3), key=min)
+        fresh = sorted(tuple_orbits(tuple_mates(D.crossings), 3), key=min)
         assert [reg.corners for reg in regions(D)] == fresh
         assert [reg.index for reg in regions(D)] == list(range(len(fresh)))
 

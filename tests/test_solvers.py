@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from regionchoice import zlinalg
 from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (D0, DiagramError, FlatDiagram,
-                                  InternalInvariantError, arcs,
-                                  random_diagram, regions)
+                                  InternalInvariantError, arcs, checkerboard,
+                                  component_count, random_diagram, regions)
 from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
                                     residual, rule_gap_columns)
 from regionchoice.solvers import (PinnedKernelRequest, _factored, _pin_pair,
@@ -363,6 +363,16 @@ def test_add1_geometric_leaves_the_factorisation_cache_alone(cold_cache):
     for v in range(D.crossing_count):
         add1_geometric(D, v)
     assert _factored.cache_info() == before
+
+
+def test_add1_geometric_leaves_the_diagram_caches_alone():
+    # each add-1 splices the diagram and colors a one-shot component
+    D = random_diagram(5, 25)
+    caches = (arcs, checkerboard, regions, component_count)
+    before = [f.cache_info().currsize for f in caches]
+    for v in range(D.crossing_count):
+        add1_geometric(D, v)
+    assert [f.cache_info().currsize for f in caches] == before
 
 
 def test_pinned_kernel_matches_the_per_arc_solve():

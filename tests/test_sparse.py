@@ -2,11 +2,12 @@
 
 Every solver reads the region choice matrix as sparse rows built by
 ``incidence._rows``, eliminates mod 2 on bit rows in ``zlinalg._solve_gf2``
-and counts components on int darts.  The dense routines they replaced stay
-here as oracles: ``dense_matrix`` is the corner loop ``build_matrix`` ran
-over ``regions``, ``column_scan_gf2`` the elimination ``solve_gf2`` ran,
-scanning every column of every row, and the component count is the
-tuple-dart strand walk ``_orbits(_mates(...), 2)``.
+and counts components on the diagram's int darts ``4 c + s``.  The routines
+they replaced stay as oracles: ``dense_matrix`` is the corner loop
+``build_matrix`` ran over ``regions``, ``column_scan_gf2`` the elimination
+``solve_gf2`` ran, scanning every column of every row, and the component
+count is the strand walk on ``(crossing, slot)`` pairs,
+``tuple_orbits(tuple_mates(...), 2)`` from ``test_diagram``.
 """
 
 import random
@@ -14,11 +15,12 @@ import random
 import pytest
 
 from regionchoice.catalog import catalog_entry, names
-from regionchoice.diagram import (FlatDiagram, _mates, _orbits,
-                                  component_count, random_diagram, regions)
+from regionchoice.diagram import (FlatDiagram, component_count,
+                                  random_diagram, regions)
 from regionchoice.incidence import DOUBLE, SINGLE, _rows, build_matrix, mod2
 from regionchoice.solvers import solve_mod2
 from regionchoice.zlinalg import _solve_gf2, solve_gf2
+from test_diagram import tuple_mates, tuple_orbits
 
 # the Hopf diagram and one R2 move on it: two components each
 LINKS = [FlatDiagram(((1, 2, 3, 4), (1, 4, 3, 2))),
@@ -165,5 +167,6 @@ def test_solve_gf2_refuses_and_answers_as_the_column_scan(matrix, b):
 def test_component_count_equals_the_strand_orbits():
     component_count.cache_clear()
     for D in KNOTS + LINKS:
-        assert component_count(D) == len(_orbits(_mates(D.crossings), 2)) // 2
+        assert component_count(D) == len(
+            tuple_orbits(tuple_mates(D.crossings), 2)) // 2
     assert [component_count(D) for D in LINKS] == [2, 2]
