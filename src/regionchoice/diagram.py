@@ -215,6 +215,19 @@ def _validate(crossings) -> tuple[list[int], tuple, list[int]]:
             raise DiagramError(
                 f"region touches crossing v{c + 1} {k} times "
                 "(more than twice is outside the supported domain)")
+    # "n + 2 faces iff spherical" holds for a connected map only: a torus
+    # beside a sphere can count n + 2 faces too
+    reached = [0]
+    seen = bytearray(n)
+    seen[0] = 1
+    for c in reached:
+        for d in mate[4 * c:4 * c + 4]:
+            if not seen[d >> 2]:
+                seen[d >> 2] = 1
+                reached.append(d >> 2)
+    if len(reached) != n:
+        raise DiagramError(f"disconnected map: crossing v{seen.index(0) + 1} "
+                           "cannot be reached from v1")
     return mate, tuple(faces), region
 
 
@@ -339,11 +352,6 @@ def is_knot(diagram: FlatDiagram) -> bool:
 @lru_cache(maxsize=None)
 def checkerboard(diagram: FlatDiagram) -> CheckerboardColoring:
     """Proper 2-coloring of regions across arcs, region 0 colored +1."""
-    return _checkerboard(diagram)
-
-
-def _checkerboard(diagram: FlatDiagram) -> CheckerboardColoring:
-    """``checkerboard`` without its cache, for one-shot diagrams."""
     m = diagram.region_count
     region = diagram._region
     adjacency: list[set[int]] = [set() for _ in range(m)]

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import incidence, zlinalg
-from .diagram import (CheckerboardColoring, ComponentSplit, FlatDiagram,
-                      InternalInvariantError, _checkerboard,
-                      _require_crossing, arc_by_label, arcs, is_knot, splice)
+from .diagram import (DiagramError, FlatDiagram, InternalInvariantError,
+                      _require_crossing, _walk, arc_by_label, arcs, is_knot)
 from .incidence import DOUBLE, SINGLE
 from .zlinalg import SolutionFamily
 
@@ -64,10 +63,9 @@ def _factored(diagram: FlatDiagram, rule: str) -> zlinalg._UnitFactorisation:
     every b, so a link raises ``ValueError``.
 
     The bound is set by the traffic: a sweep over one diagram needs 2
-    entries, and 8 keep 3 interleaved diagrams under both rules.  The
-    geometric add-1 factors its one-shot spliced component itself, outside
-    this cache.  Keeping the factorisation on the diagram instead would
-    keep it alive as long as the diagram caches keep the diagram.
+    entries, and 8 keep 3 interleaved diagrams under both rules.  Keeping
+    the factorisation on the diagram instead would keep it alive as long as
+    the diagram caches keep the diagram.
     """
     if not is_knot(diagram):
         raise ValueError("the region choice solve requires a knot projection")
@@ -145,9 +143,10 @@ def arc_unimodularity_report(diagram: FlatDiagram, rule: str) -> dict[int, int]:
 def add1_algebraic(diagram: FlatDiagram, rule: str, crossing: int) -> Add1Certificate:
     """Assignment with unit residual at one crossing, by direct solving."""
     _require_crossing(diagram, crossing)
-    f = _certified(diagram, rule)
-    u = f.families([_unit(diagram.crossing_count, crossing, -1)])[0].particular
-    return Add1Certificate(crossing, rule, u, ALGEBRAIC, tuple(f.image(u)))
+    b = _unit(diagram.crossing_count, crossing, -1)
+    # families checks A u + b = o, so the residual A u is -b
+    u = _certified(diagram, rule).families([b])[0].particular
+    return Add1Certificate(crossing, rule, u, ALGEBRAIC, tuple(-x for x in b))
 
 
 def _unit(n: int, crossing: int, value: int) -> tuple[int, ...]:
@@ -155,21 +154,44 @@ def _unit(n: int, crossing: int, value: int) -> tuple[int, ...]:
 
 
 def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
-    """Assignment with unit residual at one crossing, by the splice and
-    checkerboard construction (double rule only).
-
-    Splice at the crossing; take a kernel solution on the component carrying
-    the smaller darts, pinned to 0 and 1 beside the smoothed strand; flip its
-    sign on the white regions of the other component's checkerboard coloring;
-    merge back.  A single global negation absorbs the two-fold coloring and
-    pin-order ambiguity.
-    """
-    split = splice(diagram, crossing)
-    u1 = _component_pinned_kernel(split)
-    sign2 = _component_checkerboard(split.second)
-    u = tuple(u1[split.first.region_map[r]] * sign2[split.second.region_map[r]]
-              for r in range(diagram.region_count))
+    """Assignment with unit residual at one crossing (double rule only):
+    ``u = +-e (alpha1 - alpha1(R1))`` with ``e = (-1)^alpha``, from the
+    regions' winding numbers alpha about the knot and alpha1 about the
+    first component of ``splice(diagram, crossing)``, whose first pin is
+    ``R1``.  This is the paper's splice-and-checkerboard vector with no
+    component built (README, "Layout"); the strand walk and its arrivals
+    ``p < q`` at the crossing are splice's."""
+    _require_crossing(diagram, crossing)
+    mate, region = diagram._mate, diagram._region
+    walk = _walk(mate, 0, 2)
+    if 2 * len(walk) != len(mate):
+        raise DiagramError("splice requires a knot projection")
+    arrivals = [i for i, d in enumerate(walk) if mate[d] >> 2 == crossing]
+    if len(arrivals) != 2:
+        raise InternalInvariantError(
+            f"knot traversal enters v{crossing + 1} {len(arrivals)} times")
+    p, q = arrivals
+    # each winding's change from region[mate[d]] to region[d]; the first
+    # component leaves through walk[q+1:] + walk[:p+1]
+    step, step1 = [0] * len(mate), [0] * len(mate)
+    for i, d in enumerate(walk):
+        step[d], step[mate[d]] = 1, -1
+        if not p < i <= q:
+            step1[d], step1[mate[d]] = 1, -1
     n = diagram.crossing_count
+    alpha, alpha1, reached = [0] + [None] * (n + 1), [0] * (n + 2), [0]
+    for r in reached:
+        for d in diagram._faces[r]:
+            o = region[mate[d]]
+            a, a1 = alpha[r] - step[d], alpha1[r] - step1[d]
+            if alpha[o] is None:
+                alpha[o], alpha1[o] = a, a1
+                reached.append(o)
+            elif alpha[o] != a or alpha1[o] != a1:
+                raise InternalInvariantError(
+                    f"winding numbers disagree across the arc at dart {d}")
+    base = alpha1[region[min(walk[p], mate[walk[p]])]]
+    u = tuple(base - b if a & 1 else b - base for a, b in zip(alpha, alpha1))
     target = _unit(n, crossing, 1)
     # A(-u) = -Au, so one product decides between u and -u
     res = incidence._residual(incidence._rows(diagram, DOUBLE),
@@ -180,28 +202,6 @@ def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
         raise InternalInvariantError(
             "geometric add-1 construction certified neither u nor -u")
     return Add1Certificate(crossing, DOUBLE, u, GEOMETRIC, res)
-
-
-def _component_pinned_kernel(split: ComponentSplit):
-    """The first component's kernel vector that is 0 and 1 on the sides of
-    the smoothed strand.  The component is factored here, pinned on those
-    sides, and not cached: it is used once.  Its kernel's second vector is
-    (0, 1) on the pins, and construction checks the certificate."""
-    comp = split.first
-    r1, r2 = comp.strand_sides
-    if comp.diagram is None:
-        values = [0, 0]
-        values[r1], values[r2] = 0, 1
-        return tuple(values)
-    return zlinalg._UnitFactorisation(
-        incidence._rows(comp.diagram, DOUBLE), comp.diagram.region_count,
-        (r1, r2), "geometric add-1").kernel[1]
-
-
-def _component_checkerboard(comp) -> CheckerboardColoring:
-    if comp.diagram is None:
-        return CheckerboardColoring((1, -1))
-    return _checkerboard(comp.diagram)
 
 
 def solve_single_via_double(diagram: FlatDiagram, b):

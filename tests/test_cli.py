@@ -235,6 +235,7 @@ def test_checkerboard_output(capsys):
 @pytest.mark.parametrize("argv", [
     ("rref",),
     ("solve", "--b", "1,0", "--mod2"),
+    ("add1", "--crossing", "v1", "--path", "geometric"),
 ])
 def test_link_file_exits_2_without_traceback(capsys, tmp_path, argv):
     path = tmp_path / "link.json"

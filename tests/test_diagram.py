@@ -223,10 +223,15 @@ def test_parse_rejects_garbage():
      r"supported domain\)"),
     (lambda: FlatDiagram(((1, 3, 2, 4), (2, 4, 1, 3))),
      r"non-spherical map: 2 crossings but 2 faces \(expected 4\)"),
+    # a torus map of two crossings beside a curl: 2 + 3 faces, n + 2 in all
+    (lambda: parse_flat_pd(
+        '{"crossings": [[5, 1, 4, 1], [4, 2, 5, 2], [3, 6, 6, 3]]}'),
+     "disconnected map: crossing v3 cannot be reached from v1"),
 ], ids=["no-crossings", "missing-label", "unpaired-label",
         "crossings-not-lists", "name-not-string", "r1-missing-arc",
         "negative-move-count", "crossing-touched-four-times",
-        "first-crowded-crossing-in-trace-order", "non-spherical"])
+        "first-crowded-crossing-in-trace-order", "non-spherical",
+        "disconnected"])
 def test_each_refusal_names_its_cause(build, message):
     with pytest.raises(DiagramError, match=f"^{message}$"):
         build()

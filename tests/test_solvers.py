@@ -4,11 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regionchoice import zlinalg
+from regionchoice import incidence, zlinalg
 from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (D0, DiagramError, FlatDiagram,
-                                  InternalInvariantError, arcs, checkerboard,
-                                  component_count, random_diagram, regions)
+                                  InternalInvariantError, _walk, arcs,
+                                  checkerboard, component_count,
+                                  random_diagram, regions, splice)
 from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
                                     residual, rule_gap_columns)
 from regionchoice.solvers import (PinnedKernelRequest, _factored, _pin_pair,
@@ -258,6 +259,112 @@ def test_add1_geometric_matches_the_golden_digest():
     assert h.hexdigest() == ADD1_GEOMETRIC_SHA256
 
 
+def add1_by_splicing(D, v):
+    """The paper's construction of the geometric add-1, the oracle for its
+    closed form: splice at v; factor the first component pinned on the two
+    sides of the smoothed strand and take its kernel vector that is 0 and 1
+    there; flip its sign on the white regions of the second component's
+    checkerboard coloring; merge back, and negate if the residual is -e_v."""
+    split = splice(D, v)
+    first, second = split.first, split.second
+    r1, r2 = first.strand_sides
+    if first.diagram is None:
+        u1 = [0, 0]
+        u1[r2] = 1
+    else:
+        u1 = zlinalg._UnitFactorisation(
+            incidence._rows(first.diagram, DOUBLE),
+            first.diagram.region_count, (r1, r2), "oracle").kernel[1]
+    # the uncached coloring: each component is used once
+    sign2 = ((1, -1) if second.diagram is None
+             else checkerboard.__wrapped__(second.diagram).signs)
+    u = tuple(u1[first.region_map[r]] * sign2[second.region_map[r]]
+              for r in range(D.region_count))
+    n = D.crossing_count
+    rows = incidence._rows(D, DOUBLE)
+    if incidence._residual(rows, D.region_count, u, (0,) * n) != unit(n, v):
+        u = tuple(-x for x in u)
+    assert incidence._residual(rows, D.region_count, u, (0,) * n) == unit(n, v)
+    return u
+
+
+def test_add1_geometric_equals_the_splice_construction():
+    diagrams = ([catalog_entry(name).diagram for name in names()]
+                + [random_diagram(s, 3 + s % 50) for s in range(200)])
+    for D in diagrams:
+        for v in range(D.crossing_count):
+            assert add1_geometric(D, v).assignment == add1_by_splicing(D, v)
+
+
+def winding_numbers(D):
+    """Alexander's numbering of the regions, 0 on region 0: the knot,
+    oriented along the strand from dart 0, has the region of dart d one
+    more than the region of its mate on every arc it runs along from d."""
+    mate, region = D._mate, D._region
+    steps = [(region[d], region[mate[d]]) for d in _walk(mate, 0, 2)]
+    alpha = {0: 0}
+    while len(alpha) < D.region_count:
+        size = len(alpha)
+        for left, right in steps:
+            if right in alpha:
+                alpha.setdefault(left, alpha[right] + 1)
+            elif left in alpha:
+                alpha[right] = alpha[left] - 1
+        assert len(alpha) > size, "the regions are not connected"
+    assert all(alpha[left] == alpha[right] + 1 for left, right in steps)
+    return [alpha[r] for r in range(D.region_count)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), moves=st.integers(0, 40))
+def test_signed_winding_numbers_span_a_saturated_double_rule_kernel(seed,
+                                                                    moves):
+    # around every crossing the windings read k, k+1, k, k-1, so with
+    # e = (-1)^alpha both e and e alpha are in the double-rule kernel
+    D = random_diagram(seed, moves)
+    alpha = winding_numbers(D)
+    for c in range(D.crossing_count):
+        around = [alpha[D._region[4 * c + s]] for s in range(4)]
+        k = min(around) + 1
+        assert sorted(around) == [k - 1, k, k, k + 1]
+        assert all(abs(around[s] - around[s - 1]) == 1 for s in range(4))
+    e = tuple(-1 if a & 1 else 1 for a in alpha)
+    e_alpha = tuple(x * a for x, a in zip(e, alpha))
+    assert e == checkerboard(D).signs
+    M = build_matrix(D, DOUBLE)
+    zeros = (0,) * D.crossing_count
+    assert apply(M, e) == apply(M, e_alpha) == zeros
+    for arc in arcs(D):
+        assert abs(zlinalg._minor(e, e_alpha, *arc.sides)) == 1
+
+
+def test_add1_geometric_splices_and_factors_nothing(monkeypatch,
+                                                     factorisations):
+    from regionchoice import diagram, solvers
+    splices = []
+
+    def counting(D, v):
+        splices.append(v)
+        return splice(D, v)
+
+    monkeypatch.setattr(diagram, "splice", counting)
+    monkeypatch.setattr(solvers, "splice", counting, raising=False)
+    D = random_diagram(7, 30)
+    n = D.crossing_count
+    for v in range(n):
+        assert add1_geometric(D, v).residual == unit(n, v)
+    assert factorisations == splices == []
+
+
+def test_add1_geometric_refuses_a_missing_crossing_then_a_link():
+    link = FlatDiagram(((1, 2, 3, 4), (1, 4, 3, 2)))
+    with pytest.raises(DiagramError, match="^no crossing v3$"):
+        add1_geometric(link, 2)
+    with pytest.raises(DiagramError,
+                       match="^splice requires a knot projection$"):
+        add1_geometric(link, 0)
+
+
 def test_single_via_double_matches_direct():
     rng = random.Random(11)
     for D in (catalog_entry("example2_4").diagram, random_diagram(5, 12)):
@@ -355,7 +462,7 @@ def test_the_factorisation_cache_stays_bounded(cold_cache):
 
 
 def test_add1_geometric_leaves_the_factorisation_cache_alone(cold_cache):
-    # the spliced component is factored once, outside the cache
+    # the add-1 is read off winding numbers, with no factorisation at all
     D = random_diagram(6, 12)
     for rule in (SINGLE, DOUBLE):
         kernel_basis(D, rule)
@@ -366,7 +473,8 @@ def test_add1_geometric_leaves_the_factorisation_cache_alone(cold_cache):
 
 
 def test_add1_geometric_leaves_the_diagram_caches_alone():
-    # each add-1 splices the diagram and colors a one-shot component
+    # each add-1 walks the strand and the regions of the diagram's own
+    # tables, and builds neither arcs nor a coloring
     D = random_diagram(5, 25)
     caches = (arcs, checkerboard, regions, component_count)
     before = [f.cache_info().currsize for f in caches]
