@@ -75,13 +75,21 @@ def residual(matrix: RegionChoiceMatrix, u, b) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(apply(matrix, u), b))
 
 
-def _residual(rows: list[dict[int, int]], cols: int, u, b) -> tuple[int, ...]:
-    """``M u + b`` on the sparse rows of ``_rows``, with the length checks
-    of ``residual``."""
-    _require_length(b, len(rows), "point vector")
-    _require_length(u, cols, "assignment")
-    return tuple(sum(x * u[j] for j, x in row.items()) + y
-                 for row, y in zip(rows, b))
+def _residual(diagram: FlatDiagram, rule: str, u, b) -> tuple[int, ...]:
+    """``M u + b`` for the rule's matrix of the diagram, with the length
+    checks of ``residual``, read off the regions at the corners: row v
+    holds ``diagram._region[4 v .. 4 v + 3]``, each corner once under the
+    double rule and each region once under the single rule."""
+    if rule not in (SINGLE, DOUBLE):
+        raise ValueError(f"unknown rule {rule!r}")
+    _require_length(b, diagram.crossing_count, "point vector")
+    _require_length(u, diagram.region_count, "assignment")
+    region = diagram._region
+    if rule == SINGLE:
+        return tuple(sum([u[r] for r in set(region[d:d + 4])]) + y
+                     for d, y in zip(range(0, len(region), 4), b))
+    at = [u[r] for r in region]
+    return tuple(map(sum, zip(at[0::4], at[1::4], at[2::4], at[3::4], b)))
 
 
 def _require_length(vector, expected: int, what: str) -> None:

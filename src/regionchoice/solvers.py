@@ -76,11 +76,12 @@ def _factored(diagram: FlatDiagram, rule: str) -> zlinalg._UnitFactorisation:
 
 def _certified(diagram: FlatDiagram, rule: str) -> zlinalg._UnitFactorisation:
     """``_factored(diagram, rule)`` with its certificate checked in this
-    call: a cached factorisation is checked again, a new one was checked
-    when it was built."""
-    hits = _factored.cache_info().hits
+    call: a factorisation that is ``fresh`` was checked when it was built,
+    in this call, and every later call checks it again."""
     f = _factored(diagram, rule)
-    if _factored.cache_info().hits != hits:
+    if f.fresh:
+        f.fresh = False
+    else:
         f.check()
     return f
 
@@ -194,8 +195,7 @@ def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
     u = tuple(base - b if a & 1 else b - base for a, b in zip(alpha, alpha1))
     target = _unit(n, crossing, 1)
     # A(-u) = -Au, so one product decides between u and -u
-    res = incidence._residual(incidence._rows(diagram, DOUBLE),
-                              diagram.region_count, u, (0,) * n)
+    res = incidence._residual(diagram, DOUBLE, u, (0,) * n)
     if res != target:
         u, res = tuple(-x for x in u), tuple(-x for x in res)
     if res != target:
@@ -250,10 +250,9 @@ def solve_mod2(diagram: FlatDiagram, b) -> tuple[int, ...]:
 
 
 def verify(diagram: FlatDiagram, rule: str, u, b) -> VerificationReport:
-    """Recompute the matrix, as sparse rows from the diagram's faces, and
-    check ``A u + b = o``."""
-    res = incidence._residual(incidence._rows(diagram, rule),
-                              diagram.region_count, tuple(u), tuple(b))
+    """Check ``A u + b = o``, the matrix read afresh off the regions at the
+    diagram's corners."""
+    res = incidence._residual(diagram, rule, tuple(u), tuple(b))
     return VerificationReport(
         rule, res, not any(res),
         tuple((f"v{i + 1}", x) for i, x in enumerate(res)))

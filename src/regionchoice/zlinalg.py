@@ -15,6 +15,7 @@ certifies integral solvability for every right-hand side.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -240,7 +241,8 @@ class _UnitFactorisation:
     certificate shared by every caller (pivot product +-1, both kernel
     vectors in the kernel, kernel minor 1 on the pins); ``stage`` names the
     caller in every ``InternalInvariantError``.  ``check`` runs that
-    certificate again, for a caller that keeps the factorisation.
+    certificate again, for a caller that keeps the factorisation; ``fresh``
+    is True until a caller marks the construction's check as used.
     """
 
     def __init__(self, rows: list[dict[int, int]], cols: int,
@@ -258,6 +260,7 @@ class _UnitFactorisation:
             tuple(self.solve([-row.get(r1, 0) for row in self.rows], (1, 0))),
             tuple(self.solve([-row.get(r2, 0) for row in self.rows], (0, 1))))
         self.check()
+        self.fresh = True
 
     @cached_property
     def matrix(self) -> Matrix:
@@ -319,9 +322,22 @@ def _factor_unit(rows: list[dict[int, int]], columns, stage: str):
     ``rows`` maps column index to nonzero entry; ``columns`` are the column
     indices that may be pivoted.  A pivot is the +-1 entry of a live row
     with the least Markowitz cost (other entries in its row times other live
-    entries in its column); the scan stops at the first row holding a cost-0
-    pivot.  When no +-1 entry is live, ``_make_unit`` makes one.  Returns
-    the row operations ``(target, source, m)``, meaning ``row[target] += m *
+    entries in its column), ties going to the lower row and then to the
+    first such entry in the row's dict order (Markowitz's rule, with queues
+    as in Duff, Erisman & Reid, *Direct Methods for Sparse Matrices*,
+    ch. 10).  Two queues find it without a scan of the live rows:
+
+    - ``zero`` is a heap of row indices holding every row with a cost-0
+      pivot (a singleton row, or the one live row of a column): a row is
+      pushed when it becomes a singleton and when a column falls to it.
+    - ``queue`` is a heap of ``(cost, row)``, filled at the first pivot of
+      positive cost and checked on pop: an entry whose row is dead or
+      whose cost rose is dropped or re-keyed.  A row whose cost may have
+      fallen (it changed, or a column count in it fell) is ``dirty`` and
+      re-pushed before the next pop.
+
+    When no +-1 entry is live, ``_make_unit`` makes one.  Returns the row
+    operations ``(target, source, m)``, meaning ``row[target] += m *
     row[source]``, the pivots in order as ``(row, column, pivot, rest of the
     pivot row)``, and the set of columns left unpivoted.
     """
@@ -331,8 +347,20 @@ def _factor_unit(rows: list[dict[int, int]], columns, stage: str):
     for i, row in enumerate(rows):
         for j in row:
             col_rows[j].add(i)
+    zero = [i for i, row in enumerate(rows) if len(row) == 1]
+    zero += [min(held) for held in col_rows.values() if len(held) == 1]
+    heapq.heapify(zero)
+    queue: list[tuple[int, int]] = []
+    dirty = set(live_rows)      # to (re)queue at the next positive-cost pick
     ops: list[tuple[int, int, int]] = []
     pivots: list[tuple[int, int, int, dict[int, int]]] = []
+
+    def fell(held: set[int]) -> None:
+        """``held``, the live rows of a column, just lost one: each may
+        now cost less, and a lone one may hold a cost-0 pivot."""
+        if len(held) == 1:
+            heapq.heappush(zero, min(held))
+        dirty.update(held)
 
     def add_row(target: int, source: int, m: int) -> None:
         ops.append((target, source, m))
@@ -346,23 +374,54 @@ def _factor_unit(rows: list[dict[int, int]], columns, stage: str):
             else:
                 del row[j]
                 col_rows[j].discard(target)
+                fell(col_rows[j])
+        if len(row) == 1:
+            heapq.heappush(zero, target)
+        dirty.add(target)
+
+    def best(i: int) -> tuple[int, int] | None:
+        """Row ``i``'s least Markowitz cost and the column of its first
+        +-1 entry of that cost, or None without a +-1 entry."""
+        count = j = None
+        for c, x in rows[i].items():
+            if x == 1 or x == -1:
+                held = len(col_rows[c])
+                if count is None or held < count:
+                    count, j = held, c
+        return None if j is None else ((len(rows[i]) - 1) * (count - 1), j)
+
+    def pick() -> tuple[int, int] | None:
+        # most pivots cost 0; their test stops at the first hit, where
+        # best() would read the whole row (measured a few % slower)
+        while zero:
+            i = heapq.heappop(zero)
+            if i in live_rows:
+                row = rows[i]
+                for j, x in row.items():
+                    if (x == 1 or x == -1) and (len(row) == 1
+                                                or len(col_rows[j]) == 1):
+                        return i, j
+        for i in dirty:
+            if i in live_rows and (b := best(i)):
+                heapq.heappush(queue, (b[0], i))
+        dirty.clear()
+        while queue:
+            cost, i = queue[0]
+            b = i in live_rows and best(i)
+            if not b:
+                heapq.heappop(queue)
+            elif b[0] != cost:
+                heapq.heapreplace(queue, (b[0], i))
+            else:
+                return i, b[1]
+        return None
 
     while live_rows:
-        best = None
-        for i in live_rows:
-            row = rows[i]
-            others = len(row) - 1
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    cost = others * (len(col_rows[j]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
+        got = pick()
+        if got is None:
             _make_unit(rows, col_rows, live_cols, add_row, stage)
             continue
-        _, i, j = best
+        i, j = got
         p = rows[i][j]
         for k in sorted(col_rows[j] - {i}):
             add_row(k, i, -p * rows[k][j])
@@ -370,6 +429,7 @@ def _factor_unit(rows: list[dict[int, int]], columns, stage: str):
         live_cols.discard(j)
         for c in rows[i]:
             col_rows[c].discard(i)
+            fell(col_rows[c])
         pivots.append((i, j, p, {c: x for c, x in rows[i].items() if c != j}))
     return ops, pivots, live_cols
 

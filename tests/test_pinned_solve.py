@@ -8,21 +8,24 @@ the reduction ``reduce_to_e00`` ran before: dense unimodular row and column
 operations with its own pivot search, Euclid steps and divisibility fix.  It
 stays here, with ``dense_solve`` reading a solution family off it, as the
 independent path; both must describe the same solution lattice.
+``markowitz_scan`` is the elimination before its pivot queues: it must
+pick exactly the pivots ``zlinalg._factor_unit`` picks.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from regionchoice import zlinalg
+from regionchoice import incidence, zlinalg
 from regionchoice.catalog import catalog_entry, names
-from regionchoice.diagram import (FlatDiagram, arcs, random_diagram,
-                                  regions)
+from regionchoice.diagram import (FlatDiagram, apply_r1, arcs,
+                                  random_diagram, regions)
 from regionchoice.incidence import DOUBLE, SINGLE, apply, build_matrix
 from regionchoice.solvers import _pin_pair, kernel_basis, solve
 from regionchoice.zlinalg import (E00Decomposition, Operation, _APPLY,
-                                  reduce_to_e00)
+                                  _make_unit as make_unit, reduce_to_e00)
 from test_echelon import shuffled
 from test_zlinalg import determinant
 
@@ -213,3 +216,164 @@ def test_solution_has_zero_residual_and_saturated_kernel(seed, moves, rule):
     m = D.region_count
     assert any(k1[i] * k2[j] - k1[j] * k2[i] in (1, -1)
                for i in range(m) for j in range(i + 1, m))
+
+
+# sha256 of repr(reduce_to_e00(m).log) + "\n" over both rules' matrices of
+# the catalog and random_diagram(s, 3 + s % 25), s < 150, every third one
+# shuffled by random.Random(18), as the scan over every live row logged them
+E00_LOG_SHA256 = \
+    "acc03195a4074eaba8857b5a938744a0e76de2072f4b2ae2dce1e98ea678c189"
+
+
+def test_e00_log_matches_the_golden_digest():
+    # the log is the one output that shows the pivot order
+    rng = random.Random(18)
+    h = hashlib.sha256()
+    diagrams = ([catalog_entry(n).diagram for n in names()]
+                + [random_diagram(s, 3 + s % 25) for s in range(150)])
+    count = 0
+    for D in diagrams:
+        for rule in (SINGLE, DOUBLE):
+            matrix = build_matrix(D, rule).entries
+            if count % 3 == 2:
+                matrix = shuffled(matrix, rng)
+            h.update((repr(reduce_to_e00(matrix).log) + "\n").encode())
+            count += 1
+    assert h.hexdigest() == E00_LOG_SHA256
+
+
+def markowitz_scan(rows, columns, stage):
+    """The elimination ``zlinalg._factor_unit`` replaced, kept as its
+    oracle: every pivot rescans every live row for the +-1 entry of least
+    Markowitz cost, ties going to the lower row and then to the first entry
+    in the row's dict order; it stops at the first row holding a cost-0
+    pivot."""
+    live_rows = set(range(len(rows)))
+    live_cols = set(columns)
+    col_rows = {j: set() for j in columns}
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].add(i)
+    ops, pivots = [], []
+
+    def add_row(target, source, m):
+        ops.append((target, source, m))
+        row = rows[target]
+        for j, x in rows[source].items():
+            new = row.get(j, 0) + m * x
+            if new:
+                if j not in row:
+                    col_rows[j].add(target)
+                row[j] = new
+            else:
+                del row[j]
+                col_rows[j].discard(target)
+
+    while live_rows:
+        best = None
+        for i in live_rows:
+            row = rows[i]
+            others = len(row) - 1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    cost = others * (len(col_rows[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            make_unit(rows, col_rows, live_cols, add_row, stage)
+            continue
+        _, i, j = best
+        p = rows[i][j]
+        for k in sorted(col_rows[j] - {i}):
+            add_row(k, i, -p * rows[k][j])
+        live_rows.discard(i)
+        live_cols.discard(j)
+        for c in rows[i]:
+            col_rows[c].discard(i)
+        pivots.append((i, j, p, {c: x for c, x in rows[i].items() if c != j}))
+    return ops, pivots, live_cols
+
+
+def eliminated(factor, rows, columns):
+    """``factor`` run on a copy of the sparse rows: its row operations, its
+    pivots with each rest in dict order, its unpivoted columns and the rows
+    it left, or the refusal it raised."""
+    rows = [dict(row) for row in rows]
+    try:
+        ops, pivots, left = factor(rows, list(columns), "differential")
+    except zlinalg.InternalInvariantError as exc:
+        return str(exc)
+    return (ops, [(i, j, p, list(rest.items())) for i, j, p, rest in pivots],
+            sorted(left), [list(row.items()) for row in rows])
+
+
+def kinked(D, rng, count):
+    """``D`` with ``count`` curls added on seeded arcs and sides."""
+    for _ in range(count):
+        side = rng.choice(("left", "right"))
+        D = apply_r1(D, rng.choice(arcs(D)).label, side)
+    return D
+
+
+def mixed(rows, rng, steps):
+    """The rows after ``steps`` seeded row additions with multipliers
+    +-2 .. +-5: the same row lattice, far fewer +-1 entries."""
+    rows = [dict(row) for row in rows]
+    for _ in range(steps):
+        t, s = rng.sample(range(len(rows)), 2)
+        m = rng.choice((-5, -4, -3, -2, 2, 3, 4, 5))
+        for j, x in rows[s].items():
+            new = rows[t].get(j, 0) + m * x
+            if new:
+                rows[t][j] = new
+            else:
+                del rows[t][j]
+    return rows
+
+
+def test_factor_unit_pivots_exactly_as_the_scan(monkeypatch):
+    made = []
+    unit = zlinalg._make_unit
+
+    def counting(*args):
+        made.append(args[-1])
+        unit(*args)
+
+    monkeypatch.setattr(zlinalg, "_make_unit", counting)
+    rng = random.Random(1957)
+    diagrams = [catalog_entry(name).diagram for name in names()]
+    diagrams += [random_diagram(s, 3 + s % 40) for s in range(60)]
+    diagrams += [kinked(random_diagram(s, 2 + s % 12), rng, 4 + s % 20)
+                 for s in range(30)]
+    cases = []
+    for D in diagrams:
+        pins = _pin_pair(D)
+        for rule in (SINGLE, DOUBLE):
+            rows = incidence._rows(D, rule)
+            shuffled_rows = zlinalg._sparse(
+                shuffled(build_matrix(D, rule).entries, rng))
+            cases += [(rows, pins, False), (shuffled_rows, pins, False)]
+            if D.crossing_count > 2:
+                cases.append((mixed(rows, rng, 3 * D.crossing_count), pins,
+                              True))
+    for _ in range(300):
+        n, top = rng.randint(1, 6), rng.choice((1, 2, 5))
+        dense = [[rng.randint(-top, top) if rng.random() < 0.6 else 0
+                  for _ in range(n + 2)] for _ in range(n)]
+        cases.append((zlinalg._sparse(dense),
+                      tuple(rng.sample(range(n + 2), 2)), False))
+    forced = 0
+    for rows, pins, is_mixed in cases:
+        cols = len(rows) + 2
+        pinned = ([{j: x for j, x in row.items() if j not in pins}
+                   for row in rows], [j for j in range(cols) if j not in pins])
+        for args in (pinned, (rows, range(cols))):
+            before = len(made)
+            new = eliminated(zlinalg._factor_unit, *args)
+            assert new == eliminated(markowitz_scan, *args)
+            # a factored mixed matrix on which no +-1 entry was left live
+            forced += (is_mixed and len(made) > before
+                       and not isinstance(new, str))
+    assert forced

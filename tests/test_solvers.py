@@ -259,6 +259,25 @@ def test_add1_geometric_matches_the_golden_digest():
     assert h.hexdigest() == ADD1_GEOMETRIC_SHA256
 
 
+# sha256 of repr(add1_algebraic(D, rule, v)) + "\n" under the single and
+# then the double rule at every crossing of the catalog and
+# random_diagram(s, 6 + 2 s), s in 0..11, as the factorisation with the
+# scan over every live row computed them
+ADD1_ALGEBRAIC_SHA256 = \
+    "46faf350696d9292c72a8f383491864ded313d96237108bfde81b6c426dac08c"
+
+
+def test_add1_algebraic_matches_the_golden_digest():
+    h = hashlib.sha256()
+    diagrams = ([catalog_entry(name).diagram for name in names()]
+                + [random_diagram(s, 6 + 2 * s) for s in range(12)])
+    for D in diagrams:
+        for rule in (SINGLE, DOUBLE):
+            for v in range(D.crossing_count):
+                h.update((repr(add1_algebraic(D, rule, v)) + "\n").encode())
+    assert h.hexdigest() == ADD1_ALGEBRAIC_SHA256
+
+
 def add1_by_splicing(D, v):
     """The paper's construction of the geometric add-1, the oracle for its
     closed form: splice at v; factor the first component pinned on the two
@@ -281,10 +300,10 @@ def add1_by_splicing(D, v):
     u = tuple(u1[first.region_map[r]] * sign2[second.region_map[r]]
               for r in range(D.region_count))
     n = D.crossing_count
-    rows = incidence._rows(D, DOUBLE)
-    if incidence._residual(rows, D.region_count, u, (0,) * n) != unit(n, v):
+    M = build_matrix(D, DOUBLE)
+    if residual(M, u, (0,) * n) != unit(n, v):
         u = tuple(-x for x in u)
-    assert incidence._residual(rows, D.region_count, u, (0,) * n) == unit(n, v)
+    assert residual(M, u, (0,) * n) == unit(n, v)
     return u
 
 
@@ -451,6 +470,18 @@ def test_a_corrupted_cached_factorisation_is_refused(corrupt, cold_cache):
         with pytest.raises(InternalInvariantError,
                            match="^pinned solve, certificate: "):
             call()
+
+
+def test_each_query_checks_the_certificate_once(monkeypatch, cold_cache):
+    # the construction's check serves the query that built it
+    checks = []
+    check = zlinalg._UnitFactorisation.check
+    monkeypatch.setattr(zlinalg._UnitFactorisation, "check",
+                        lambda f: checks.append(f) or check(f))
+    D = random_diagram(4, 10)
+    for k in range(1, 4):
+        solve(D, DOUBLE, (1,) * D.crossing_count)
+        assert len(checks) == k
 
 
 def test_the_factorisation_cache_stays_bounded(cold_cache):

@@ -7,7 +7,9 @@ they replaced stay as oracles: ``dense_matrix`` is the corner loop
 ``build_matrix`` ran over ``regions``, ``column_scan_gf2`` the elimination
 ``solve_gf2`` ran, scanning every column of every row, and the component
 count is the strand walk on ``(crossing, slot)`` pairs,
-``tuple_orbits(tuple_mates(...), 2)`` from ``test_diagram``.
+``tuple_orbits(tuple_mates(...), 2)`` from ``test_diagram``.  The residual
+that ``verify`` and the geometric add-1 read off the regions at each
+crossing's corners is checked against the dense ``residual``.
 """
 
 import random
@@ -17,7 +19,8 @@ import pytest
 from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (FlatDiagram, component_count,
                                   random_diagram, regions)
-from regionchoice.incidence import DOUBLE, SINGLE, _rows, build_matrix, mod2
+from regionchoice.incidence import (DOUBLE, SINGLE, _residual, _rows,
+                                    build_matrix, mod2, residual)
 from regionchoice.solvers import solve_mod2
 from regionchoice.zlinalg import _solve_gf2, solve_gf2
 from test_diagram import tuple_mates, tuple_orbits
@@ -103,6 +106,23 @@ def test_rows_are_the_nonzeros_of_the_matrix(rule):
 def test_rows_refuse_an_unknown_rule():
     with pytest.raises(ValueError, match="unknown rule 'triple'"):
         _rows(LINKS[0], "triple")
+
+
+@pytest.mark.parametrize("rule", [SINGLE, DOUBLE])
+def test_residual_from_the_corners_equals_the_dense_residual(rule):
+    rng = random.Random(7)
+    for D in KNOTS + LINKS:
+        M = build_matrix(D, rule)
+        n, cols = D.crossing_count, D.region_count
+        u = tuple(rng.randint(-9, 9) for _ in range(cols))
+        b = tuple(rng.randint(-9, 9) for _ in range(n))
+        assert _residual(D, rule, u, b) == residual(M, u, b)
+        # the length refusals, b checked first
+        for args in ((u, b[1:]), (u[1:], b), (u[1:], b + (0,))):
+            assert outcome(_residual, D, rule, *args) == outcome(residual, M,
+                                                                 *args)
+    with pytest.raises(ValueError, match="unknown rule 'triple'"):
+        _residual(LINKS[0], "triple", (0,) * 4, (0, 0))
 
 
 def test_solve_mod2_equals_the_column_scan():
