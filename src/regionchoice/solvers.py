@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import incidence, zlinalg
 from .diagram import (DiagramError, FlatDiagram, InternalInvariantError,
@@ -58,9 +59,9 @@ class VerificationReport:
 def _factored(diagram: FlatDiagram, rule: str) -> zlinalg._UnitFactorisation:
     """The one factorisation of the rule's matrix, pinned on
     ``_pin_pair(diagram)``, for the last few (diagram, rule) pairs asked.
-    It keeps the sparse rows it was built from, and every query reads
-    them and its kernel off it.  Only a knot projection is solvable for
-    every b, so a link raises ``ValueError``.
+    It keeps the rows it was built from, compiled into gathers, and every
+    query reads them and its kernel off it.  Only a knot projection is
+    solvable for every b, so a link raises ``ValueError``.
 
     The bound is set by the traffic: a sweep over one diagram needs 2
     entries, and 8 keep 3 interleaved diagrams under both rules.  Keeping
@@ -222,7 +223,7 @@ def solve_single_via_double(diagram: FlatDiagram, b):
     f = _certified(diagram, SINGLE)
     (fix,) = f.families([tuple(-x for x in overshoot)])
     u = tuple(x + y for x, y in zip(particular, fix.particular))
-    if any(x + y for x, y in zip(f.image(u), b)):
+    if any(map(add, f.image(u), b)):
         raise InternalInvariantError(
             "two-path single-rule construction has nonzero residual")
     return u

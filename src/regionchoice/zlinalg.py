@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, itemgetter, mul
 from typing import NoReturn
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -150,7 +151,8 @@ def reduce_to_e00(matrix: Matrix) -> E00Decomposition:
     log += [Operation("negate_row", i)
             for i, _, pivot, _ in f.pivots if pivot == -1]
     log += [Operation("add_col", c, j, -pivot * x)
-            for _, j, pivot, rest in f.pivots for c, x in rest.items()]
+            for _, j, pivot, rest in f.pivots
+            for c, x in _entries(rest, cols).items()]
     order = [j for _, j in sorted((i, j) for i, j, _, _ in f.pivots)]
     at = list(range(cols))      # at[k]: the column now in position k
     for k, j in enumerate(order + list(f.pins)):
@@ -232,8 +234,14 @@ class _UnitFactorisation:
     """An n x (n+2) matrix ``A``, given as sparse rows (as ``_sparse`` makes
     them) and its column count, factored once by ``_factor_unit``, leaving
     two columns, the pins, unpivoted: the square rest ``B`` is unimodular.
-    Every product reads the rows, which are kept, not copied; the dense
-    ``matrix`` is built from them on first use.
+
+    Construction compiles the rows and each pivot's rest into gathers
+    (``_gather``), and every product reads them: ``image`` and the
+    back-substitution are one C-level gather per row, with no Python loop
+    over a row's entries.  The compiled ``rows`` and ``pivots`` are the only
+    copy kept: the pivot signs the certificate multiplies are the ones the
+    back-substitution reads, and the dense ``matrix``, built on first use,
+    is read off the same gathers.
 
     One ``_factor_unit`` call makes it: with ``pins`` given those two
     columns are left out of the elimination; with ``pins=None`` the two
@@ -248,24 +256,42 @@ class _UnitFactorisation:
     def __init__(self, rows: list[dict[int, int]], cols: int,
                  pins: tuple[int, int] | None, stage: str) -> None:
         self.stage = stage
-        self.rows = rows
         self.cols = cols
         skip = pins or ()
-        self.ops, self.pivots, left = _factor_unit(
-            [{j: x for j, x in row.items() if j not in skip}
-             for row in self.rows],
-            [j for j in range(self.cols) if j not in skip], stage)
+        # copied and popped in C: a filtering comprehension per row took
+        # about 3x as long
+        work = [row.copy() for row in rows]
+        for j in skip:
+            for row in work:
+                row.pop(j, None)
+        self.ops, pivots, left = _factor_unit(
+            work, [j for j in range(cols) if j not in skip], stage)
+        self.pivots = [(i, j, p, _gather(rest)) for i, j, p, rest in pivots]
+        self.rows = [_gather(row) for row in rows]
         self.pins = r1, r2 = pins or tuple(sorted(left))
         self.kernel = (
-            tuple(self.solve([-row.get(r1, 0) for row in self.rows], (1, 0))),
-            tuple(self.solve([-row.get(r2, 0) for row in self.rows], (0, 1))))
+            tuple(self.solve([-row.get(r1, 0) for row in rows], (1, 0))),
+            tuple(self.solve([-row.get(r2, 0) for row in rows], (0, 1))))
         self.check()
         self.fresh = True
 
     @cached_property
     def matrix(self) -> Matrix:
-        """``A`` as a dense tuple, for the solution families."""
-        return _dense(self.rows, self.cols)
+        """``A`` as a dense tuple, for the solution families, read off the
+        compiled rows: each getter applied to the column numbers gives its
+        columns, and a padded entry's weight 0 comes first, so the entry
+        it pads is written last."""
+        index, out = tuple(range(self.cols)), []
+        for get, w in self.rows:
+            line = [0] * self.cols
+            if w is None:
+                for c in get(index):
+                    line[c] = 1
+            else:
+                for c, x in zip(get(index), w):
+                    line[c] = x
+            out.append(tuple(line))
+        return tuple(out)
 
     def check(self) -> None:
         """The certificate: pivot product +-1, both kernel vectors in the
@@ -295,8 +321,7 @@ class _UnitFactorisation:
                                    self.kernel)
                     for b in rhs]
         for family in families:
-            if any(x + y
-                   for x, y in zip(self.image(family.particular), family.b)):
+            if any(map(add, self.image(family.particular), family.b)):
                 self.fail("particular solution has nonzero residual")
         return families
 
@@ -308,11 +333,40 @@ class _UnitFactorisation:
         return x
 
     def image(self, u) -> list[int]:
-        """``A u``, from the sparse rows."""
-        return [sum(x * u[j] for j, x in row.items()) for row in self.rows]
+        """``A u``, one compiled gather per row."""
+        return [sum(get(u)) if w is None else sum(map(mul, w, get(u)))
+                for get, w in self.rows]
 
     def fail(self, what: str) -> NoReturn:
         raise InternalInvariantError(f"{self.stage}, certificate: {what}")
+
+
+def _gather(entries: dict[int, int]
+            ) -> tuple[itemgetter, tuple[int, ...] | None]:
+    """The sparse row or pivot rest ``entries`` compiled for products:
+    ``(get, weights)``, where ``get`` is an ``operator.itemgetter`` over its
+    columns in dict order and ``weights`` its entries, or None when every
+    entry is 1.  The dot product with a vector ``u`` is then
+    ``sum(get(u))``, or ``sum(map(mul, weights, get(u)))``, all in C.
+
+    ``itemgetter`` of one index returns a scalar, not a tuple, so fewer
+    than two entries are padded to two, on one column (column 0 when there
+    are none), by weight-0 entries that come first.  ``_entries`` reads the
+    entries back."""
+    w = tuple(entries.values())
+    if len(w) > 1:
+        return itemgetter(*entries), None if w.count(1) == len(w) else w
+    j = next(iter(entries), 0)
+    return itemgetter(j, j), (0,) * (2 - len(w)) + w
+
+
+def _entries(gather, cols: int) -> dict[int, int]:
+    """The ``{column: entry}`` dict, in dict order, that ``_gather`` compiled
+    into ``gather``: its getter applied to the column numbers gives its
+    columns back, and the padding's zero weights are dropped."""
+    get, w = gather
+    return {c: x for c, x in zip(get(range(cols)), w or itertools.repeat(1))
+            if x}
 
 
 def _factor_unit(rows: list[dict[int, int]], columns, stage: str):
@@ -459,15 +513,18 @@ def _make_unit(rows, col_rows, live_cols, add_row, stage: str) -> None:
 
 
 def _substitute(ops, pivots, y: list[int], cols: int) -> list[int]:
-    """Solve ``B x = y`` from ``_factor_unit``'s output; ``x`` is returned
-    as a length-``cols`` list indexed by the original column numbers."""
+    """Solve ``B x = y`` from ``_factor_unit``'s row operations and the
+    pivots with their rests compiled by ``_gather``, as
+    ``_UnitFactorisation`` keeps them; ``x`` is returned as a
+    length-``cols`` list indexed by the original column numbers."""
     for target, source, m in ops:
         if y[source]:
             y[target] += m * y[source]
     x = [0] * cols
-    for i, j, p, rest in reversed(pivots):
+    for i, j, p, (get, w) in reversed(pivots):
         # p is +-1, so dividing by it is multiplying by it
-        x[j] = p * (y[i] - sum(v * x[c] for c, v in rest.items()))
+        x[j] = p * (y[i] - (sum(get(x)) if w is None
+                            else sum(map(mul, w, get(x)))))
     return x
 
 

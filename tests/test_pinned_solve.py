@@ -9,12 +9,15 @@ operations with its own pivot search, Euclid steps and divisibility fix.  It
 stays here, with ``dense_solve`` reading a solution family off it, as the
 independent path; both must describe the same solution lattice.
 ``markowitz_scan`` is the elimination before its pivot queues: it must
-pick exactly the pivots ``zlinalg._factor_unit`` picks.
+pick exactly the pivots ``zlinalg._factor_unit`` picks.  ``dict_image`` and
+``dict_substitute`` are the products before ``_UnitFactorisation`` compiled
+its rows and pivot rests into gathers: a generator over each row's dict.
 """
 
 import hashlib
 import random
 from fractions import Fraction
+from operator import mul
 
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +28,8 @@ from regionchoice.diagram import (FlatDiagram, apply_r1, arcs,
 from regionchoice.incidence import DOUBLE, SINGLE, apply, build_matrix
 from regionchoice.solvers import _pin_pair, kernel_basis, solve
 from regionchoice.zlinalg import (E00Decomposition, Operation, _APPLY,
-                                  _make_unit as make_unit, reduce_to_e00)
+                                  _make_unit as make_unit, reduce_to_e00,
+                                  rref_rational, solve_pinned)
 from test_echelon import shuffled
 from test_zlinalg import determinant
 
@@ -377,3 +381,107 @@ def test_factor_unit_pivots_exactly_as_the_scan(monkeypatch):
             forced += (is_mixed and len(made) > before
                        and not isinstance(new, str))
     assert forced
+
+
+def dict_image(rows, u):
+    """``A u`` from sparse dict rows, one generator per row: the product
+    ``_UnitFactorisation.image`` compiled away, kept as its oracle."""
+    return [sum(x * u[j] for j, x in row.items()) for row in rows]
+
+
+def dict_substitute(ops, pivots, y, cols):
+    """``B x = y`` solved from ``_factor_unit``'s dict pivots, one
+    generator per pivot rest: the oracle for ``zlinalg._substitute``."""
+    for target, source, m in ops:
+        if y[source]:
+            y[target] += m * y[source]
+    x = [0] * cols
+    for i, j, p, rest in reversed(pivots):
+        x[j] = p * (y[i] - sum(v * x[c] for c, v in rest.items()))
+    return x
+
+
+def unimodular(rng, n):
+    """A seeded n x (n+2) matrix ``P (I | 0 0) Q``, with ``P`` and ``Q``
+    products of elementary operations with multipliers +-1 .. +-4: entries
+    of either sign and above 2, and every elementary divisor 1."""
+    a = [[int(i == j) for j in range(n + 2)] for i in range(n)]
+    for _ in range(n + 2):
+        t, s = rng.sample(range(n + 2), 2)
+        m = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+        for row in a:
+            row[t] += m * row[s]
+        if n > 1:
+            t, s = rng.sample(range(n), 2)
+            a[t] = [x + rng.choice((-1, 1)) * y for x, y in zip(a[t], a[s])]
+    return a
+
+
+def test_compiled_products_equal_the_dict_products(monkeypatch):
+    made = []
+
+    class Recording(zlinalg._UnitFactorisation):
+        def __init__(self, rows, cols, pins, stage):
+            super().__init__(rows, cols, pins, stage)
+            made.append((rows, self))
+
+    monkeypatch.setattr(zlinalg, "_UnitFactorisation", Recording)
+    rng = random.Random(19)
+    matrices = []
+    for D in DIAGRAMS:
+        for rule in (SINGLE, DOUBLE):
+            solve(D, rule, (1,) * D.crossing_count)
+            matrices.append(build_matrix(D, rule).entries)
+    matrices += [unimodular(rng, 1 + k % 7) for k in range(120)]
+    for matrix in matrices:
+        try:
+            rref_rational(matrix)
+            pins = made[-1][1].pins
+            reduce_to_e00(matrix)
+        except zlinalg.InternalInvariantError:
+            continue        # no unit pivot without pins; nothing was built
+        solve_pinned(matrix, pins, [[rng.randint(-9, 9) for _ in matrix]])
+    seen = set()
+    for rows, f in made:
+        cols = f.cols
+        skip = f.pins if f.stage == "pinned solve" else ()
+        ops, pivots, _ = zlinalg._factor_unit(
+            [{j: x for j, x in row.items() if j not in skip} for row in rows],
+            [j for j in range(cols) if j not in skip], "oracle")
+        # the compiled data reads back as the dicts it was compiled from
+        assert f.ops == ops
+        assert [zlinalg._entries(g, cols) for g in f.rows] == rows
+        assert f.matrix == zlinalg._dense(rows, cols)
+        assert [(i, j, p, list(zlinalg._entries(g, cols).items()))
+                for i, j, p, g in f.pivots] == [
+                    (i, j, p, list(rest.items())) for i, j, p, rest in pivots]
+        for u in (*f.kernel, *([rng.randint(-10 ** 6, 10 ** 6)
+                                for _ in range(cols)] for _ in range(3))):
+            assert f.image(u) == dict_image(rows, u)
+        for y in ([rng.randint(-50, 50) for _ in rows],
+                  [int(i == 0) for i in range(len(rows))]):
+            assert (zlinalg._substitute(f.ops, f.pivots, list(y), cols)
+                    == dict_substitute(ops, pivots, list(y), cols))
+        seen.update(f"{len(r)}-entry row" for r in rows if len(r) < 2)
+        seen.update(f"{len(rest)}-entry rest" for *_, rest in pivots
+                    if len(rest) < 2)
+        seen.update("weight above 2" for r in rows
+                    if any(abs(x) > 2 for x in r.values()))
+        seen.update("negative weight" for r in rows
+                    if any(x < 0 for x in r.values()))
+        if len(rows) == 1:
+            seen.add("n = 1")
+        seen.add(f.stage)
+    assert seen >= {"1-entry row", "0-entry rest", "1-entry rest",
+                    "weight above 2", "negative weight", "n = 1",
+                    "pinned solve", "echelon", "E00"}
+
+
+def test_gather_reads_back_and_multiplies_short_rows():
+    u = (5, -7, 11, 13)
+    for entries in ({}, {2: 1}, {1: -3}, {3: 1, 0: 1}, {0: 4, 3: -1, 2: 1}):
+        g = zlinalg._gather(entries)
+        assert zlinalg._entries(g, len(u)) == entries
+        get, w = g
+        product = sum(get(u)) if w is None else sum(map(mul, w, get(u)))
+        assert product == dict_image([entries], u)[0]

@@ -456,7 +456,20 @@ def make_a_pivot_2(f):
     f.pivots[0] = (i, j, 2, rest)
 
 
-@pytest.mark.parametrize("corrupt", [flip_kernel_entry, make_a_pivot_2])
+def bump_a_gather_weight(f):
+    # the compiled rows are the one copy every product reads: a row holding
+    # the first pin, where the first kernel vector is 1, now weighs it one
+    # more, so that row of A k1 is 1
+    r1 = f.pins[0]
+    i, row = next((i, zlinalg._entries(g, f.cols))
+                  for i, g in enumerate(f.rows)
+                  if r1 in zlinalg._entries(g, f.cols))
+    row[r1] += 1
+    f.rows[i] = zlinalg._gather(row)
+
+
+@pytest.mark.parametrize("corrupt", [flip_kernel_entry, make_a_pivot_2,
+                                     bump_a_gather_weight])
 def test_a_corrupted_cached_factorisation_is_refused(corrupt, cold_cache):
     D = random_diagram(4, 10)
     n = D.crossing_count
