@@ -254,32 +254,36 @@ def region_at_corner(diagram: FlatDiagram, crossing: int, slot: int) -> int:
 
 def corner_count(diagram: FlatDiagram, region: int, crossing: int) -> int:
     """How many corners the region has at the crossing (0, 1 or 2)."""
-    return regions(diagram)[region].corner_count(crossing)
+    _require_int(region, "region index")
+    if not 0 <= region < diagram.region_count:
+        raise DiagramError(f"no region r{region + 1}")
+    _require_crossing(diagram, crossing)
+    return diagram._region[4 * crossing:4 * crossing + 4].count(region)
 
 
 def is_reducible(diagram: FlatDiagram, crossing: int) -> bool:
     """True iff some region touches the crossing twice."""
-    return any(reg.corner_count(crossing) == 2 for reg in regions(diagram))
+    _require_crossing(diagram, crossing)
+    return len(set(diagram._region[4 * crossing:4 * crossing + 4])) < 4
 
 
 def reducible_crossings(diagram: FlatDiagram) -> tuple[int, ...]:
-    return tuple(sorted({c for twice in _doubled_crossings(diagram)
-                         for c in twice}))
+    return tuple(sorted(set(chain.from_iterable(_doubled_crossings(diagram)))))
 
 
 def _doubled_crossings(diagram: FlatDiagram) -> list[tuple[int, ...]]:
     """Per region, in region order, the crossings it has two corners at,
-    in increasing order: one pass over each region's corners."""
-    out = []
-    for reg in regions(diagram):
-        seen: set[int] = set()
-        twice = []
-        for c, _ in reg.corners:
-            if c in seen:
-                twice.append(c)
-            seen.add(c)
-        out.append(tuple(sorted(twice)))
-    return out
+    in increasing order.  Adjacent corners flank an arc, whose sides differ
+    (a 4-valent map has no bridge), so equal corners are opposite ones."""
+    region = diagram._region
+    twice: list[list[int]] = [[] for _ in range(diagram.region_count)]
+    for v, (a, b, c, d) in enumerate(zip(region[0::4], region[1::4],
+                                         region[2::4], region[3::4])):
+        if a == c:
+            twice[a].append(v)
+        if b == d:
+            twice[b].append(v)
+    return list(map(tuple, twice))
 
 
 @lru_cache(maxsize=None)
@@ -322,10 +326,9 @@ def _require_crossing(diagram: FlatDiagram, v: int) -> None:
 
 def arc_by_label(diagram: FlatDiagram, label: int) -> Arc:
     _require_int(label, "arc label")
-    for arc in arcs(diagram):
-        if arc.label == label:
-            return arc
-    raise DiagramError(f"no arc labelled {label}")
+    if not 1 <= label <= diagram.arc_count:
+        raise DiagramError(f"no arc labelled {label}")
+    return arcs(diagram)[label - 1]
 
 
 @lru_cache(maxsize=None)
@@ -648,12 +651,12 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def splice(diagram: FlatDiagram, v: int) -> ComponentSplit:
-    """Orientation-respecting smoothing of a knot at a self-crossing."""
+def _strand_cut(diagram: FlatDiagram, v: int) -> tuple[list[int], int, int]:
+    """The darts that the strand from dart 0 leaves through, in order, and
+    the positions ``p < q`` of its two arrivals at ``v``: a knot has two
+    strand orbits, one each way, so this one holds half of the darts."""
     _require_crossing(diagram, v)
-    mate, region = diagram._mate, diagram._region
-    # a knot has two strand orbits, one each way, so the one from dart 0
-    # holds half of the darts: walk the darts it leaves through
+    mate = diagram._mate
     walk = _walk(mate, 0, 2)
     if 2 * len(walk) != len(mate):
         raise DiagramError("splice requires a knot projection")
@@ -661,7 +664,13 @@ def splice(diagram: FlatDiagram, v: int) -> ComponentSplit:
     if len(arrivals) != 2:
         raise InternalInvariantError(
             f"knot traversal enters v{v + 1} {len(arrivals)} times")
-    p, q = arrivals
+    return (walk, *arrivals)
+
+
+def splice(diagram: FlatDiagram, v: int) -> ComponentSplit:
+    """Orientation-respecting smoothing of a knot at a self-crossing."""
+    walk, p, q = _strand_cut(diagram, v)
+    mate, region = diagram._mate, diagram._region
     i1, i2 = mate[walk[p]] & 3, mate[walk[q]] & 3
     # the smoothing joins entry i1 to exit i2+2 and entry i2 to exit i1+2,
     # so each component's walk starts just after v and ends arriving there;

@@ -15,8 +15,8 @@ from functools import lru_cache
 from operator import add
 
 from . import incidence, zlinalg
-from .diagram import (DiagramError, FlatDiagram, InternalInvariantError,
-                      _require_crossing, _walk, arc_by_label, arcs, is_knot)
+from .diagram import (FlatDiagram, InternalInvariantError, _require_crossing,
+                      _strand_cut, arc_by_label, arcs, is_knot)
 from .incidence import DOUBLE, SINGLE
 from .zlinalg import SolutionFamily
 
@@ -145,14 +145,17 @@ def arc_unimodularity_report(diagram: FlatDiagram, rule: str) -> dict[int, int]:
 def add1_algebraic(diagram: FlatDiagram, rule: str, crossing: int) -> Add1Certificate:
     """Assignment with unit residual at one crossing, by direct solving."""
     _require_crossing(diagram, crossing)
-    b = _unit(diagram.crossing_count, crossing, -1)
+    n = diagram.crossing_count
     # families checks A u + b = o, so the residual A u is -b
-    u = _certified(diagram, rule).families([b])[0].particular
-    return Add1Certificate(crossing, rule, u, ALGEBRAIC, tuple(-x for x in b))
+    (family,) = _certified(diagram, rule).families([_unit(n, crossing, -1)])
+    return Add1Certificate(crossing, rule, family.particular, ALGEBRAIC,
+                           _unit(n, crossing, 1))
 
 
 def _unit(n: int, crossing: int, value: int) -> tuple[int, ...]:
-    return tuple(value if i == crossing else 0 for i in range(n))
+    u = [0] * n
+    u[crossing] = value
+    return tuple(u)
 
 
 def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
@@ -161,18 +164,9 @@ def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
     regions' winding numbers alpha about the knot and alpha1 about the
     first component of ``splice(diagram, crossing)``, whose first pin is
     ``R1``.  This is the paper's splice-and-checkerboard vector with no
-    component built (README, "Layout"); the strand walk and its arrivals
-    ``p < q`` at the crossing are splice's."""
-    _require_crossing(diagram, crossing)
+    component built (README, "Layout")."""
+    walk, p, q = _strand_cut(diagram, crossing)
     mate, region = diagram._mate, diagram._region
-    walk = _walk(mate, 0, 2)
-    if 2 * len(walk) != len(mate):
-        raise DiagramError("splice requires a knot projection")
-    arrivals = [i for i, d in enumerate(walk) if mate[d] >> 2 == crossing]
-    if len(arrivals) != 2:
-        raise InternalInvariantError(
-            f"knot traversal enters v{crossing + 1} {len(arrivals)} times")
-    p, q = arrivals
     # each winding's change from region[mate[d]] to region[d]; the first
     # component leaves through walk[q+1:] + walk[:p+1]
     step, step1 = [0] * len(mate), [0] * len(mate)
@@ -208,20 +202,17 @@ def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
 def solve_single_via_double(diagram: FlatDiagram, b):
     """Single-rule solution built from a double-rule one plus add-1 fixes.
 
-    The double-rule assignment overshoots at each (necessarily reducible)
-    crossing by the values of the regions with two corners there.  The
+    The double-rule particular ``p`` overshoots at each (necessarily
+    reducible) crossing by the values of the regions with two corners
+    there, so ``A1 p + b = (A1 - A2) p`` is minus the overshoot.  The
     canonical single-rule particular is linear in the right-hand side, so
-    the sum of the add-1 fixes for all overshoots is the one particular for
-    ``-overshoot``.
+    the sum of the add-1 fixes is the one particular for ``A1 p + b``.
     """
     b = tuple(b)
     particular = solve(diagram, DOUBLE, b).particular
-    overshoot = [0] * diagram.crossing_count
-    for region, crossings in incidence.rule_gap_columns(diagram).items():
-        for v in crossings:
-            overshoot[v] += particular[region]
     f = _certified(diagram, SINGLE)
-    (fix,) = f.families([tuple(-x for x in overshoot)])
+    (fix,) = f.families(
+        [incidence._residual(diagram, SINGLE, particular, b)])
     u = tuple(x + y for x, y in zip(particular, fix.particular))
     if any(map(add, f.image(u), b)):
         raise InternalInvariantError(
@@ -235,13 +226,13 @@ def solve_mod2(diagram: FlatDiagram, b) -> tuple[int, ...]:
     if not is_knot(diagram):
         raise ValueError("the mod-2 solve requires a knot projection")
     b = tuple(x % 2 for x in b)
-    rows = incidence._rows(diagram, SINGLE)
-    if len(b) != len(rows):
-        raise ValueError(f"b has length {len(b)}, expected {len(rows)}")
-    cols = diagram.region_count
-    # every single-rule entry is 1, so a row's bits are its regions
+    incidence._require_length(b, diagram.crossing_count, "b")
+    cols, region = diagram.region_count, diagram._region
+    # every single-rule entry is 1: row v's bits are its corners' regions
     bits = zlinalg._solve_gf2(
-        [sum(1 << j for j in row) | x << cols for row, x in zip(rows, b)],
+        [1 << r0 | 1 << r1 | 1 << r2 | 1 << r3 | x << cols
+         for r0, r1, r2, r3, x in zip(region[0::4], region[1::4],
+                                      region[2::4], region[3::4], b)],
         cols)
     if bits is None:
         raise InternalInvariantError(

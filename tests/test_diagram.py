@@ -622,5 +622,6 @@ def test_splice_of_curl_yields_bare_loops():
 def test_splice_rejects_links():
     two = FlatDiagram(((1, 2, 3, 4), (1, 4, 3, 2)))
     assert component_count(two) == 2
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError,
+                       match="^splice requires a knot projection$"):
         splice(two, 0)
