@@ -7,16 +7,14 @@ against brute-force enumeration on small instances.
 """
 
 from .catalog import CatalogEntry, CatalogError, catalog_entry, names
-from .diagram import (Arc, CheckerboardColoring, ComponentSplit, D0,
-                      DiagramError, FlatDiagram, InternalInvariantError,
-                      Region, SplicedComponent, apply_r1, apply_r2, arcs,
-                      arc_by_label, checkerboard, component_count,
-                      corner_count, is_knot, is_reducible, parse_flat_pd,
-                      random_diagram, reducible_crossings, region_at_corner,
-                      regions, splice, to_dot, to_flat_pd)
+from .diagram import (Arc, CheckerboardColoring, D0, DiagramError,
+                      FlatDiagram, InternalInvariantError, Region, apply_r1,
+                      apply_r2, arcs, arc_by_label, checkerboard,
+                      component_count, is_knot, parse_flat_pd,
+                      random_diagram, reducible_crossings, regions, to_dot,
+                      to_flat_pd)
 from .incidence import (DOUBLE, SINGLE, RegionChoiceMatrix, apply,
-                        build_matrix, from_document, mod2, render_text,
-                        residual, rule_gap_columns, to_document)
+                        build_matrix, mod2, render_text, residual)
 from .oracle import (BudgetExceeded, CrossCheckReport, OracleMismatch,
                      SearchBox, brute_solutions, cross_check)
 from .solvers import (ALGEBRAIC, Add1Certificate, GEOMETRIC,
@@ -26,6 +24,6 @@ from .solvers import (ALGEBRAIC, Add1Certificate, GEOMETRIC,
                       solve, solve_mod2, solve_single_via_double, verify)
 from .zlinalg import (E00Decomposition, EchelonForm, NotE00Error, Operation,
                       SolutionFamily, minimize_in_family, reduce_to_e00,
-                      replay, rref_rational, solve_gf2, solve_pinned)
+                      replay, rref_rational, solve_pinned)
 
 __version__ = "0.1.0"

@@ -133,7 +133,8 @@ def cmd_solve(args) -> int:
     b = _parse_b(args.b, n, mod2=args.mod2)
     if args.mod2:
         chosen = solvers.solve_mod2(diagram, b)
-        u = tuple(1 if r in chosen else 0 for r in range(diagram.region_count))
+        picked = set(chosen)
+        u = tuple(1 if r in picked else 0 for r in range(diagram.region_count))
         report = solvers.verify(diagram, incidence.SINGLE, u, b)
         res = tuple(x % 2 for x in report.residual)
         ok = not any(res)

@@ -79,9 +79,6 @@ class Region:
     index: int
     corners: tuple[Dart, ...]
 
-    def corner_count(self, crossing: int) -> int:
-        return sum(1 for c, _ in self.corners if c == crossing)
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -102,39 +99,6 @@ class CheckerboardColoring:
         return self.signs[region]
 
 
-@dataclass(frozen=True)
-class SplicedComponent:
-    """One component of a spliced diagram, viewed with the other deleted.
-
-    ``diagram`` is ``None`` for a crossing-free loop.  ``region_map`` sends
-    every region of the original diagram to the component region containing
-    it; ``strand_sides`` are the component regions on the two sides of the
-    strand created by the smoothing, and ``strand_arc`` is the component arc
-    carrying that strand (``None`` for a bare loop).
-    """
-
-    diagram: FlatDiagram | None
-    region_map: tuple[int, ...]
-    crossings: tuple[int, ...]
-    strand_arc: int | None
-    strand_sides: tuple[int, int]
-
-    @property
-    def region_count(self) -> int:
-        if self.diagram is None:
-            return 2
-        return self.diagram.region_count
-
-
-@dataclass(frozen=True)
-class ComponentSplit:
-    """Result of the orientation-respecting smoothing at a self-crossing."""
-
-    crossing: int
-    first: SplicedComponent
-    second: SplicedComponent
-
-
 # ---------------------------------------------------------------------------
 # core map machinery
 
@@ -152,12 +116,14 @@ def _int_mates(crossings) -> list[int]:
 def _walk(mate: list[int], start: int, turn: int) -> list[int]:
     """The orbit of "cross to the mate, then move ``turn`` slots on" from
     dart ``start``.  Turn 3 traces a face; turn 2 goes straight through
-    every crossing, along a strand."""
+    every crossing, along a strand.  Each dart in the orbit is the int
+    object the mate table holds for it, ``mate[mate[d]]``, so a face kept
+    beside the table adds no int of its own."""
     orbit = []
     d = start
     while True:
-        orbit.append(d)
         m = mate[d]
+        orbit.append(mate[m])
         d = m - (m & 3) + ((m + turn) & 3)
         if d == start:
             return orbit
@@ -203,8 +169,9 @@ def _validate(crossings) -> tuple[list[int], tuple, list[int]]:
     for start in range(len(mate)):
         if region[start] < 0:
             face = _walk(mate, start, 3)
+            r = len(faces)
             for d in face:
-                region[d] = len(faces)
+                region[d] = r
             faces.append(tuple(face))
     if len(faces) != n + 2:
         raise DiagramError(
@@ -241,30 +208,6 @@ def regions(diagram: FlatDiagram) -> tuple[Region, ...]:
     """The ``n + 2`` faces of the diagram in canonical order."""
     return tuple(Region(i, tuple(map(_dart, face)))
                  for i, face in enumerate(diagram._faces))
-
-
-def region_at_corner(diagram: FlatDiagram, crossing: int, slot: int) -> int:
-    """Region occupying the corner between slots ``slot`` and ``slot + 1``."""
-    _require_crossing(diagram, crossing)
-    _require_int(slot, "slot")
-    if not 0 <= slot < 4:
-        raise DiagramError(f"no slot {slot}")
-    return diagram._region[4 * crossing + slot]
-
-
-def corner_count(diagram: FlatDiagram, region: int, crossing: int) -> int:
-    """How many corners the region has at the crossing (0, 1 or 2)."""
-    _require_int(region, "region index")
-    if not 0 <= region < diagram.region_count:
-        raise DiagramError(f"no region r{region + 1}")
-    _require_crossing(diagram, crossing)
-    return diagram._region[4 * crossing:4 * crossing + 4].count(region)
-
-
-def is_reducible(diagram: FlatDiagram, crossing: int) -> bool:
-    """True iff some region touches the crossing twice."""
-    _require_crossing(diagram, crossing)
-    return len(set(diagram._region[4 * crossing:4 * crossing + 4])) < 4
 
 
 def reducible_crossings(diagram: FlatDiagram) -> tuple[int, ...]:
@@ -632,29 +575,14 @@ def random_diagram(seed: int, move_count: int) -> FlatDiagram:
 
 
 # ---------------------------------------------------------------------------
-# splicing
-
-
-class _UnionFind:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+# the strand cut of the smoothing at a self-crossing
 
 
 def _strand_cut(diagram: FlatDiagram, v: int) -> tuple[list[int], int, int]:
     """The darts that the strand from dart 0 leaves through, in order, and
     the positions ``p < q`` of its two arrivals at ``v``: a knot has two
-    strand orbits, one each way, so this one holds half of the darts."""
+    strand orbits, one each way, so this one holds half of the darts.
+    Splicing at ``v`` cuts the walk there, between ``p`` and ``q``."""
     _require_crossing(diagram, v)
     mate = diagram._mate
     walk = _walk(mate, 0, 2)
@@ -665,100 +593,6 @@ def _strand_cut(diagram: FlatDiagram, v: int) -> tuple[list[int], int, int]:
         raise InternalInvariantError(
             f"knot traversal enters v{v + 1} {len(arrivals)} times")
     return (walk, *arrivals)
-
-
-def splice(diagram: FlatDiagram, v: int) -> ComponentSplit:
-    """Orientation-respecting smoothing of a knot at a self-crossing."""
-    walk, p, q = _strand_cut(diagram, v)
-    mate, region = diagram._mate, diagram._region
-    i1, i2 = mate[walk[p]] & 3, mate[walk[q]] & 3
-    # the smoothing joins entry i1 to exit i2+2 and entry i2 to exit i1+2,
-    # so each component's walk starts just after v and ends arriving there;
-    # component 0 is the one carrying the smallest dart
-    halves = (walk[q + 1:] + walk[:p + 1], walk[p + 1:q + 1])
-
-    # region quotients: splicing merges the two corners of v not cut off by
-    # a new strand; deleting a component merges regions across its arcs
-    strands = ({i1, (i2 + 2) % 4}, {i2, (i1 + 2) % 4})
-    merged = [s for s in range(4) if {s, (s + 1) % 4} not in strands]
-    components = []
-    for k, half in enumerate(halves):
-        uf = _UnionFind(diagram.region_count)
-        uf.union(region[4 * v + merged[0]], region[4 * v + merged[1]])
-        for d in halves[1 - k]:
-            uf.union(region[d], region[mate[d]])
-        components.append(_build_component(diagram, v, half, uf))
-    return ComponentSplit(v, components[0], components[1])
-
-
-def _build_component(diagram, v, walk, uf) -> SplicedComponent:
-    """The component whose curve leaves through the darts ``walk``, from
-    just after ``v`` to its arrival back at ``v``; ``uf`` is its region
-    quotient of the diagram."""
-    mate, region = diagram._mate, diagram._region
-    m = diagram.region_count
-    passes: dict[int, int] = {}
-    for d in walk:
-        passes[d >> 2] = passes.get(d >> 2, 0) + 1
-    kept = tuple(sorted(c for c, k in passes.items() if k == 2 and c != v))
-    root_of = [uf.find(r) for r in range(m)]
-    roots = sorted(set(root_of))
-    if len(roots) != len(kept) + 2:
-        raise InternalInvariantError(
-            f"component has {len(roots)} region classes for {len(kept)} "
-            "crossings")
-    index = {root: i for i, root in enumerate(roots)}
-    raw_map = tuple(index[root] for root in root_of)
-
-    # side regions of the smoothed strand, read off the arc arriving at v
-    d1, d2 = sorted((walk[-1], mate[walk[-1]]))
-    raw_sides = (raw_map[region[d1]], raw_map[region[d2]])
-    if raw_sides[0] == raw_sides[1]:
-        raise InternalInvariantError("smoothed strand has equal side regions")
-
-    if not kept:
-        # bare loop: two regions, the one containing region 0 first
-        return SplicedComponent(None, raw_map, (), None, raw_sides)
-
-    # a component arc runs from a dart leaving a kept crossing to the next
-    # dart arriving at one; the walk starts and ends at v, so the one arc
-    # that wraps past its end carries the smoothed strand
-    local = {c: i for i, c in enumerate(kept)}
-    ends = []
-    start = wrap_end = None
-    for d in walk:
-        if d >> 2 in local:
-            start = d
-        e = mate[d]
-        if e >> 2 in local:
-            if start is None:
-                wrap_end = e
-            else:
-                ends.append(tuple(sorted((start, e))))
-                start = None
-    strand = tuple(sorted((start, wrap_end)))
-    label_of = {pair: i + 1 for i, pair in enumerate(sorted(ends + [strand]))}
-    dart_label = {d: lab for pair, lab in label_of.items() for d in pair}
-    crossings = tuple(tuple(dart_label[4 * c + s] for s in range(4))
-                      for c in kept)
-    sub = FlatDiagram(crossings, None)
-
-    # match the component's own faces to the quotient classes
-    class_to_region: dict[int, int] = {}
-    for c in kept:
-        for s in range(4):
-            cls = raw_map[region[4 * c + s]]
-            reg = sub._region[4 * local[c] + s]
-            if class_to_region.setdefault(cls, reg) != reg:
-                raise InternalInvariantError(
-                    "component faces do not refine the region quotient")
-    if len(set(class_to_region.values())) != sub.region_count:
-        raise InternalInvariantError(
-            "component faces do not biject with region classes")
-    region_map = tuple(class_to_region[c] for c in raw_map)
-    return SplicedComponent(sub, region_map, kept, label_of[strand],
-                            (class_to_region[raw_sides[0]],
-                             class_to_region[raw_sides[1]]))
 
 
 D0 = FlatDiagram(((1, 2, 2, 1),), name="d0")

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .diagram import FlatDiagram, _doubled_crossings, regions
+from .diagram import FlatDiagram, regions
 from .zlinalg import _dense
 
 SINGLE = "single"
@@ -98,38 +97,11 @@ def _require_length(vector, expected: int, what: str) -> None:
             f"{what} has length {len(vector)}, expected {expected}")
 
 
-def rule_gap_columns(diagram: FlatDiagram) -> dict[int, tuple[int, ...]]:
-    """Per region, the crossings it touches twice (support of A2 - A1)."""
-    return dict(enumerate(_doubled_crossings(diagram)))
-
-
 def mod2(matrix: RegionChoiceMatrix) -> tuple[tuple[int, ...], ...]:
     """Bit matrix of a single-rule matrix (the classical incidence matrix)."""
     if matrix.rule != SINGLE:
         raise ValueError("mod2 reduction is defined for single-rule matrices")
     return tuple(tuple(x % 2 for x in row) for row in matrix.entries)
-
-
-# ---------------------------------------------------------------------------
-# matrix documents
-
-
-def to_document(matrix: RegionChoiceMatrix) -> str:
-    return json.dumps({
-        "rule": matrix.rule,
-        "row_labels": list(matrix.row_labels),
-        "col_labels": list(matrix.col_labels),
-        "entries": [list(row) for row in matrix.entries],
-    })
-
-
-def from_document(text: str) -> RegionChoiceMatrix:
-    doc = json.loads(text)
-    return RegionChoiceMatrix(
-        doc["rule"],
-        tuple(tuple(int(x) for x in row) for row in doc["entries"]),
-        tuple(doc["row_labels"]),
-        tuple(doc["col_labels"]))
 
 
 def render_text(matrix: RegionChoiceMatrix) -> str:

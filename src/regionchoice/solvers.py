@@ -162,9 +162,10 @@ def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
     """Assignment with unit residual at one crossing (double rule only):
     ``u = +-e (alpha1 - alpha1(R1))`` with ``e = (-1)^alpha``, from the
     regions' winding numbers alpha about the knot and alpha1 about the
-    first component of ``splice(diagram, crossing)``, whose first pin is
+    first component of the splice at the crossing, whose first pin is
     ``R1``.  This is the paper's splice-and-checkerboard vector with no
-    component built (README, "Layout")."""
+    component built (README, "Layout"); ``tests/splice_oracle.py`` builds
+    the components, as the reference it is checked against."""
     walk, p, q = _strand_cut(diagram, crossing)
     mate, region = diagram._mate, diagram._region
     # each winding's change from region[mate[d]] to region[d]; the first

@@ -672,32 +672,10 @@ def _coefficients_within(w: list[int], k: Vector, limit: int,
 # GF(2)
 
 
-def solve_gf2(matrix, b):
-    """Solve ``A u = b`` over GF(2); returns a 0/1 tuple or None.
-
-    Rows are carried as int bitmasks; standard Gaussian elimination.
-    """
-    rows = [list(r) for r in matrix]
-    if len(b) != len(rows):
-        raise ValueError(f"b has length {len(b)}, expected {len(rows)}")
-    if not rows:
-        return ()
-    cols = len(rows[0])
-    masks = []
-    for row, bit in zip(rows, b):
-        if len(row) != cols:
-            raise ValueError("ragged matrix")
-        m = 0
-        for j, x in enumerate(row):
-            if x % 2:
-                m |= 1 << j
-        masks.append(m | ((bit % 2) << cols))
-    return _solve_gf2(masks, cols)
-
-
 def _solve_gf2(masks: list[int], cols: int):
-    """``solve_gf2`` on bit rows: bit ``j < cols`` of a mask is the row's
-    entry in column ``j`` and bit ``cols`` its right-hand side.
+    """Solve ``A u = b`` over GF(2) on bit rows; returns a 0/1 tuple or
+    None.  Bit ``j < cols`` of a mask is the row's entry in column ``j``
+    and bit ``cols`` its right-hand side.
 
     Each row is reduced by the pivot rows before it and pivots on its
     lowest column bit; the free columns are 0, and each pivot column is

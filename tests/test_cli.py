@@ -8,6 +8,7 @@ import pytest
 
 from regionchoice import catalog, solvers
 from regionchoice.cli import main
+from regionchoice.diagram import random_diagram, to_flat_pd
 
 
 def run(capsys, *argv):
@@ -153,6 +154,22 @@ def test_solve_mod2_is_the_single_rule(capsys):
     assert code == 0
     assert out.splitlines() == ["regions: r1 r3 r4",
                                 "PASS residual mod 2 = [0, 0, 0, 0]"]
+
+
+def test_solve_mod2_json_is_solve_mod2_at_large_n(capsys, tmp_path):
+    D = random_diagram(5, 500)
+    path = tmp_path / "big.json"
+    path.write_text(to_flat_pd(D))
+    n = D.crossing_count
+    b = [i * i % 3 % 2 for i in range(n)]
+    code, out, _ = run(capsys, "solve", "--file", str(path),
+                       "--b=" + ",".join(map(str, b)), "--mod2",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["regions"] == [f"r{r + 1}" for r in solvers.solve_mod2(D, b)]
+    assert doc["residual_mod2"] == [0] * n
+    assert doc["verified"] is True
 
 
 @pytest.mark.parametrize("option, message", [

@@ -5,9 +5,9 @@ Row v of either region choice matrix is the four corners at crossing v,
 ``diagram._region[4 v .. 4 v + 3]``: the regions with two corners at v, the
 corner counts, reducibility and the mod-2 bit rows are all read there.  The
 code that built them elsewhere stays here as the oracle: the walk over each
-``Region``'s corners, ``Region.corner_count``, the overshoot that the
-two-path single-rule solve summed over ``rule_gap_columns``, and the bit
-rows of ``incidence._rows``.
+``Region``'s corners, a region's corner count at a crossing, the overshoot
+that the two-path single-rule solve summed over the regions with two
+corners at a crossing, and the bit rows of ``incidence._rows``.
 """
 
 import random
@@ -18,10 +18,9 @@ from regionchoice import zlinalg
 from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (DiagramError, FlatDiagram,
                                   _doubled_crossings, arc_by_label, arcs,
-                                  corner_count, is_reducible, random_diagram,
-                                  reducible_crossings, regions)
-from regionchoice.incidence import (DOUBLE, SINGLE, _residual, _rows,
-                                    rule_gap_columns)
+                                  random_diagram, reducible_crossings,
+                                  regions)
+from regionchoice.incidence import DOUBLE, SINGLE, _residual, _rows
 from regionchoice.solvers import (add1_algebraic, add1_geometric, solve,
                                   solve_mod2, solve_single_via_double)
 from test_sparse import LINKS
@@ -45,11 +44,16 @@ def region_walk_doubled(diagram):
     return out
 
 
+def region_corner_count(region, crossing):
+    """How many of the region's corners lie at the crossing."""
+    return sum(1 for c, _ in region.corners if c == crossing)
+
+
 def rule_gap_overshoot(diagram, particular):
     """Per crossing, the double-rule particular's excess over the single
     rule: the values of the regions with two corners there."""
     overshoot = [0] * diagram.crossing_count
-    for region, crossings in rule_gap_columns(diagram).items():
+    for region, crossings in enumerate(region_walk_doubled(diagram)):
         for v in crossings:
             overshoot[v] += particular[region]
     return overshoot
@@ -67,7 +71,6 @@ def test_doubled_crossings_equal_the_region_walk():
     for D in KNOTS + LINKS:
         twice = region_walk_doubled(D)
         assert _doubled_crossings(D) == twice
-        assert rule_gap_columns(D) == dict(enumerate(twice))
         assert reducible_crossings(D) == tuple(
             sorted({c for row in twice for c in row}))
         reducible += bool(reducible_crossings(D))
@@ -80,12 +83,13 @@ def test_corner_counts_and_reducibility_equal_the_region_walk():
     for D in KNOTS[:120] + LINKS:
         regs = regions(D)
         for v in range(D.crossing_count):
+            at = D._region[4 * v:4 * v + 4]
             for reg in regs:
-                k = corner_count(D, reg.index, v)
-                assert k == reg.corner_count(v)
+                k = at.count(reg.index)
+                assert k == region_corner_count(reg, v)
                 counts.add(k)
-            assert is_reducible(D, v) == any(
-                reg.corner_count(v) == 2 for reg in regs)
+            assert (len(set(at)) < 4) == any(
+                region_corner_count(reg, v) == 2 for reg in regs)
     assert counts == {0, 1, 2}
 
 
@@ -132,35 +136,6 @@ def test_arc_by_label_is_the_arc_with_that_label():
             arc_by_label(D, label)
 
 
-@pytest.mark.parametrize("region, crossing, message", [
-    (-1, 0, "no region r0"),
-    (99, 0, "no region r100"),
-    (5, 0, "no region r6"),
-    (True, 0, "region index True is not an integer"),
-    (1.0, 0, "region index 1.0 is not an integer"),
-    (0, -1, "no crossing v0"),
-    (0, 3, "no crossing v4"),
-    (0, True, "crossing index True is not an integer"),
-])
-def test_corner_count_refuses_an_index_it_does_not_have(region, crossing,
-                                                         message):
-    D = catalog_entry("3_1").diagram
-    with pytest.raises(DiagramError, match=f"^{message}$"):
-        corner_count(D, region, crossing)
-
-
-@pytest.mark.parametrize("crossing, message", [
-    (99, "no crossing v100"),
-    (-1, "no crossing v0"),
-    (True, "crossing index True is not an integer"),
-    (1.0, "crossing index 1.0 is not an integer"),
-])
-def test_is_reducible_refuses_an_index_it_does_not_have(crossing, message):
-    D = catalog_entry("3_1").diagram
-    with pytest.raises(DiagramError, match=f"^{message}$"):
-        is_reducible(D, crossing)
-
-
 def test_per_crossing_readers_build_no_region_objects():
     # a name never used before, so no cache holds this diagram yet
     D = FlatDiagram(random_diagram(12, 40).crossings, "no region objects")
@@ -174,9 +149,6 @@ def test_per_crossing_readers_build_no_region_objects():
     solve_single_via_double(D, b)
     solve_mod2(D, b)
     reducible_crossings(D)
-    rule_gap_columns(D)
-    corner_count(D, 0, 0)
-    is_reducible(D, 0)
     assert regions.cache_info().misses == misses
     # and the count does see a build
     regions(D)

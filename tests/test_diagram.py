@@ -10,10 +10,10 @@ from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (D0, DiagramError, FlatDiagram,
                                   InternalInvariantError, _Map, apply_r1,
                                   apply_r2, arc_by_label, arcs, checkerboard,
-                                  component_count, corner_count, is_knot,
-                                  is_reducible, parse_flat_pd, random_diagram,
-                                  reducible_crossings, region_at_corner,
-                                  regions, splice, to_dot, to_flat_pd)
+                                  component_count, is_knot, parse_flat_pd,
+                                  random_diagram, reducible_crossings,
+                                  regions, to_dot, to_flat_pd)
+from splice_oracle import splice
 
 TREFOIL = ((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3))
 
@@ -133,24 +133,11 @@ def test_nonspherical_code_rejected():
 def test_region_corner_lookup():
     regs = regions(D0)
     assert [r.corners for r in regs] == [((0, 0), (0, 2)), ((0, 1),), ((0, 3),)]
-    assert region_at_corner(D0, 0, 0) == region_at_corner(D0, 0, 2)
-    assert corner_count(D0, 0, 0) == 2
-    assert corner_count(D0, 1, 0) == 1
-
-
-def test_region_at_corner_refuses_a_corner_it_does_not_have():
-    D = FlatDiagram(TREFOIL)
-    for crossing, slot, message in [
-            (3, 0, "no crossing v4"), (-1, 0, "no crossing v0"),
-            (True, 0, "crossing index True is not an integer"),
-            (0, 4, "no slot 4"), (1, -1, "no slot -1"),
-            (0, 1.0, "slot 1.0 is not an integer")]:
-        with pytest.raises(DiagramError, match=f"^{message}$"):
-            region_at_corner(D, crossing, slot)
+    # the corner table: the region at each of the crossing's four corners
+    assert D0._region == [0, 1, 0, 2]
 
 
 def test_d0_crossing_is_reducible():
-    assert is_reducible(D0, 0)
     assert reducible_crossings(D0) == (0,)
 
 
@@ -417,7 +404,7 @@ def test_readers_build_no_mate_table(mate_tables):
     assert [f.cache_info().misses
             for f in (arcs, component_count, checkerboard)] == [
                 k + 1 for k in misses]
-    regions(D), region_at_corner(D, 1, 2), reducible_crossings(D)
+    regions(D), reducible_crossings(D)
     apply_r1(D, 1, "left")
     # the one table is the grown diagram's own, built by its validation
     assert mate_tables == [D.crossing_count + 1]
@@ -533,6 +520,15 @@ def test_moves_leave_the_diagram_caches_alone():
     apply_r2(D, *_r2_pairs(D)[0])
     assert (arcs.cache_info().currsize,
             regions.cache_info().currsize) == before
+
+
+def test_faces_hold_the_mate_tables_dart_objects():
+    # above 64 crossings a dart is past the interpreter's small-int cache,
+    # so a face holding darts of its own would keep a second int per dart
+    D = parse_flat_pd(to_flat_pd(random_diagram(3, 60)))
+    assert D.crossing_count > 64
+    mate = D._mate
+    assert all(d is mate[mate[d]] for face in D._faces for d in face)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

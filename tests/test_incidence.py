@@ -1,14 +1,12 @@
-import json
-
 import pytest
 
 from regionchoice.catalog import catalog_entry
-from regionchoice.diagram import (D0, FlatDiagram, is_reducible,
+from regionchoice.diagram import (D0, FlatDiagram, _doubled_crossings,
                                   random_diagram, reducible_crossings,
                                   regions)
 from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
-                                    from_document, mod2, render_text,
-                                    residual, rule_gap_columns, to_document)
+                                    mod2, render_text, residual)
+from test_corners import region_corner_count
 
 TREFOIL = FlatDiagram(((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)))
 
@@ -63,25 +61,26 @@ def test_apply_and_residual():
 
 
 def test_gap_columns_flag_reducible_crossings():
-    gaps = rule_gap_columns(D0)
+    gaps = dict(enumerate(_doubled_crossings(D0)))
     doubled = {r: vs for r, vs in gaps.items() if vs}
     assert doubled == {0: (0,)}
-    assert all(not vs for vs in rule_gap_columns(TREFOIL).values())
+    assert all(not vs for vs in _doubled_crossings(TREFOIL))
 
 
 def test_gap_columns_and_reducible_crossings_match_the_definition():
     # against the per-crossing definitions: a region's corner count at each
-    # crossing, and is_reducible for each crossing
+    # crossing, and some region with two corners at a reducible crossing
     for seed in range(20):
         for moves in (0, 3, 10, 25):
             D = random_diagram(seed, moves)
-            crossings = range(D.crossing_count)
-            assert rule_gap_columns(D) == {
-                reg.index: tuple(v for v in crossings
-                                 if reg.corner_count(v) == 2)
-                for reg in regions(D)}
+            crossings, regs = range(D.crossing_count), regions(D)
+            assert _doubled_crossings(D) == [
+                tuple(v for v in crossings
+                      if region_corner_count(reg, v) == 2)
+                for reg in regs]
             assert reducible_crossings(D) == tuple(
-                v for v in crossings if is_reducible(D, v))
+                v for v in crossings
+                if any(region_corner_count(reg, v) == 2 for reg in regs))
 
 
 def test_mod2_rejects_double_rule():
@@ -102,14 +101,6 @@ def test_permuted_matches_manual_shuffle():
     assert P.row_labels == ("v3", "v1", "v2")
 
 
-def test_document_roundtrip():
-    M = build_matrix(TREFOIL, DOUBLE)
-    doc = to_document(M)
-    json.loads(doc)  # must be well-formed
-    back = from_document(doc)
-    assert back == M
-
-
 def test_render_text_shape():
     out = render_text(build_matrix(D0, DOUBLE))
     lines = out.splitlines()
@@ -122,7 +113,7 @@ def test_build_matrix_equals_corner_counts():
     # per-(crossing, region) corner count definition entry for entry
     for D in [D0, TREFOIL] + [random_diagram(s, 3 * s) for s in range(12)]:
         regs = regions(D)
-        double = tuple(tuple(reg.corner_count(v) for reg in regs)
+        double = tuple(tuple(region_corner_count(reg, v) for reg in regs)
                        for v in range(D.crossing_count))
         assert build_matrix(D, DOUBLE).entries == double
         assert build_matrix(D, SINGLE).entries == tuple(

@@ -7,16 +7,18 @@ from hypothesis import given, settings, strategies as st
 from regionchoice import incidence, zlinalg
 from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (D0, DiagramError, FlatDiagram,
-                                  InternalInvariantError, _walk, arcs,
+                                  InternalInvariantError,
+                                  _doubled_crossings, _walk, arcs,
                                   checkerboard, component_count,
-                                  random_diagram, regions, splice)
+                                  random_diagram, regions)
 from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
-                                    residual, rule_gap_columns)
+                                    residual)
 from regionchoice.solvers import (PinnedKernelRequest, _factored, _pin_pair,
                                   add1_algebraic, add1_geometric,
                                   arc_unimodularity_report, kernel_basis,
                                   pinned_kernel, solve, solve_mod2,
                                   solve_single_via_double, verify)
+from splice_oracle import splice
 
 
 def unit(n, v):
@@ -212,7 +214,7 @@ def single_via_double_per_certificate(D, b):
     particular = solve(D, DOUBLE, b).particular
     u = list(particular)
     certificates = {}
-    for region, crossings in rule_gap_columns(D).items():
+    for region, crossings in enumerate(_doubled_crossings(D)):
         coeff = particular[region]
         if coeff == 0:
             continue
@@ -357,22 +359,29 @@ def test_signed_winding_numbers_span_a_saturated_double_rule_kernel(seed,
         assert abs(zlinalg._minor(e, e_alpha, *arc.sides)) == 1
 
 
-def test_add1_geometric_splices_and_factors_nothing(monkeypatch,
-                                                     factorisations):
-    from regionchoice import diagram, solvers
-    splices = []
-
-    def counting(D, v):
-        splices.append(v)
-        return splice(D, v)
-
-    monkeypatch.setattr(diagram, "splice", counting)
-    monkeypatch.setattr(solvers, "splice", counting, raising=False)
+def test_add1_geometric_splices_and_factors_nothing(factorisations):
+    # the closed form builds no component and factors no matrix
     D = random_diagram(7, 30)
     n = D.crossing_count
     for v in range(n):
         assert add1_geometric(D, v).residual == unit(n, v)
-    assert factorisations == splices == []
+    assert factorisations == []
+
+
+@pytest.mark.parametrize("crossing, message", [
+    (99, "no crossing v100"),
+    (3, "no crossing v4"),
+    (-1, "no crossing v0"),
+    (True, "crossing index True is not an integer"),
+    (1.0, "crossing index 1.0 is not an integer"),
+])
+def test_add1_refuses_a_bad_crossing(crossing, message):
+    D = catalog_entry("3_1").diagram
+    for call in (lambda: add1_geometric(D, crossing),
+                 lambda: add1_algebraic(D, SINGLE, crossing),
+                 lambda: add1_algebraic(D, DOUBLE, crossing)):
+        with pytest.raises(DiagramError, match=f"^{message}$"):
+            call()
 
 
 def test_add1_geometric_refuses_a_missing_crossing_then_a_link():
