@@ -368,20 +368,28 @@ def test_add1_geometric_splices_and_factors_nothing(factorisations):
     assert factorisations == []
 
 
-@pytest.mark.parametrize("crossing, message", [
+BAD_CROSSINGS = pytest.mark.parametrize("crossing, message", [
     (99, "no crossing v100"),
     (3, "no crossing v4"),
     (-1, "no crossing v0"),
     (True, "crossing index True is not an integer"),
     (1.0, "crossing index 1.0 is not an integer"),
 ])
-def test_add1_refuses_a_bad_crossing(crossing, message):
+
+
+@BAD_CROSSINGS
+def test_add1_geometric_refuses_a_bad_crossing(crossing, message):
     D = catalog_entry("3_1").diagram
-    for call in (lambda: add1_geometric(D, crossing),
-                 lambda: add1_algebraic(D, SINGLE, crossing),
-                 lambda: add1_algebraic(D, DOUBLE, crossing)):
+    with pytest.raises(DiagramError, match=f"^{message}$"):
+        add1_geometric(D, crossing)
+
+
+@BAD_CROSSINGS
+def test_add1_algebraic_refuses_a_bad_crossing(crossing, message):
+    D = catalog_entry("3_1").diagram
+    for rule in (SINGLE, DOUBLE):
         with pytest.raises(DiagramError, match=f"^{message}$"):
-            call()
+            add1_algebraic(D, rule, crossing)
 
 
 def test_add1_geometric_refuses_a_missing_crossing_then_a_link():
