@@ -574,25 +574,4 @@ def random_diagram(seed: int, move_count: int) -> FlatDiagram:
     return FlatDiagram(grow.crossings(), f"random-{seed}-{move_count}")
 
 
-# ---------------------------------------------------------------------------
-# the strand cut of the smoothing at a self-crossing
-
-
-def _strand_cut(diagram: FlatDiagram, v: int) -> tuple[list[int], int, int]:
-    """The darts that the strand from dart 0 leaves through, in order, and
-    the positions ``p < q`` of its two arrivals at ``v``: a knot has two
-    strand orbits, one each way, so this one holds half of the darts.
-    Splicing at ``v`` cuts the walk there, between ``p`` and ``q``."""
-    _require_crossing(diagram, v)
-    mate = diagram._mate
-    walk = _walk(mate, 0, 2)
-    if 2 * len(walk) != len(mate):
-        raise DiagramError("splice requires a knot projection")
-    arrivals = [i for i, d in enumerate(walk) if mate[d] >> 2 == v]
-    if len(arrivals) != 2:
-        raise InternalInvariantError(
-            f"knot traversal enters v{v + 1} {len(arrivals)} times")
-    return (walk, *arrivals)
-
-
 D0 = FlatDiagram(((1, 2, 2, 1),), name="d0")

@@ -2,21 +2,27 @@
 
 These couple the diagram geometry to the integer algebra.  Solvability for
 every integral point vector is a theorem for valid knot projections: deleting
-the two side columns of an arc leaves a unimodular matrix.  That matrix is
-factored once per (diagram, rule) and kept for the queries that follow; every
-call checks the certificate, and a failure of either is reported as an
-internal invariant violation rather than an input error.
+the two side columns of an arc leaves a unimodular matrix.  The two rules
+take two routes, each built once per diagram and kept for the queries that
+follow.  The double rule is the paper's add-1 construction, summed: one
+running sum over the strand and one pass down a spanning tree of the
+regions, with no elimination.  The single rule's matrix is factored by the
+engine of ``zlinalg``.  Every call checks the route's certificate, and a
+failure of either is reported as an internal invariant violation rather
+than an input error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add
+from functools import cached_property, lru_cache
+from itertools import accumulate, repeat
+from operator import add, itemgetter, mul, sub
+from typing import NoReturn
 
 from . import incidence, zlinalg
 from .diagram import (FlatDiagram, InternalInvariantError, _require_crossing,
-                      _strand_cut, arc_by_label, arcs, is_knot)
+                      _walk, arc_by_label, arcs, is_knot)
 from .incidence import DOUBLE, SINGLE
 from .zlinalg import SolutionFamily
 
@@ -55,36 +61,235 @@ class VerificationReport:
     per_crossing: tuple[tuple[str, int], ...]
 
 
+_KNOT_ONLY = "the region choice solve requires a knot projection"
+
+
 @lru_cache(maxsize=8)
-def _factored(diagram: FlatDiagram, rule: str) -> zlinalg._UnitFactorisation:
-    """The one factorisation of the rule's matrix, pinned on
+def _factored(diagram: FlatDiagram, rule: str):
+    """The solve route for the rule's matrix, pinned on
     ``_pin_pair(diagram)``, for the last few (diagram, rule) pairs asked.
-    It keeps the rows it was built from, compiled into gathers, and every
-    query reads them and its kernel off it.  Only a knot projection is
-    solvable for every b, so a link raises ``ValueError``.
+    The double rule needs no elimination: its route is the paper's add-1
+    construction, summed (``_WindingSum``).  The single rule uses the
+    engine: one factorisation, which keeps the rows it was built from,
+    compiled into gathers.  Both offer ``families``, ``kernel``, ``image``,
+    ``check`` and ``fresh``, and every query reads its answers off them.
+    Only a knot projection is solvable for every b, so a link raises
+    ``ValueError``.
 
     The bound is set by the traffic: a sweep over one diagram needs 2
     entries, and 8 keep 3 interleaved diagrams under both rules.  Keeping
-    the factorisation on the diagram instead would keep it alive as long as
-    the diagram caches keep the diagram.
+    the route on the diagram instead would keep it alive as long as the
+    diagram caches keep the diagram.
     """
+    if rule == DOUBLE:
+        return _WindingSum(diagram)
     if not is_knot(diagram):
-        raise ValueError("the region choice solve requires a knot projection")
+        raise ValueError(_KNOT_ONLY)
     return zlinalg._UnitFactorisation(
         incidence._rows(diagram, rule), diagram.region_count,
         _pin_pair(diagram), "pinned solve")
 
 
-def _certified(diagram: FlatDiagram, rule: str) -> zlinalg._UnitFactorisation:
+def _certified(diagram: FlatDiagram, rule: str):
     """``_factored(diagram, rule)`` with its certificate checked in this
-    call: a factorisation that is ``fresh`` was checked when it was built,
-    in this call, and every later call checks it again."""
+    call: a route that is ``fresh`` was checked when it was built, in this
+    call, and every later call checks it again."""
     f = _factored(diagram, rule)
     if f.fresh:
         f.fresh = False
     else:
         f.check()
     return f
+
+
+class _WindingSum:
+    """The double rule's solution families, read off winding numbers with
+    no elimination: the paper's add-1 construction at every crossing,
+    summed (README, "Layout").
+
+    Orient the knot along the strand from dart 0.  Let ``alpha`` be each
+    region's winding number about it, ``alpha1[v]`` about the first
+    component of the splice at crossing ``v``, and ``e = (-1)^alpha``.
+    ``e`` and ``e alpha`` span the kernel of ``A2``, and
+    ``A2 e alpha1[v] = sigma[v] e_v``, where ``sigma[v] = +-1`` is the sum
+    of ``e alpha1[v]`` over v's four corners.  So
+    ``u = -e sum_v sigma[v] b[v] alpha1[v]`` solves ``A2 u + b = o``.
+
+    ``alpha1[v]`` moves by +-1 across the arcs of the first component: the
+    strand's positions outside ``p[v] < i <= q[v]``, its two arrivals at
+    v.  So the sum moves by a weight ``w[i]`` across the arc of position
+    ``i``, a running sum over the positions of ``+x`` at each first
+    arrival and ``-x`` at each second, for ``x = sigma[v] b[v]``; its
+    constant adds a multiple of ``alpha``.  The sum is taken down a
+    spanning tree of the regions rooted at the first pin, and the running
+    sum starts at an arc between the two pins, so that the answer is 0 on
+    both: multiples of ``e`` and ``e alpha`` are all that is dropped.
+
+    Construction checks the certificate (``check``), and every later call
+    checks it again.  Each answer's residual is checked from the corner
+    table.  ``stage`` names the route in every ``InternalInvariantError``.
+    """
+
+    stage = "winding sum"
+
+    def __init__(self, diagram: FlatDiagram) -> None:
+        mate, faces, region = diagram._mate, diagram._faces, diagram._region
+        walk = _walk(mate, 0, 2)
+        if 2 * len(walk) != len(mate):
+            raise ValueError(_KNOT_ONLY)
+        n = diagram.crossing_count
+        self.cols, self.mate, self.region, self.walk = n + 2, mate, region, walk
+        arrival = [mate[d] >> 2 for d in walk]
+        self.p, self.q = p, q = [-1] * n, [0] * n
+        for i, v in enumerate(arrival):
+            if p[v] < 0:
+                p[v] = i
+            else:
+                q[v] = i
+        # a spanning tree of the regions in breadth-first order from the
+        # first pin: region o is reached from r across the arc at dart d,
+        # which moves a sum by -w[i] if the strand leaves through d at
+        # position i and by +w[i] if it arrives through d
+        self.pins = r1, r2 = _pin_pair(diagram)
+        position = dict(zip(walk, range(2 * n)))
+        tree, reached = [], [r1]
+        seen = bytearray(n + 2)
+        seen[r1] = 1
+        for r in reached:
+            for d in faces[r]:
+                o = region[mate[d]]
+                if not seen[o]:
+                    seen[o] = 1
+                    reached.append(o)
+                    i = position.get(d)
+                    tree.append((o, r, i, -1) if i is not None
+                                else (o, r, position[mate[d]], 1))
+        # positions count from the arc the tree crosses from pin to pin
+        self.start = k = next(i for o, _, i, _ in tree if o == r2)
+        self.tree = [(o, r, (i - k) % (2 * n), s) for o, r, i, s in tree]
+        turn = [1 if p[v] == i else -1 for i, v in enumerate(arrival)]
+        self.turn = turn[k:] + turn[:k]
+        self._at_arrival = itemgetter(*arrival[k:], *arrival[:k])
+        self._at_corner = itemgetter(*region)
+        # alpha1[v] on v's corners 1, 2, 3, less its value on corner 0: from
+        # corner s to s + 1 it steps across the arc at dart 4 v + s + 1, by
+        # -1 at the entry mate[walk[p]], +1 at the exit walk[q + 1] and 0
+        # at the second component's two darts
+        steps = [0] * len(mate)
+        for v in range(n):
+            steps[mate[walk[p[v]]]] -= 1
+            steps[walk[(q[v] + 1) % (2 * n)]] += 1
+        one = steps[1::4]
+        two = list(map(add, one, steps[2::4]))
+        self.corner_alpha1 = one, two, list(map(add, two, steps[3::4]))
+        self.e, self.kernel, self.sigma = self._derived()
+        self.fresh = True
+
+    def _tree_pass(self, w) -> list[int]:
+        """The sum that is 0 on the first pin and moves by the weights
+        ``w``, indexed from ``start``, across the tree's arcs."""
+        total = [0] * self.cols
+        for o, r, i, s in self.tree:
+            total[o] = total[r] + s * w[i]
+        return total
+
+    def _derived(self):
+        """``e``, the kernel and ``sigma``, read afresh off the tree and the
+        corners: ``alpha`` is the tree's sum with unit weights, 0 on the
+        first pin and ``a = +-1`` on the second, so the kernel vectors that
+        are (1, 0) and (0, 1) on the pins are ``e - a e alpha`` and
+        ``-a e alpha``.  ``e`` and ``e alpha`` are checked to be in the
+        kernel and every ``sigma[v]`` to be +-1."""
+        alpha = self._tree_pass([1] * len(self.walk))
+        e = [-1 if x & 1 else 1 for x in alpha]
+        e_alpha = list(map(mul, e, alpha))
+        if any(self.image(e)) or any(self.image(e_alpha)):
+            self.fail("e or e alpha is outside the kernel")
+        d = zlinalg._minor(e, e_alpha, *self.pins)
+        if d not in (1, -1):
+            self.fail(f"minor of e, e alpha on the pins is {d}")
+        a = alpha[self.pins[1]]
+        kernel = (tuple(map(sub, e, map(mul, e_alpha, repeat(a)))),
+                  tuple(map(mul, e_alpha, repeat(-a))))
+        at = self._at_corner(e)
+        one, two, three = self.corner_alpha1
+        sigma = list(map(add, map(add, map(mul, one, at[1::4]),
+                                  map(mul, two, at[2::4])),
+                         map(mul, three, at[3::4])))
+        if not set(sigma) <= {1, -1}:
+            v = next(v for v, s in enumerate(sigma) if s not in (1, -1))
+            self.fail(f"sigma at v{v + 1} is {sigma[v]}, not +-1")
+        return e, kernel, sigma
+
+    def check(self) -> None:
+        """The certificate: ``e`` and ``e alpha``, summed down the tree
+        again, lie in the kernel; the kernel is their pinned basis, with
+        minor 1 on the pins; every ``sigma[v]`` is the sum at v's corners,
+        and is +-1."""
+        e, kernel, sigma = self._derived()
+        if e != self.e:
+            self.fail("e is not (-1)^alpha")
+        if kernel != self.kernel:
+            self.fail("kernel is not the pinned basis of e, e alpha")
+        if zlinalg._minor(*self.kernel, *self.pins) != 1:
+            self.fail("kernel minor on the pins is not 1")
+        if sigma != self.sigma:
+            self.fail("a sign sigma is not the sum at its corners")
+
+    @cached_property
+    def matrix(self) -> zlinalg.Matrix:
+        """``A2`` as a dense tuple, for the solution families: row v counts
+        the corners of each region at v."""
+        region, out = self.region, []
+        for v in range(0, len(region), 4):
+            line = [0] * self.cols
+            for r in region[v:v + 4]:
+                line[r] += 1
+            out.append(tuple(line))
+        return tuple(out)
+
+    def families(self, rhs) -> list[SolutionFamily]:
+        """The solution family of ``A2 u + b = o`` for each b in ``rhs``,
+        its particular zero on the pins.  Every particular's residual is
+        checked to be zero."""
+        rhs = [tuple(b) for b in rhs]
+        n = len(self.sigma)
+        for b in rhs:
+            if len(b) != n:
+                raise ValueError(f"b has length {len(b)}, expected {n}")
+        families = []
+        for b in rhs:
+            w = list(accumulate(map(mul, self.turn, self._at_arrival(
+                list(map(mul, self.sigma, b)))), initial=0))
+            u = tuple(map(mul, self.e, self._tree_pass(w)))
+            if any(map(add, self.image(u), b)):
+                self.fail("particular solution has nonzero residual")
+            families.append(SolutionFamily(self.matrix, b, u, self.kernel))
+        return families
+
+    def add1(self, v: int) -> tuple[int, ...]:
+        """The paper's add-1 at v,
+        ``sigma[v] e (alpha1[v] - alpha1[v](R1))``: its weights are 1 on
+        the first component and 0 on the second, and ``R1`` is the region
+        beside the least dart of the arc along which the strand first
+        arrives at v."""
+        p, q, k = self.p[v], self.q[v], self.start
+        w = [1] * len(self.walk)
+        w[p + 1:q + 1] = [0] * (q - p)
+        alpha1 = self._tree_pass(w[k:] + w[:k])
+        d = self.walk[p]
+        base = alpha1[self.region[min(d, self.mate[d])]]
+        s = self.sigma[v]
+        return tuple(s * x * (a - base) for x, a in zip(self.e, alpha1))
+
+    def image(self, u) -> list[int]:
+        """``A2 u``, read off the regions at each crossing's corners."""
+        at = self._at_corner(u)
+        return list(map(add, map(add, at[0::4], at[1::4]),
+                        map(add, at[2::4], at[3::4])))
+
+    def fail(self, what: str) -> NoReturn:
+        raise InternalInvariantError(f"{self.stage}, certificate: {what}")
 
 
 def _pin_pair(diagram: FlatDiagram) -> tuple[int, int]:
@@ -160,43 +365,20 @@ def _unit(n: int, crossing: int, value: int) -> tuple[int, ...]:
 
 def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
     """Assignment with unit residual at one crossing (double rule only):
-    ``u = +-e (alpha1 - alpha1(R1))`` with ``e = (-1)^alpha``, from the
+    ``u = sigma e (alpha1 - alpha1(R1))`` with ``e = (-1)^alpha``, from the
     regions' winding numbers alpha about the knot and alpha1 about the
     first component of the splice at the crossing, whose first pin is
-    ``R1``.  This is the paper's splice-and-checkerboard vector with no
-    component built (README, "Layout"); ``tests/splice_oracle.py`` builds
-    the components, as the reference it is checked against."""
-    walk, p, q = _strand_cut(diagram, crossing)
-    mate, region = diagram._mate, diagram._region
-    # each winding's change from region[mate[d]] to region[d]; the first
-    # component leaves through walk[q+1:] + walk[:p+1]
-    step, step1 = [0] * len(mate), [0] * len(mate)
-    for i, d in enumerate(walk):
-        step[d], step[mate[d]] = 1, -1
-        if not p < i <= q:
-            step1[d], step1[mate[d]] = 1, -1
-    n = diagram.crossing_count
-    alpha, alpha1, reached = [0] + [None] * (n + 1), [0] * (n + 2), [0]
-    for r in reached:
-        for d in diagram._faces[r]:
-            o = region[mate[d]]
-            a, a1 = alpha[r] - step[d], alpha1[r] - step1[d]
-            if alpha[o] is None:
-                alpha[o], alpha1[o] = a, a1
-                reached.append(o)
-            elif alpha[o] != a or alpha1[o] != a1:
-                raise InternalInvariantError(
-                    f"winding numbers disagree across the arc at dart {d}")
-    base = alpha1[region[min(walk[p], mate[walk[p]])]]
-    u = tuple(base - b if a & 1 else b - base for a, b in zip(alpha, alpha1))
-    target = _unit(n, crossing, 1)
-    # A(-u) = -Au, so one product decides between u and -u
-    res = incidence._residual(diagram, DOUBLE, u, (0,) * n)
-    if res != target:
-        u, res = tuple(-x for x in u), tuple(-x for x in res)
-    if res != target:
-        raise InternalInvariantError(
-            "geometric add-1 construction certified neither u nor -u")
+    ``R1``: the double-rule route's sum at that one crossing
+    (``_WindingSum.add1``).  This is the paper's splice-and-checkerboard
+    vector with no component built (README, "Layout");
+    ``tests/splice_oracle.py`` builds the components, as the reference it
+    is checked against."""
+    _require_crossing(diagram, crossing)
+    f = _certified(diagram, DOUBLE)
+    u = f.add1(crossing)
+    res = tuple(f.image(u))
+    if res != _unit(diagram.crossing_count, crossing, 1):
+        f.fail(f"geometric add-1 at v{crossing + 1} has residual {list(res)}")
     return Add1Certificate(crossing, DOUBLE, u, GEOMETRIC, res)
 
 

@@ -3,18 +3,20 @@ self-crossing, with both components built as diagrams of their own.
 
 The library computes the geometric add-1 in closed form from winding
 numbers (``solvers.add1_geometric``); this construction is the reference
-that the closed form is checked against.  It cuts the strand with the
-library's ``diagram._strand_cut``, so it refuses what the add-1 refuses.
-The class names are part of ``repr``, which the golden digest
-``SPLICE_SHA256`` in ``test_diagram`` covers.
+that the closed form is checked against.  ``_strand_cut`` finds the two
+arrivals at the crossing on the strand from dart 0, as the library's
+double-rule route finds them in its own strand walk.  The class names
+are part of ``repr``, which the golden digest ``SPLICE_SHA256`` in
+``test_diagram`` covers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from regionchoice.diagram import (FlatDiagram, InternalInvariantError,
-                                  _strand_cut)
+from regionchoice.diagram import (DiagramError, FlatDiagram,
+                                  InternalInvariantError, _require_crossing,
+                                  _walk)
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,23 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def _strand_cut(diagram: FlatDiagram, v: int) -> tuple[list[int], int, int]:
+    """The darts that the strand from dart 0 leaves through, in order, and
+    the positions ``p < q`` of its two arrivals at ``v``: a knot has two
+    strand orbits, one each way, so this one holds half of the darts.
+    Splicing at ``v`` cuts the walk there, between ``p`` and ``q``."""
+    _require_crossing(diagram, v)
+    mate = diagram._mate
+    walk = _walk(mate, 0, 2)
+    if 2 * len(walk) != len(mate):
+        raise DiagramError("splice requires a knot projection")
+    arrivals = [i for i, d in enumerate(walk) if mate[d] >> 2 == v]
+    if len(arrivals) != 2:
+        raise InternalInvariantError(
+            f"knot traversal enters v{v + 1} {len(arrivals)} times")
+    return (walk, *arrivals)
 
 
 def splice(diagram: FlatDiagram, v: int) -> ComponentSplit:

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regionchoice import incidence, zlinalg
+from regionchoice import incidence, solvers, zlinalg
 from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (D0, DiagramError, FlatDiagram,
                                   InternalInvariantError,
@@ -18,7 +18,7 @@ from regionchoice.solvers import (PinnedKernelRequest, _factored, _pin_pair,
                                   arc_unimodularity_report, kernel_basis,
                                   pinned_kernel, solve, solve_mod2,
                                   solve_single_via_double, verify)
-from splice_oracle import splice
+from splice_oracle import _strand_cut, splice
 
 
 def unit(n, v):
@@ -127,6 +127,20 @@ def factorisations(monkeypatch, cold_cache):
 
 
 @pytest.fixture
+def winding_sums(monkeypatch, cold_cache):
+    """The diagram of every double-rule ``_WindingSum`` built, in order."""
+    made = []
+
+    class Counting(solvers._WindingSum):
+        def __init__(self, diagram):
+            made.append(diagram)
+            super().__init__(diagram)
+
+    monkeypatch.setattr(solvers, "_WindingSum", Counting)
+    return made
+
+
+@pytest.fixture
 def row_builds(monkeypatch):
     """The rule of every sparse region choice matrix built, in order."""
     from regionchoice import incidence
@@ -143,12 +157,12 @@ def row_builds(monkeypatch):
 
 def test_add1_algebraic_builds_and_factors_each_matrix_once(
         row_builds, factorisations):
+    # the single rule's engine; the double rule factors nothing (below)
     D = random_diagram(3, 9)
     n = D.crossing_count
-    certs = [add1_algebraic(D, rule, v) for v in range(n)
-             for rule in (SINGLE, DOUBLE)]
-    assert row_builds == [SINGLE, DOUBLE]
-    assert factorisations == ["pinned solve"] * 2
+    certs = [add1_algebraic(D, SINGLE, v) for v in range(n)]
+    assert row_builds == [SINGLE]
+    assert factorisations == ["pinned solve"]
     for cert in certs:
         (family,) = zlinalg.solve_pinned(
             build_matrix(D, cert.rule).entries, _pin_pair(D),
@@ -396,8 +410,8 @@ def test_add1_geometric_refuses_a_missing_crossing_then_a_link():
     link = FlatDiagram(((1, 2, 3, 4), (1, 4, 3, 2)))
     with pytest.raises(DiagramError, match="^no crossing v3$"):
         add1_geometric(link, 2)
-    with pytest.raises(DiagramError,
-                       match="^splice requires a knot projection$"):
+    with pytest.raises(ValueError, match="^the region choice solve requires "
+                       "a knot projection$"):
         add1_geometric(link, 0)
 
 
@@ -444,17 +458,21 @@ def test_no_solver_builds_or_multiplies_a_dense_matrix(monkeypatch, capsys,
     assert "PASS residual mod 2 = [0, 0, 0, 0, 0]" in capsys.readouterr().out
 
 
-def test_single_via_double_factors_twice_then_not_at_all(row_builds,
-                                                          factorisations):
+def test_single_via_double_builds_each_route_once_then_not_at_all(
+        row_builds, factorisations, winding_sums):
+    # one factorisation of the single-rule matrix, one winding sum for the
+    # double-rule particular
     D = random_diagram(5, 12)
     b = tuple(range(1, D.crossing_count + 1))
     u = solve_single_via_double(D, b)
-    assert row_builds == [DOUBLE, SINGLE]
-    assert factorisations == ["pinned solve"] * 2
+    assert row_builds == [SINGLE]
+    assert factorisations == ["pinned solve"]
+    assert winding_sums == [D]
     row_builds.clear()
     factorisations.clear()
+    winding_sums.clear()
     assert solve_single_via_double(D, b) == u
-    assert row_builds == factorisations == []
+    assert row_builds == factorisations == winding_sums == []
     # both paths are zero on the pin pair, so the sum is the canonical
     # single-rule particular
     (family,) = zlinalg.solve_pinned(build_matrix(D, SINGLE).entries,
@@ -488,30 +506,37 @@ def bump_a_gather_weight(f):
 @pytest.mark.parametrize("corrupt", [flip_kernel_entry, make_a_pivot_2,
                                      bump_a_gather_weight])
 def test_a_corrupted_cached_factorisation_is_refused(corrupt, cold_cache):
+    # the engine serves the single rule only
     D = random_diagram(4, 10)
     n = D.crossing_count
-    calls = [lambda: solve(D, DOUBLE, (1,) * n),
-             lambda: add1_algebraic(D, DOUBLE, 0),
-             lambda: pinned_kernel(D, PinnedKernelRequest(1, 0, 1, DOUBLE))]
+    calls = [lambda: solve(D, SINGLE, (1,) * n),
+             lambda: add1_algebraic(D, SINGLE, 0),
+             lambda: pinned_kernel(D, PinnedKernelRequest(1, 0, 1, SINGLE))]
     for call in calls:
         _factored.cache_clear()
         call()
-        corrupt(_factored(D, DOUBLE))
+        corrupt(_factored(D, SINGLE))
         with pytest.raises(InternalInvariantError,
                            match="^pinned solve, certificate: "):
             call()
 
 
 def test_each_query_checks_the_certificate_once(monkeypatch, cold_cache):
-    # the construction's check serves the query that built it
-    checks = []
-    check = zlinalg._UnitFactorisation.check
-    monkeypatch.setattr(zlinalg._UnitFactorisation, "check",
-                        lambda f: checks.append(f) or check(f))
+    # the construction's check serves the query that built it, under the
+    # single rule's engine and the double rule's winding sum alike; the
+    # winding sum's check and construction both derive its certificate
     D = random_diagram(4, 10)
-    for k in range(1, 4):
-        solve(D, DOUBLE, (1,) * D.crossing_count)
-        assert len(checks) == k
+    for rule, route, name in (
+            (SINGLE, zlinalg._UnitFactorisation, "check"),
+            (DOUBLE, solvers._WindingSum, "_derived")):
+        checks = []
+        check = getattr(route, name)
+        monkeypatch.setattr(route, name,
+                            lambda f, check=check: checks.append(f) or check(f))
+        for k in range(1, 4):
+            solve(D, rule, (1,) * D.crossing_count)
+            assert len(checks) == k
+        assert all(type(f) is route for f in checks)
 
 
 def test_the_factorisation_cache_stays_bounded(cold_cache):
@@ -522,15 +547,18 @@ def test_the_factorisation_cache_stays_bounded(cold_cache):
     assert _factored.cache_info().misses == 50
 
 
-def test_add1_geometric_leaves_the_factorisation_cache_alone(cold_cache):
-    # the add-1 is read off winding numbers, with no factorisation at all
+def test_add1_geometric_reads_the_cached_double_rule_route(cold_cache):
+    # the add-1 is read off the double rule's winding sum, which the other
+    # double-rule queries built: a hit per call, nothing built or evicted
     D = random_diagram(6, 12)
     for rule in (SINGLE, DOUBLE):
         kernel_basis(D, rule)
     before = _factored.cache_info()
     for v in range(D.crossing_count):
         add1_geometric(D, v)
-    assert _factored.cache_info() == before
+    after = _factored.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    assert after.hits == before.hits + D.crossing_count
 
 
 def test_add1_geometric_leaves_the_diagram_caches_alone():
@@ -642,3 +670,158 @@ def test_relabeling_permutes_the_solution_set(seed, moves, rule, shuffle):
         for r, x in enumerate(old):
             mapped[sigma[r]] = x
         assert residual(matrix, mapped, b_moved) == (0,) * n
+
+
+def test_a_double_rule_sweep_builds_one_winding_sum_per_diagram(
+        row_builds, factorisations, winding_sums):
+    # every double-rule query on a diagram reads one winding sum; none
+    # builds the matrix rows or factors anything
+    diagrams = [catalog_entry("example2_4").diagram, random_diagram(2, 15)]
+    row_builds.clear()      # the catalog checks its reference matrices
+    for D in diagrams:
+        n = D.crossing_count
+        solve(D, DOUBLE, tuple(range(n)))
+        kernel_basis(D, DOUBLE)
+        arc_unimodularity_report(D, DOUBLE)
+        for arc in arcs(D):
+            pinned_kernel(D, PinnedKernelRequest(arc.label, 1, -2, DOUBLE))
+        for v in range(n):
+            add1_algebraic(D, DOUBLE, v)
+            add1_geometric(D, v)
+    assert winding_sums == diagrams
+    assert row_builds == factorisations == []
+
+
+def test_the_winding_sum_is_the_pinned_solve():
+    # particular and kernel equal the engine's on the same pins, so the
+    # two routes give one canonical family
+    diagrams = ([catalog_entry(name).diagram for name in names()]
+                + [random_diagram(s, 3 + s % 40) for s in range(300)]
+                + [random_diagram(5, 500)])
+    assert diagrams[-1].crossing_count == 741
+    for i, D in enumerate(diagrams):
+        rng = random.Random(i)
+        b = tuple(rng.randint(-9, 9) for _ in range(D.crossing_count))
+        (family,) = zlinalg.solve_pinned(build_matrix(D, DOUBLE).entries,
+                                         _pin_pair(D), [b])
+        assert solve(D, DOUBLE, b) == family
+
+
+def add1_by_winding_walk(D, v):
+    """The geometric add-1 as one walk over the regions per crossing, with
+    both windings stepped across every arc and checked on the arcs it does
+    not step across, and a sign chosen by the residual: the library's body
+    before the double rule's winding sum, kept as its oracle."""
+    walk, p, q = _strand_cut(D, v)
+    mate, region = D._mate, D._region
+    step, step1 = [0] * len(mate), [0] * len(mate)
+    for i, d in enumerate(walk):
+        step[d], step[mate[d]] = 1, -1
+        if not p < i <= q:
+            step1[d], step1[mate[d]] = 1, -1
+    n = D.crossing_count
+    alpha, alpha1, reached = [0] + [None] * (n + 1), [0] * (n + 2), [0]
+    for r in reached:
+        for d in D._faces[r]:
+            o = region[mate[d]]
+            a, a1 = alpha[r] - step[d], alpha1[r] - step1[d]
+            if alpha[o] is None:
+                alpha[o], alpha1[o] = a, a1
+                reached.append(o)
+            else:
+                assert (alpha[o], alpha1[o]) == (a, a1)
+    base = alpha1[region[min(walk[p], mate[walk[p]])]]
+    u = tuple(base - b if a & 1 else b - base for a, b in zip(alpha, alpha1))
+    res = incidence._residual(D, DOUBLE, u, (0,) * n)
+    if res != unit(n, v):
+        u, res = tuple(-x for x in u), tuple(-x for x in res)
+    assert res == unit(n, v)
+    return u
+
+
+def test_add1_geometric_equals_the_winding_walk_it_replaced():
+    diagrams = ([catalog_entry(name).diagram for name in names()]
+                + [random_diagram(s, 3 + s % 40) for s in range(0, 300, 10)]
+                + [random_diagram(4, 120)])
+    for D in diagrams:
+        for v in range(D.crossing_count):
+            assert add1_geometric(D, v).assignment == add1_by_winding_walk(D, v)
+
+
+def flip_a_sign(f):
+    f.sigma[len(f.sigma) // 2] *= -1
+
+
+def bump_a_tree_weight(f):
+    o, r, i, s = f.tree[-1]
+    f.tree[-1] = (o, r, i, s + 1)
+
+
+def bump_a_tree_weight_by_2_and_derive_again_blind(f):
+    # the same parity, so the same e and sigma, and a kernel derived
+    # afresh with the products blinded: only the kernel products see it
+    o, r, i, s = f.tree[-1]
+    f.tree[-1] = (o, r, i, s + 2)
+    f.image = lambda u: [0] * len(f.sigma)
+    f.e, f.kernel, f.sigma = f._derived()
+    del f.image
+
+
+@pytest.mark.parametrize("corrupt", [
+    flip_kernel_entry, flip_a_sign, bump_a_tree_weight,
+    bump_a_tree_weight_by_2_and_derive_again_blind])
+def test_a_corrupted_cached_winding_sum_is_refused(corrupt, cold_cache):
+    D = random_diagram(4, 10)
+    n = D.crossing_count
+    calls = [lambda: solve(D, DOUBLE, (1,) * n),
+             lambda: add1_algebraic(D, DOUBLE, 0),
+             lambda: pinned_kernel(D, PinnedKernelRequest(1, 0, 1, DOUBLE)),
+             lambda: add1_geometric(D, n - 1)]
+    for call in calls:
+        _factored.cache_clear()
+        call()
+        corrupt(_factored(D, DOUBLE))
+        with pytest.raises(InternalInvariantError,
+                           match="^winding sum, certificate: "):
+            call()
+
+
+def test_a_sign_that_is_not_a_unit_is_refused(cold_cache):
+    # sigma and the corner sums it is checked against both read 0 at v1
+    D = random_diagram(4, 10)
+    kernel_basis(D, DOUBLE)
+    f = _factored(D, DOUBLE)
+    for corner in f.corner_alpha1:
+        corner[0] = 0
+    f.sigma[0] = 0
+    with pytest.raises(InternalInvariantError,
+                       match="^winding sum, certificate: sigma at v1 is 0, "
+                             "not \\+-1$"):
+        solve(D, DOUBLE, (1,) * D.crossing_count)
+
+
+def test_a_wrong_answer_of_the_winding_sum_is_refused_by_its_residual(
+        cold_cache):
+    # the running sum's turns and the add-1's cut are not part of the
+    # route's certificate: each answer's own residual refuses them
+    D = random_diagram(4, 10)
+    n = D.crossing_count
+    f = _factored(D, DOUBLE)
+    f.turn[0] *= -1
+    with pytest.raises(InternalInvariantError,
+                       match="^winding sum, certificate: particular solution "
+                             "has nonzero residual$"):
+        solve(D, DOUBLE, (1,) * n)
+    # the crossing the running sum starts at
+    v = f._at_arrival(range(n))[0]
+    with pytest.raises(InternalInvariantError,
+                       match="^winding sum, certificate: particular solution "
+                             "has nonzero residual$"):
+        add1_algebraic(D, DOUBLE, v)
+    assert pinned_kernel(D, PinnedKernelRequest(1, 0, 1, DOUBLE))
+    v = next(v for v in range(n) if f.q[v] - f.p[v] > 1)
+    f.p[v] += 1
+    with pytest.raises(InternalInvariantError,
+                       match=f"^winding sum, certificate: geometric add-1 at "
+                             f"v{v + 1} has residual "):
+        add1_geometric(D, v)
