@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index, itemgetter
 
 from .diagram import FlatDiagram, regions
-from .zlinalg import _dense
 
 SINGLE = "single"
 DOUBLE = "double"
@@ -41,7 +41,7 @@ class RegionChoiceMatrix:
 def build_matrix(diagram: FlatDiagram, rule: str) -> RegionChoiceMatrix:
     """Region choice matrix of the diagram under canonical labeling."""
     return RegionChoiceMatrix(
-        rule, _dense(_rows(diagram, rule), diagram.region_count),
+        rule, tuple(_Matrix(diagram, rule)),
         tuple(f"v{i + 1}" for i in range(diagram.crossing_count)),
         tuple(f"r{reg.index + 1}" for reg in regions(diagram)))
 
@@ -51,7 +51,7 @@ def _rows(diagram: FlatDiagram, rule: str) -> list[dict[int, int]]:
     regions touching it, in increasing region order.  One step per corner,
     read off the diagram's faces: a corner at crossing v puts its region in
     row v, once under the single rule and once per corner under the double
-    rule.  Every matrix the package builds starts here."""
+    rule.  The single rule's engine factors these."""
     if rule not in (SINGLE, DOUBLE):
         raise ValueError(f"unknown rule {rule!r}")
     rows: list[dict[int, int]] = [{} for _ in diagram.crossings]
@@ -87,8 +87,47 @@ def _residual(diagram: FlatDiagram, rule: str, u, b) -> tuple[int, ...]:
     if rule == SINGLE:
         return tuple(sum([u[r] for r in set(region[d:d + 4])]) + y
                      for d, y in zip(range(0, len(region), 4), b))
-    at = [u[r] for r in region]
+    at = itemgetter(*region)(u)
     return tuple(map(sum, zip(at[0::4], at[1::4], at[2::4], at[3::4], b)))
+
+
+class _Matrix:
+    """The rule's matrix of a diagram as a read-only view that builds row v
+    off the regions at v's corners, ``diagram._region[4 v .. 4 v + 3]``,
+    only when the row is read: one count per corner under the double rule,
+    a 0/1 entry under the single rule.  It compares equal to, hashes as and
+    ``repr``s as the dense tuple of tuples; nothing dense is kept."""
+
+    def __init__(self, diagram: FlatDiagram, rule: str) -> None:
+        if rule not in (SINGLE, DOUBLE):
+            raise ValueError(f"unknown rule {rule!r}")
+        self._region, self._double = diagram._region, rule == DOUBLE
+        self._starts = range(0, len(self._region), 4)
+
+    def _row(self, d: int) -> tuple[int, ...]:
+        """The row whose four corners start at dart ``d``."""
+        line = [0] * (len(self._starts) + 2)
+        for r in self._region[d:d + 4]:
+            line[r] = line[r] + 1 if self._double else 1
+        return tuple(line)
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, v) -> tuple[int, ...]:
+        return self._row(self._starts[index(v)])
+
+    def __iter__(self):
+        return map(self._row, self._starts)
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def _require_length(vector, expected: int, what: str) -> None:

@@ -15,7 +15,7 @@ than an input error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, itemgetter, mul, sub
 from typing import NoReturn
@@ -71,8 +71,10 @@ def _factored(diagram: FlatDiagram, rule: str):
     The double rule needs no elimination: its route is the paper's add-1
     construction, summed (``_WindingSum``).  The single rule uses the
     engine: one factorisation, which keeps the rows it was built from,
-    compiled into gathers.  Both offer ``families``, ``kernel``, ``image``,
-    ``check`` and ``fresh``, and every query reads its answers off them.
+    compiled into gathers.  Both offer ``particular``, ``kernel``,
+    ``image``, ``check``, ``fail`` and ``fresh``, and every query reads its
+    answers off them; no route keeps a matrix, and a solution family
+    carries the view ``incidence._Matrix``.
     Only a knot projection is solvable for every b, so a link raises
     ``ValueError``.
 
@@ -203,7 +205,8 @@ class _WindingSum:
         alpha = self._tree_pass([1] * len(self.walk))
         e = [-1 if x & 1 else 1 for x in alpha]
         e_alpha = list(map(mul, e, alpha))
-        if any(self.image(e)) or any(self.image(e_alpha)):
+        at = self._at_corner(e)
+        if any(_corner_sums(at)) or any(self.image(e_alpha)):
             self.fail("e or e alpha is outside the kernel")
         d = zlinalg._minor(e, e_alpha, *self.pins)
         if d not in (1, -1):
@@ -211,7 +214,6 @@ class _WindingSum:
         a = alpha[self.pins[1]]
         kernel = (tuple(map(sub, e, map(mul, e_alpha, repeat(a)))),
                   tuple(map(mul, e_alpha, repeat(-a))))
-        at = self._at_corner(e)
         one, two, three = self.corner_alpha1
         sigma = list(map(add, map(add, map(mul, one, at[1::4]),
                                   map(mul, two, at[2::4])),
@@ -236,36 +238,11 @@ class _WindingSum:
         if sigma != self.sigma:
             self.fail("a sign sigma is not the sum at its corners")
 
-    @cached_property
-    def matrix(self) -> zlinalg.Matrix:
-        """``A2`` as a dense tuple, for the solution families: row v counts
-        the corners of each region at v."""
-        region, out = self.region, []
-        for v in range(0, len(region), 4):
-            line = [0] * self.cols
-            for r in region[v:v + 4]:
-                line[r] += 1
-            out.append(tuple(line))
-        return tuple(out)
-
-    def families(self, rhs) -> list[SolutionFamily]:
-        """The solution family of ``A2 u + b = o`` for each b in ``rhs``,
-        its particular zero on the pins.  Every particular's residual is
-        checked to be zero."""
-        rhs = [tuple(b) for b in rhs]
-        n = len(self.sigma)
-        for b in rhs:
-            if len(b) != n:
-                raise ValueError(f"b has length {len(b)}, expected {n}")
-        families = []
-        for b in rhs:
-            w = list(accumulate(map(mul, self.turn, self._at_arrival(
-                list(map(mul, self.sigma, b)))), initial=0))
-            u = tuple(map(mul, self.e, self._tree_pass(w)))
-            if any(map(add, self.image(u), b)):
-                self.fail("particular solution has nonzero residual")
-            families.append(SolutionFamily(self.matrix, b, u, self.kernel))
-        return families
+    def particular(self, b) -> tuple[int, ...]:
+        """The solution of ``A2 u + b = o`` that is zero on the pins."""
+        w = list(accumulate(map(mul, self.turn, self._at_arrival(
+            list(map(mul, self.sigma, b)))), initial=0))
+        return tuple(map(mul, self.e, self._tree_pass(w)))
 
     def add1(self, v: int) -> tuple[int, ...]:
         """The paper's add-1 at v,
@@ -284,12 +261,16 @@ class _WindingSum:
 
     def image(self, u) -> list[int]:
         """``A2 u``, read off the regions at each crossing's corners."""
-        at = self._at_corner(u)
-        return list(map(add, map(add, at[0::4], at[1::4]),
-                        map(add, at[2::4], at[3::4])))
+        return _corner_sums(self._at_corner(u))
 
     def fail(self, what: str) -> NoReturn:
         raise InternalInvariantError(f"{self.stage}, certificate: {what}")
+
+
+def _corner_sums(at) -> list[int]:
+    """Per crossing, the sum of ``at`` over its four corners."""
+    return list(map(add, map(add, at[0::4], at[1::4]),
+                    map(add, at[2::4], at[3::4])))
 
 
 def _pin_pair(diagram: FlatDiagram) -> tuple[int, int]:
@@ -310,7 +291,8 @@ def _pin_pair(diagram: FlatDiagram) -> tuple[int, int]:
 
 def solve(diagram: FlatDiagram, rule: str, b) -> SolutionFamily:
     """All integral assignments u with ``A_rule u + b = o``."""
-    return _certified(diagram, rule).families([b])[0]
+    return zlinalg._families(_certified(diagram, rule),
+                             incidence._Matrix(diagram, rule), [b])[0]
 
 
 def kernel_basis(diagram: FlatDiagram, rule: str):
@@ -351,8 +333,10 @@ def add1_algebraic(diagram: FlatDiagram, rule: str, crossing: int) -> Add1Certif
     """Assignment with unit residual at one crossing, by direct solving."""
     _require_crossing(diagram, crossing)
     n = diagram.crossing_count
-    # families checks A u + b = o, so the residual A u is -b
-    (family,) = _certified(diagram, rule).families([_unit(n, crossing, -1)])
+    # _families checks A u + b = o, so the residual A u is -b
+    (family,) = zlinalg._families(_certified(diagram, rule),
+                                  incidence._Matrix(diagram, rule),
+                                  [_unit(n, crossing, -1)])
     return Add1Certificate(crossing, rule, family.particular, ALGEBRAIC,
                            _unit(n, crossing, 1))
 
@@ -394,7 +378,8 @@ def solve_single_via_double(diagram: FlatDiagram, b):
     b = tuple(b)
     particular = solve(diagram, DOUBLE, b).particular
     f = _certified(diagram, SINGLE)
-    (fix,) = f.families(
+    (fix,) = zlinalg._families(
+        f, incidence._Matrix(diagram, SINGLE),
         [incidence._residual(diagram, SINGLE, particular, b)])
     u = tuple(x + y for x, y in zip(particular, fix.particular))
     if any(map(add, f.image(u), b)):

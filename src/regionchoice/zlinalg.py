@@ -20,7 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import add, itemgetter, mul
 from typing import NoReturn
 
@@ -66,7 +65,8 @@ class E00Decomposition:
 
 @dataclass(frozen=True)
 class SolutionFamily:
-    """All integral solutions of ``A u + b = o``: particular + rank-2 kernel."""
+    """All integral solutions of ``A u + b = o``: particular + rank-2 kernel.
+    A solver's ``matrix`` is a read-only view that builds rows on access."""
 
     matrix: Matrix
     b: Vector
@@ -198,8 +198,25 @@ def solve_pinned(matrix: Matrix, pins: tuple[int, int],
     r1, r2 = pins
     if r1 == r2 or not (0 <= r1 < cols and 0 <= r2 < cols):
         raise ValueError(f"pins must be two distinct columns, got {pins!r}")
-    return _UnitFactorisation(_sparse(matrix), cols, pins,
-                              "pinned solve").families(rhs)
+    return _families(
+        _UnitFactorisation(_sparse(matrix), cols, pins, "pinned solve"),
+        tuple(map(tuple, matrix)), rhs)
+
+
+def _families(route, matrix: Matrix, rhs) -> list[SolutionFamily]:
+    """The solution family of ``A u + b = o`` for each b in ``rhs``, off a
+    solve route for ``A``: its ``particular(b)``, zero on the pins, and its
+    pinned ``kernel``.  Every particular's residual is checked by the
+    route's ``image``."""
+    families = []
+    for b in map(tuple, rhs):
+        if len(b) != len(matrix):
+            raise ValueError(f"b has length {len(b)}, expected {len(matrix)}")
+        u = route.particular(b)
+        if any(map(add, route.image(u), b)):
+            route.fail("particular solution has nonzero residual")
+        families.append(SolutionFamily(matrix, b, u, route.kernel))
+    return families
 
 
 def _shape(matrix: Matrix, error=ValueError) -> tuple[int, int]:
@@ -219,17 +236,6 @@ def _sparse(matrix: Matrix) -> list[dict[int, int]]:
     return [{j: x for j, x in enumerate(row) if x} for row in matrix]
 
 
-def _dense(rows: list[dict[int, int]], cols: int) -> Matrix:
-    """The dense matrix with ``cols`` columns of sparse rows."""
-    out = []
-    for row in rows:
-        line = [0] * cols
-        for j, x in row.items():
-            line[j] = x
-        out.append(tuple(line))
-    return tuple(out)
-
-
 class _UnitFactorisation:
     """An n x (n+2) matrix ``A``, given as sparse rows (as ``_sparse`` makes
     them) and its column count, factored once by ``_factor_unit``, leaving
@@ -240,8 +246,8 @@ class _UnitFactorisation:
     back-substitution are one C-level gather per row, with no Python loop
     over a row's entries.  The compiled ``rows`` and ``pivots`` are the only
     copy kept: the pivot signs the certificate multiplies are the ones the
-    back-substitution reads, and the dense ``matrix``, built on first use,
-    is read off the same gathers.
+    back-substitution reads.  ``particular``, ``kernel``, ``image`` and
+    ``fail`` are the solve route that ``_families`` reads.
 
     One ``_factor_unit`` call makes it: with ``pins`` given those two
     columns are left out of the elimination; with ``pins=None`` the two
@@ -275,24 +281,6 @@ class _UnitFactorisation:
         self.check()
         self.fresh = True
 
-    @cached_property
-    def matrix(self) -> Matrix:
-        """``A`` as a dense tuple, for the solution families, read off the
-        compiled rows: each getter applied to the column numbers gives its
-        columns, and a padded entry's weight 0 comes first, so the entry
-        it pads is written last."""
-        index, out = tuple(range(self.cols)), []
-        for get, w in self.rows:
-            line = [0] * self.cols
-            if w is None:
-                for c in get(index):
-                    line[c] = 1
-            else:
-                for c, x in zip(get(index), w):
-                    line[c] = x
-            out.append(tuple(line))
-        return tuple(out)
-
     def check(self) -> None:
         """The certificate: pivot product +-1, both kernel vectors in the
         kernel, kernel minor 1 on the pins."""
@@ -307,23 +295,9 @@ class _UnitFactorisation:
         if _minor(k1, k2, r1, r2) != 1:
             self.fail("kernel minor on the pins is not 1")
 
-    def families(self, rhs) -> list[SolutionFamily]:
-        """The solution family of ``A u + b = o`` for each b in ``rhs``, its
-        particular zero on the pins and ``A`` the matrix this was built
-        from.  Every particular's residual is checked to be zero."""
-        rhs = [tuple(b) for b in rhs]
-        for b in rhs:
-            if len(b) != len(self.rows):
-                raise ValueError(
-                    f"b has length {len(b)}, expected {len(self.rows)}")
-        families = [SolutionFamily(self.matrix, b,
-                                   tuple(self.solve([-v for v in b])),
-                                   self.kernel)
-                    for b in rhs]
-        for family in families:
-            if any(map(add, self.image(family.particular), family.b)):
-                self.fail("particular solution has nonzero residual")
-        return families
+    def particular(self, b) -> tuple[int, ...]:
+        """The solution of ``A u + b = o`` that is zero on the pins."""
+        return tuple(self.solve([-v for v in b]))
 
     def solve(self, y: list[int], pinned: tuple[int, int] = (0, 0)
               ) -> list[int]:

@@ -1,11 +1,12 @@
 import pytest
 
-from regionchoice.catalog import catalog_entry
+from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (D0, FlatDiagram, _doubled_crossings,
                                   random_diagram, reducible_crossings,
                                   regions)
-from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
-                                    mod2, render_text, residual)
+from regionchoice.incidence import (DOUBLE, SINGLE, _Matrix, apply,
+                                    build_matrix, mod2, render_text,
+                                    residual)
 from test_corners import region_corner_count
 
 TREFOIL = FlatDiagram(((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)))
@@ -118,3 +119,36 @@ def test_build_matrix_equals_corner_counts():
         assert build_matrix(D, DOUBLE).entries == double
         assert build_matrix(D, SINGLE).entries == tuple(
             tuple(min(k, 1) for k in row) for row in double)
+
+
+def test_the_matrix_view_reads_as_the_dense_matrix():
+    diagrams = ([catalog_entry(name).diagram for name in names()]
+                + [random_diagram(s, 3 + s % 40) for s in range(50)])
+    for D in diagrams:
+        for rule in (SINGLE, DOUBLE):
+            view, dense = _Matrix(D, rule), build_matrix(D, rule).entries
+            assert view == dense and dense == view
+            assert not (view != dense or dense != view)
+            assert hash(view) == hash(dense)
+            assert repr(view) == repr(dense)
+            assert len(view) == len(dense)
+            assert list(view) == list(dense)
+            n = len(dense)
+            assert [view[v] for v in range(-n, n)] == [
+                dense[v] for v in range(-n, n)]
+            for v in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    view[v]
+            assert view == _Matrix(D, rule)
+            # a changed entry, a missing row and a list are other matrices
+            changed = dense[:-1] + (dense[-1][:-1] + (dense[-1][-1] + 1,),)
+            for other in (changed, dense[:-1], list(dense)):
+                assert view != other and other != view
+    # the rules differ exactly at the reducible crossings
+    D = random_diagram(7, 20)
+    assert reducible_crossings(D)
+    assert _Matrix(D, SINGLE) != _Matrix(D, DOUBLE)
+    with pytest.raises(TypeError):
+        _Matrix(D, SINGLE)[0:1]
+    with pytest.raises(ValueError):
+        _Matrix(D, "triple")

@@ -451,7 +451,6 @@ def test_compiled_products_equal_the_dict_products(monkeypatch):
         # the compiled data reads back as the dicts it was compiled from
         assert f.ops == ops
         assert [zlinalg._entries(g, cols) for g in f.rows] == rows
-        assert f.matrix == zlinalg._dense(rows, cols)
         assert [(i, j, p, list(zlinalg._entries(g, cols).items()))
                 for i, j, p, g in f.pivots] == [
                     (i, j, p, list(rest.items())) for i, j, p, rest in pivots]

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -438,8 +440,12 @@ def test_no_solver_builds_or_multiplies_a_dense_matrix(monkeypatch, capsys,
     def dense(*args):
         raise AssertionError("a solver built or multiplied a dense matrix")
 
+    # the catalog checks its labelings on the dense matrices when it loads
+    catalog_entry("5_1")
     for name in ("build_matrix", "apply", "residual", "mod2"):
         monkeypatch.setattr(incidence, name, dense)
+    # the families' matrix is a view whose rows no solver reads
+    monkeypatch.setattr(incidence._Matrix, "_row", dense)
     D = random_diagram(6, 14)
     n = D.crossing_count
     b = tuple(range(n))
@@ -456,6 +462,39 @@ def test_no_solver_builds_or_multiplies_a_dense_matrix(monkeypatch, capsys,
     assert main(["solve", "--diagram", "5_1", "--b", "1,0,1,0,0",
                  "--mod2"]) == 0
     assert "PASS residual mod 2 = [0, 0, 0, 0, 0]" in capsys.readouterr().out
+
+
+def test_a_family_is_the_family_of_the_dense_matrix(cold_cache):
+    for D in (D0, catalog_entry("6_3").diagram, random_diagram(7, 20)):
+        b = tuple(range(1, D.crossing_count + 1))
+        for rule in (SINGLE, DOUBLE):
+            family = solve(D, rule, b)
+            dense = zlinalg.SolutionFamily(
+                build_matrix(D, rule).entries, family.b, family.particular,
+                family.kernel)
+            assert family == dense and dense == family
+            assert hash(family) == hash(dense)
+            assert repr(family) == repr(dense)
+
+
+def test_the_route_cache_keeps_no_dense_matrix(cold_cache):
+    # the dense family matrix at n = 741 is about 4.6 MB, and the cache
+    # kept it with its route; a route's own data is a fraction of 1 MB
+    D = random_diagram(5, 500)
+    b = tuple((7 * i) % 19 - 9 for i in range(D.crossing_count))
+    for rule in (SINGLE, DOUBLE):
+        _factored.cache_clear()
+        tracemalloc.start()
+        try:
+            solve(D, rule, b)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+            _factored.cache_clear()
+            gc.collect()
+            kept -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 1_000_000, (rule, kept)
 
 
 def test_single_via_double_builds_each_route_once_then_not_at_all(
@@ -797,6 +836,19 @@ def test_a_sign_that_is_not_a_unit_is_refused(cold_cache):
     with pytest.raises(InternalInvariantError,
                        match="^winding sum, certificate: sigma at v1 is 0, "
                              "not \\+-1$"):
+        solve(D, DOUBLE, (1,) * D.crossing_count)
+
+
+def test_an_e_outside_the_kernel_is_refused_by_its_corner_sums(cold_cache):
+    # with every tree step's sign 0, alpha is 0: e is all ones, whose corner
+    # sums are 4, and e alpha is 0, which lies in the kernel
+    D = random_diagram(4, 10)
+    kernel_basis(D, DOUBLE)
+    f = _factored(D, DOUBLE)
+    f.tree[:] = [(o, r, i, 0) for o, r, i, _ in f.tree]
+    with pytest.raises(InternalInvariantError,
+                       match="^winding sum, certificate: e or e alpha is "
+                             "outside the kernel$"):
         solve(D, DOUBLE, (1,) * D.crossing_count)
 
 

@@ -316,6 +316,16 @@ def test_solve_pinned_trefoil_is_canonical():
     assert fam.kernel == ((0, -1, 0, 1, 0), (1, -2, 1, 0, 1))
 
 
+def test_solve_pinned_families_carry_the_callers_matrix():
+    fams = solve_pinned(TREFOIL, (3, 4), [(1, 0, 0), (0, 2, -1)])
+    for fam in fams:
+        assert fam.matrix == TREFOIL
+        assert all(row is own for row, own in zip(fam.matrix, TREFOIL))
+    (fam,) = solve_pinned([list(row) for row in TREFOIL], (3, 4), [(1, 0, 0)])
+    assert fam == fams[0] and type(fam.matrix) is tuple
+    assert all(type(row) is tuple for row in fam.matrix)
+
+
 def test_solve_pinned_makes_a_unit_pivot_by_euclid_steps():
     # the pinned block [[2, 3], [3, 5]] has det 1 but no +-1 entry
     a = ((2, 3, 1, 0), (3, 5, 0, 1))
