@@ -4,7 +4,10 @@ Exit codes: 0 success, 2 input or validation error, 3 reserved (no
 subcommand returns it), 4 internal invariant violation.  A closed stdout,
 such as a pipe whose reader has gone, ends a command quietly with exit 0.
 ``solve --mod2`` solves the single rule only, and refuses ``--rule double``
-and ``--minimize`` with exit 2.
+and ``--minimize`` with exit 2.  A call that runs out of memory exits 2.
+
+Only the base layer, ``diagram``, is imported here; each command imports
+the layers it runs when it runs, so a call loads nothing else.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import json
 import os
 import sys
 
-from . import incidence, solvers, zlinalg
-from .catalog import CatalogError, catalog_entry, names as catalog_names
 from .diagram import (DiagramError, FlatDiagram, InternalInvariantError,
                       checkerboard, is_knot, parse_flat_pd, random_diagram,
                       regions, to_dot, to_flat_pd)
@@ -34,6 +35,7 @@ def _load_diagram(args) -> FlatDiagram:
     if bool(args.diagram) == bool(args.file):
         raise CliError("give exactly one of --diagram or --file")
     if args.diagram:
+        from .catalog import CatalogError, catalog_entry
         try:
             return catalog_entry(args.diagram).diagram
         except CatalogError as exc:
@@ -79,13 +81,16 @@ def _emit(payload: dict, args) -> None:
 def _matrix(args, diagram: FlatDiagram, rule: str):
     """The diagram's matrix, in the catalog's reference labeling if asked."""
     if not args.reference_labels:
-        return incidence.build_matrix(diagram, rule)
+        from .incidence import build_matrix
+        return build_matrix(diagram, rule)
     if not args.diagram:
         raise CliError("--reference-labels needs --diagram")
+    from .catalog import catalog_entry
     return catalog_entry(args.diagram).matrix(rule)
 
 
 def cmd_matrix(args) -> int:
+    from .incidence import render_text
     diagram = _load_diagram(args)
     matrix = _matrix(args, diagram, args.rule)
     _emit({
@@ -93,7 +98,7 @@ def cmd_matrix(args) -> int:
         "row_labels": list(matrix.row_labels),
         "col_labels": list(matrix.col_labels),
         "entries": [list(r) for r in matrix.entries],
-        "text_lines": incidence.render_text(matrix).splitlines(),
+        "text_lines": render_text(matrix).splitlines(),
     }, args)
     return 0
 
@@ -124,6 +129,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import incidence, solvers, zlinalg
     if args.mod2 and args.rule == incidence.DOUBLE:
         raise CliError("--mod2 supports the single rule only")
     if args.mod2 and args.minimize:
@@ -166,6 +172,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_add1(args) -> int:
+    from . import incidence, solvers
     diagram = _load_diagram(args)
     v = _crossing_index(args.crossing, diagram.crossing_count)
     if args.path == solvers.GEOMETRIC and args.rule == incidence.SINGLE:
@@ -198,17 +205,20 @@ def cmd_random(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    for name in catalog_names():
+    from .catalog import names
+    for name in names():
         print(name)
     return 0
 
 
 def cmd_rref(args) -> int:
+    from .incidence import SINGLE
+    from .zlinalg import rref_rational
     diagram = _load_diagram(args)
     if not is_knot(diagram):
         raise CliError("rref requires a knot projection")
-    matrix = _matrix(args, diagram, incidence.SINGLE)
-    echelon = zlinalg.rref_rational(matrix.entries)
+    matrix = _matrix(args, diagram, SINGLE)
+    echelon = rref_rational(matrix.entries)
     lines = []
     for crow, brow in zip(echelon.coeffs, echelon.b_coeffs):
         left = " ".join(_frac(x) for x in crow)
@@ -328,9 +338,13 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except (CliError, DiagramError, CatalogError, ValueError) as exc:
+    except (CliError, DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_INPUT)
+    except MemoryError:
+        print("error: out of memory: the input is too large for this command",
+              file=sys.stderr)
+        return EXIT_INPUT
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

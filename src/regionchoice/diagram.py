@@ -24,9 +24,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
 
-from .zlinalg import InternalInvariantError
-
 Dart = tuple[int, int]
+
+
+class InternalInvariantError(RuntimeError):
+    """A structural property guaranteed by construction failed to hold."""
 
 
 class DiagramError(ValueError):

@@ -23,12 +23,10 @@ from fractions import Fraction
 from operator import add, itemgetter, mul
 from typing import NoReturn
 
+from .diagram import InternalInvariantError
+
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
-
-
-class InternalInvariantError(RuntimeError):
-    """A structural property guaranteed by construction failed to hold."""
 
 
 class NotE00Error(ValueError):

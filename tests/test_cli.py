@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -128,6 +129,25 @@ def test_catalog_check_exits_4_without_traceback(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("internal error: catalog entry 3_1")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("layer, function, argv", [
+    ("incidence", "build_matrix", ("matrix", "--diagram", "3_1")),
+    ("solvers", "solve", ("solve", "--diagram", "3_1", "--b", "1,0,0")),
+    ("zlinalg", "rref_rational", ("rref", "--diagram", "3_1")),
+], ids=lambda x: x if isinstance(x, str) else x[0])
+def test_out_of_memory_exits_2_without_traceback(capsys, monkeypatch, layer,
+                                                 function, argv):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(importlib.import_module(f"regionchoice.{layer}"),
+                        function, exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: out of memory: the input is too large for this "
+                   "command\n")
 
 
 def test_solve_wrong_b_length(capsys):
@@ -382,3 +402,69 @@ def test_closed_stdout_leaves_no_fd_open(monkeypatch):
             assert main(["catalog"]) == 0
     monkeypatch.undo()
     assert open_fds() == before
+
+
+BASE = {"regionchoice", "regionchoice.cli", "regionchoice.diagram"}
+# the catalog checks its reference labelings on build_matrix when it loads
+CATALOG = {"regionchoice.catalog", "regionchoice.incidence"}
+SOLVERS = {"regionchoice.incidence", "regionchoice.solvers",
+           "regionchoice.zlinalg"}
+LOADED = {
+    ("validate",): set(),
+    ("regions",): set(),
+    ("checkerboard",): set(),
+    ("dot",): set(),
+    ("matrix",): {"regionchoice.incidence"},
+    ("rref",): {"regionchoice.incidence", "regionchoice.zlinalg"},
+    ("solve", "--b", "1,0,0"): SOLVERS,
+    ("solve", "--b", "1,0,1", "--mod2"): SOLVERS,
+    ("add1", "--crossing", "v1"): SOLVERS,
+}
+CHILD = """
+import contextlib, io, json, sys
+from regionchoice.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.partition(".")[0] == "regionchoice")]))
+"""
+
+
+def loaded_by(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", CHILD, *argv],
+                           capture_output=True, text=True, env=env,
+                           timeout=120, check=True)
+    code, modules = json.loads(child.stdout)
+    assert code == 0, child.stderr
+    return set(modules)
+
+
+@pytest.mark.parametrize("source", ["file", "diagram"])
+@pytest.mark.parametrize("command", list(LOADED), ids=" ".join)
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, source, command):
+    if source == "file":
+        path = tmp_path / "d.json"
+        path.write_text(to_flat_pd(catalog.catalog_entry("3_1").diagram))
+        args, extra = ["--file", str(path)], set()
+    else:
+        args, extra = ["--diagram", "3_1"], CATALOG
+    loaded = loaded_by([command[0], *args, *command[1:]])
+    assert loaded == BASE | LOADED[command] | extra
+
+
+# commands that read no diagram, and the reference labeling
+LOADED_WITHOUT_A_SOURCE = {
+    ("random", "--seed", "5", "--moves", "40"): set(),
+    ("catalog",): CATALOG,
+    ("matrix", "--diagram", "3_1", "--reference-labels"): CATALOG,
+    ("rref", "--diagram", "3_1", "--reference-labels"):
+        CATALOG | {"regionchoice.zlinalg"},
+}
+
+
+@pytest.mark.parametrize("argv", list(LOADED_WITHOUT_A_SOURCE), ids=" ".join)
+def test_a_command_without_a_source_or_with_labels_loads_its_layers(argv):
+    assert loaded_by(argv) == BASE | LOADED_WITHOUT_A_SOURCE[argv]
