@@ -12,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from typing import TYPE_CHECKING
 
 from .diagram import FlatDiagram, InternalInvariantError, apply_r1, arcs
-from .incidence import DOUBLE, SINGLE, RegionChoiceMatrix, build_matrix
+
+if TYPE_CHECKING:
+    from .incidence import RegionChoiceMatrix
 
 # reference tables: single-rule matrices, rows v1..vn, columns r1..r_{n+2}
 REFERENCE_SINGLE: dict[str, tuple[tuple[int, ...], ...]] = {
@@ -102,6 +105,7 @@ class CatalogEntry:
 
     def matrix(self, rule: str) -> RegionChoiceMatrix:
         """Region choice matrix in the reference-table labeling."""
+        from .incidence import build_matrix
         return build_matrix(self.diagram, rule).permuted(
             self.row_order, self.col_order)
 
@@ -138,6 +142,7 @@ def _example2_4_diagram() -> FlatDiagram:
     """The three-crossing projection with one kink added into a region
     touching all three crossings; selected as the first kink placement whose
     matrices reproduce the reference tables."""
+    from .incidence import DOUBLE, build_matrix
     base = FlatDiagram(_PD_CODES["3_1"], None)
     target = REFERENCE_DOUBLE["example2_4"]
     for arc in arcs(base):
@@ -156,6 +161,8 @@ def catalog_entry(name: str) -> CatalogEntry:
     if name not in NAMES:
         raise CatalogError(
             f"unknown catalog name {name!r}; choose from {', '.join(NAMES)}")
+    # the labeling check builds matrices; listing the names needs none
+    from .incidence import DOUBLE, SINGLE, build_matrix
     if name == "example2_4":
         diagram = _example2_4_diagram()
     else:

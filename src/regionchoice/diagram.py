@@ -294,7 +294,11 @@ def component_count(diagram: FlatDiagram) -> int:
 
 
 def is_knot(diagram: FlatDiagram) -> bool:
-    return component_count(diagram) == 1
+    """Whether the projection is one closed curve: then the strand from
+    dart 0 runs along all of it, half the darts, and the other half are
+    the same curve walked back."""
+    mate = diagram._mate
+    return 2 * len(_walk(mate, 0, 2)) == len(mate)
 
 
 @lru_cache(maxsize=None)

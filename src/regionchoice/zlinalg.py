@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, mul
@@ -519,60 +520,78 @@ def _pair_basis(kernel, r1: int, r2: int) -> tuple[int, list[int], list[int]]:
 # norm minimization over a solution family
 
 
-def _norm(u: Vector, which: str):
-    if which == "Linf":
-        return max(abs(x) for x in u)
-    return sum(x * x for x in u)
-
-
-def _gauss_reduce(k1: Vector, k2: Vector) -> tuple[Vector, Vector]:
-    """Two-dimensional lattice (Gaussian) reduction under L2."""
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    u, v = list(k1), list(k2)
-    if dot(u, u) > dot(v, v):
-        u, v = v, u
-    while True:
-        m = round(Fraction(dot(u, v), dot(u, u)))
-        v = [b - m * a for a, b in zip(u, v)]
-        if dot(v, v) >= dot(u, u):
-            return tuple(u), tuple(v)
-        u, v = v, u
-
-
 def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
     """The member of the family with the least norm and, among those, the
     lexicographically smallest vector.
 
     The answer depends only on the set of solutions, not on the particular
     solution or the kernel basis that describe it.
+
+    Coordinates that share a kernel column ``(k1[i], k2[i])`` move
+    together, so the search reads one group per distinct column, in the
+    order of its first coordinate: O(n) to group, then O(d) per row.  Their
+    counts and sums of ``u0[i]`` give the Gram matrix, the least-squares
+    point and, with ``|u0|^2``, the L2 norm as a quadratic form; their least
+    and greatest ``u0[i]`` give the Linf norm; and the first group that
+    moves between two members settles a tie.  Only the answer is built as
+    a vector.
     """
     if norm not in ("Linf", "L2"):
         raise ValueError(f"norm must be 'Linf' or 'L2', got {norm!r}")
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
+    u0 = family.particular
+    groups = defaultdict(list)
+    for column, x in zip(zip(*family.kernel), u0):
+        groups[column].append(x)
+    values = list(groups.values())
+    count, total = list(map(len, values)), list(map(sum, values))
+    p, q = [c[0] for c in groups], [c[1] for c in groups]
     # checked before the lattice reduction, which divides by zero on a
     # degenerate basis; the reduction leaves the Gram determinant unchanged
-    k1, k2 = family.kernel
-    if dot(k1, k1) * dot(k2, k2) - dot(k1, k2) ** 2 == 0:
+    g11, g12, g22 = (sum(map(mul, map(mul, x, y), count))
+                     for x, y in ((p, p), (p, q), (q, q)))
+    if g11 * g22 - g12 * g12 == 0:
         raise InternalInvariantError(
             "minimize_in_family: kernel basis is degenerate")
-    k1, k2 = _gauss_reduce(k1, k2)
+    # two-dimensional lattice (Gaussian) reduction under L2, on the Gram
+    # matrix; t1 and t2 write the reduced basis in the given one
+    t1, t2 = (1, 0), (0, 1)
+    if g11 > g22:
+        g11, g22, t1, t2 = g22, g11, t2, t1
+    while True:
+        m = round(Fraction(g12, g11))
+        g12, g22 = g12 - m * g11, g22 - m * (2 * g12 - m * g11)
+        t2 = (t2[0] - m * t1[0], t2[1] - m * t1[1])
+        if g22 >= g11:
+            break
+        g11, g22, t1, t2 = g22, g11, t2, t1
+    p, q = ([s * x + t * y for x, y in groups] for s, t in (t1, t2))
 
     # real least-squares for u0 + a k1 + b k2 = 0
-    u0 = family.particular
-    g11, g12, g22 = dot(k1, k1), dot(k1, k2), dot(k2, k2)
-    r1, r2 = dot(u0, k1), dot(u0, k2)
+    r1, r2 = sum(map(mul, total, p)), sum(map(mul, total, q))
     det = g11 * g22 - g12 * g12
     a0 = Fraction(r2 * g12 - r1 * g22, det)
     b0 = Fraction(r1 * g12 - r2 * g11, det)
+    squares = sum(map(mul, u0, u0))
+    low, high = list(map(min, values)), list(map(max, values))
 
-    def key_at(a: int, b: int):
-        u = tuple(x + a * y + b * z for x, y, z in zip(u0, k1, k2))
-        return (_norm(u, norm), u)
+    def line(a: int):
+        """The norm of the member (a, b) as a function of b, and the window
+        of b under a limit (``_within_l2``, ``_within_linf``)."""
+        if norm == "L2":
+            # |w + b k2|^2 for w = u0 + a k1
+            ww, wk = squares + a * (2 * r1 + a * g11), r2 + a * g12
+            return (lambda b: ww + b * (2 * wk + b * g22),
+                    lambda limit: _within_l2(ww - limit, wk, g22))
+        lo = [x + a * y for x, y in zip(low, p)]
+        hi = [x + a * y for x, y in zip(high, p)]
+        return (lambda b: max(max(x + b * y for x, y in zip(hi, q)),
+                              -min(x + b * y for x, y in zip(lo, q))),
+                lambda limit: _within_linf(lo, hi, q, limit))
+
+    def before(a: int, b: int, c: int, d: int) -> bool:
+        """Whether the member (a, b) is lexicographically before (c, d)."""
+        return next((s < 0 for s in ((a - c) * x + (b - d) * y
+                                     for x, y in zip(p, q)) if s), False)
 
     # Start from the member at the rounded least-squares coefficients and
     # walk the rows a outward, up from start and then down from start - 1.
@@ -583,58 +602,59 @@ def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
     # The members of one row are w + b k2: convex in b under either norm,
     # and lexicographically monotone in b, rising with b when k2's first
     # nonzero entry is positive.  Scanned in lexicographic order, the row's
-    # least key is where its norm stops falling, and only that member is
-    # built and compared with the best.
-    start = round(a0)
-    best = key_at(start, round(b0))
-    rising = next(x for x in k2 if x) > 0
+    # least member is where its norm stops falling, and only that member is
+    # compared with the best.
+    start, b = round(a0), round(b0)
+    best = (line(start)[0](b), start, b)
+    rising = next(y for y in q if y) > 0
     for rows in (itertools.count(start), itertools.count(start - 1, -1)):
         for a in rows:
-            w = [x + a * y for x, y in zip(u0, k1)]
-            window = _coefficients_within(w, k2, best[0], norm)
+            size_at, within = line(a)
+            window = within(best[0])
             if window is None:
                 break
             row = None
             for b in window if rising else reversed(window):
-                size = (max(abs(x + b * y) for x, y in zip(w, k2))
-                        if norm == "Linf"
-                        else sum((x + b * y) ** 2 for x, y in zip(w, k2)))
+                size = size_at(b)
                 if row is not None and size >= row[0]:
                     break
                 row = (size, b)
-            if row is not None and row[0] <= best[0]:
-                best = min(best, key_at(a, row[1]))
-    return best[1]
+            if row is not None and (row[0] < best[0] or row[0] == best[0]
+                                    and before(a, row[1], *best[1:])):
+                best = (row[0], a, row[1])
+    _, a, b = best
+    return family.member(a * t1[0] + b * t2[0], a * t1[1] + b * t2[1])
 
 
-def _coefficients_within(w: list[int], k: Vector, limit: int,
-                         norm: str) -> range | None:
-    """A range of integers b holding every b with norm(w + b k) <= limit,
-    or None when no real b has it; ``k`` is not zero."""
-    if norm == "L2":
-        # |k|^2 b^2 + 2 (w.k) b + |w|^2 - limit <= 0
-        g = sum(x * x for x in k)
-        p = sum(x * y for x, y in zip(w, k))
-        disc = p * p - g * (sum(x * x for x in w) - limit)
-        if disc < 0:
-            return None
-        s = math.isqrt(disc) + 1
-        return range((-p - s) // g, (-p + s) // g + 1)
-    # Each coordinate bounds b to [(-limit - c) / d, (limit - c) / d]; the
-    # rational bounds are kept as (numerator, positive denominator) pairs and
-    # compared exactly by cross-multiplication.
+def _within_l2(c: int, p: int, g: int) -> range | None:
+    """A range of integers b holding every b with g b^2 + 2 p b + c <= 0,
+    or None when no real b has it; ``g`` is positive."""
+    disc = p * p - g * c
+    if disc < 0:
+        return None
+    s = math.isqrt(disc) + 1
+    return range((-p - s) // g, (-p + s) // g + 1)
+
+
+def _within_linf(low, high, k, limit: int) -> range | None:
+    """A range of integers b holding every b with |c + b k[i]| <= limit for
+    every c in [low[i], high[i]] and every i, or None when no real b has
+    it; ``k`` is not zero."""
+    # Each i bounds b to [(-limit - low) / d, (limit - high) / d] for d > 0;
+    # the rational bounds are kept as (numerator, positive denominator)
+    # pairs and compared exactly by cross-multiplication.
     lo = hi = None
-    for c, d in zip(w, k):
+    for c, e, d in zip(low, high, k):
         if d == 0:
-            if abs(c) > limit:
+            if max(e, -c) > limit:
                 return None
             continue
         if d < 0:
-            c, d = -c, -d       # |c + b d| = |-c - b d|
+            c, e, d = -e, -c, -d    # |c + b d| = |-c - b d|
         if lo is None or (-limit - c) * lo[1] > lo[0] * d:
             lo = (-limit - c, d)
-        if hi is None or (limit - c) * hi[1] < hi[0] * d:
-            hi = (limit - c, d)
+        if hi is None or (limit - e) * hi[1] < hi[0] * d:
+            hi = (limit - e, d)
     if lo[0] * hi[1] > hi[0] * lo[1]:
         return None
     return range(-(-lo[0] // lo[1]), hi[0] // hi[1] + 1)

@@ -134,6 +134,8 @@ def test_the_lazy_lookup_keeps_no_copy(monkeypatch):
 KEPT = {
     "solve_pinned": "the one public solve of a caller's own n x (n+2) "
                     "matrix",
+    "component_count": "the public count of closed curves; is_knot asks "
+                       "only whether there is one, by one strand walk",
 }
 
 

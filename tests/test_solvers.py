@@ -21,6 +21,7 @@ from regionchoice.solvers import (PinnedKernelRequest, _factored, _pin_pair,
                                   pinned_kernel, solve, solve_mod2,
                                   solve_single_via_double, verify)
 from splice_oracle import _strand_cut, splice
+from test_zlinalg import _norm
 
 
 def unit(n, v):
@@ -611,6 +612,19 @@ def test_add1_geometric_leaves_the_diagram_caches_alone():
     assert [f.cache_info().currsize for f in caches] == before
 
 
+def test_a_cold_single_rule_solve_counts_no_components(cold_cache):
+    # the knot test walks one strand; the component scan is not asked, so
+    # its unbounded cache keeps no entry per fresh diagram
+    D = random_diagram(23, 30)
+    ones = (1,) * D.crossing_count
+    before = component_count.cache_info()
+    solve(D, SINGLE, ones)
+    solve_mod2(D, ones)
+    after = component_count.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits, before.misses, before.currsize)
+
+
 def test_pinned_kernel_matches_the_per_arc_solve():
     diagrams = ([catalog_entry(name).diagram for name in names()]
                 + [random_diagram(s, 4 + 2 * s) for s in range(8)])
@@ -704,7 +718,7 @@ def test_relabeling_permutes_the_solution_set(seed, moves, rule, shuffle):
     for norm in ("Linf", "L2"):
         old = zlinalg.minimize_in_family(solve(D, rule, b), norm)
         new = zlinalg.minimize_in_family(solve(moved, rule, b_moved), norm)
-        assert zlinalg._norm(old, norm) == zlinalg._norm(new, norm)
+        assert _norm(old, norm) == _norm(new, norm)
         mapped = [0] * m
         for r, x in enumerate(old):
             mapped[sigma[r]] = x

@@ -17,7 +17,8 @@ import random
 import pytest
 
 from regionchoice.catalog import catalog_entry, names
-from regionchoice.diagram import (FlatDiagram, component_count,
+from regionchoice.diagram import (DiagramError, FlatDiagram, apply_r1,
+                                  apply_r2, component_count, is_knot,
                                   random_diagram, regions)
 from regionchoice.incidence import (DOUBLE, SINGLE, _residual, _rows,
                                     build_matrix, mod2, residual)
@@ -179,3 +180,32 @@ def test_component_count_equals_the_strand_orbits():
         assert component_count(D) == len(
             tuple_orbits(tuple_mates(D.crossings), 2)) // 2
     assert [component_count(D) for D in LINKS] == [2, 2]
+
+
+def grown_links(count):
+    """Two-component diagrams grown from the Hopf diagram by random R1 and
+    R2 moves, which keep the component count."""
+    rng = random.Random(41)
+    grown = []
+    for _ in range(count):
+        D = LINKS[0]
+        for _ in range(rng.randint(1, 12)):
+            labels = range(1, D.arc_count + 1)
+            if rng.random() < 0.5:
+                D = apply_r1(D, rng.choice(labels),
+                             rng.choice(("left", "right")))
+            else:
+                try:
+                    D = apply_r2(D, *rng.sample(labels, 2))
+                except DiagramError:    # the two arcs share no region
+                    pass
+        grown.append(D)
+    return grown
+
+
+def test_is_knot_is_one_component():
+    links = LINKS + grown_links(60)
+    assert max(D.crossing_count for D in links) > 12
+    for D in KNOTS + links:
+        assert is_knot(D) == (component_count(D) == 1)
+    assert all(map(is_knot, KNOTS)) and not any(map(is_knot, links))

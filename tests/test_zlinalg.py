@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -5,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from regionchoice.catalog import catalog_entry, names
+from regionchoice.diagram import random_diagram
+from regionchoice.incidence import DOUBLE, SINGLE
+from regionchoice.solvers import solve
 from regionchoice.zlinalg import (EchelonForm, InternalInvariantError,
-                                  NotE00Error, SolutionFamily,
-                                  _coefficients_within, _gauss_reduce, _norm,
+                                  NotE00Error, SolutionFamily, Vector,
                                   _solve_gf2, minimize_in_family,
                                   reduce_to_e00, replay, rref_rational,
                                   solve_pinned)
@@ -145,6 +149,130 @@ def test_minimize_improves_or_matches():
                                           for a, c in window))
 
 
+# ---------------------------------------------------------------------------
+# the row walk on full vectors, which minimize_in_family ran before it read
+# one group per distinct kernel column; kept as the oracle for that walk
+
+
+def _norm(u: Vector, which: str):
+    if which == "Linf":
+        return max(abs(x) for x in u)
+    return sum(x * x for x in u)
+
+
+def _gauss_reduce(k1: Vector, k2: Vector) -> tuple[Vector, Vector]:
+    """Two-dimensional lattice (Gaussian) reduction under L2."""
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    u, v = list(k1), list(k2)
+    if dot(u, u) > dot(v, v):
+        u, v = v, u
+    while True:
+        m = round(Fraction(dot(u, v), dot(u, u)))
+        v = [b - m * a for a, b in zip(u, v)]
+        if dot(v, v) >= dot(u, u):
+            return tuple(u), tuple(v)
+        u, v = v, u
+
+
+def minimize_by_rows(family: SolutionFamily, norm: str = "Linf") -> Vector:
+    """The member of the family with the least norm and, among those, the
+    lexicographically smallest vector: the walk over the rows a of the
+    reduced basis, every member built as a vector of all n + 2 coordinates.
+    """
+    if norm not in ("Linf", "L2"):
+        raise ValueError(f"norm must be 'Linf' or 'L2', got {norm!r}")
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    # checked before the lattice reduction, which divides by zero on a
+    # degenerate basis; the reduction leaves the Gram determinant unchanged
+    k1, k2 = family.kernel
+    if dot(k1, k1) * dot(k2, k2) - dot(k1, k2) ** 2 == 0:
+        raise InternalInvariantError(
+            "minimize_in_family: kernel basis is degenerate")
+    k1, k2 = _gauss_reduce(k1, k2)
+
+    # real least-squares for u0 + a k1 + b k2 = 0
+    u0 = family.particular
+    g11, g12, g22 = dot(k1, k1), dot(k1, k2), dot(k2, k2)
+    r1, r2 = dot(u0, k1), dot(u0, k2)
+    det = g11 * g22 - g12 * g12
+    a0 = Fraction(r2 * g12 - r1 * g22, det)
+    b0 = Fraction(r1 * g12 - r2 * g11, det)
+
+    def key_at(a: int, b: int):
+        u = tuple(x + a * y + b * z for x, y, z in zip(u0, k1, k2))
+        return (_norm(u, norm), u)
+
+    # Start from the member at the rounded least-squares coefficients and
+    # walk the rows a outward, up from start and then down from start - 1.
+    # The rows holding a real member no larger than the best are an
+    # interval (the projection of a convex set) around the best's row, which
+    # lies behind the walk; so each direction stops at its first row with no
+    # such member, and the best only shrinking keeps that stop exact.
+    # The members of one row are w + b k2: convex in b under either norm,
+    # and lexicographically monotone in b, rising with b when k2's first
+    # nonzero entry is positive.  Scanned in lexicographic order, the row's
+    # least key is where its norm stops falling, and only that member is
+    # built and compared with the best.
+    start = round(a0)
+    best = key_at(start, round(b0))
+    rising = next(x for x in k2 if x) > 0
+    for rows in (itertools.count(start), itertools.count(start - 1, -1)):
+        for a in rows:
+            w = [x + a * y for x, y in zip(u0, k1)]
+            window = _coefficients_within(w, k2, best[0], norm)
+            if window is None:
+                break
+            row = None
+            for b in window if rising else reversed(window):
+                size = (max(abs(x + b * y) for x, y in zip(w, k2))
+                        if norm == "Linf"
+                        else sum((x + b * y) ** 2 for x, y in zip(w, k2)))
+                if row is not None and size >= row[0]:
+                    break
+                row = (size, b)
+            if row is not None and row[0] <= best[0]:
+                best = min(best, key_at(a, row[1]))
+    return best[1]
+
+
+def _coefficients_within(w: list[int], k: Vector, limit: int,
+                         norm: str) -> range | None:
+    """A range of integers b holding every b with norm(w + b k) <= limit,
+    or None when no real b has it; ``k`` is not zero."""
+    if norm == "L2":
+        # |k|^2 b^2 + 2 (w.k) b + |w|^2 - limit <= 0
+        g = sum(x * x for x in k)
+        p = sum(x * y for x, y in zip(w, k))
+        disc = p * p - g * (sum(x * x for x in w) - limit)
+        if disc < 0:
+            return None
+        s = math.isqrt(disc) + 1
+        return range((-p - s) // g, (-p + s) // g + 1)
+    # Each coordinate bounds b to [(-limit - c) / d, (limit - c) / d]; the
+    # rational bounds are kept as (numerator, positive denominator) pairs and
+    # compared exactly by cross-multiplication.
+    lo = hi = None
+    for c, d in zip(w, k):
+        if d == 0:
+            if abs(c) > limit:
+                return None
+            continue
+        if d < 0:
+            c, d = -c, -d       # |c + b d| = |-c - b d|
+        if lo is None or (-limit - c) * lo[1] > lo[0] * d:
+            lo = (-limit - c, d)
+        if hi is None or (limit - c) * hi[1] < hi[0] * d:
+            hi = (limit - c, d)
+    if lo[0] * hi[1] > hi[0] * lo[1]:
+        return None
+    return range(-(-lo[0] // lo[1]), hi[0] // hi[1] + 1)
+
+
 def _integer_window(w, k, limit, norm):
     """A range of integers b holding every b with norm(w + b k) <= limit."""
     if norm == "L2":
@@ -221,6 +349,92 @@ def test_minimize_matches_the_full_ellipse_scan():
         for norm in ("Linf", "L2"):
             assert minimize_in_family(fam, norm) == _ellipse_scan(fam, norm)
         checked += 1
+
+
+def assert_as_the_row_walk(family):
+    for norm in ("Linf", "L2"):
+        assert (minimize_in_family(family, norm)
+                == minimize_by_rows(family, norm)), norm
+
+
+def distinct_columns(family):
+    return len(set(zip(*family.kernel)))
+
+
+def test_grouped_walk_matches_the_row_walk_on_the_catalog():
+    rng = random.Random(5)
+    for name in names():
+        D = catalog_entry(name).diagram
+        for rule in (SINGLE, DOUBLE):
+            for _ in range(20):
+                b = [rng.randint(-20, 20) for _ in range(D.crossing_count)]
+                assert_as_the_row_walk(solve(D, rule, b))
+
+
+def test_grouped_walk_matches_the_row_walk_on_random_diagrams():
+    repeated = 0
+    for s in range(300):
+        D = random_diagram(s, 3 + s % 40)
+        rng = random.Random(s)
+        b = tuple(rng.randint(-9, 9) for _ in range(D.crossing_count))
+        for rule in (SINGLE, DOUBLE):
+            family = solve(D, rule, b)
+            assert_as_the_row_walk(family)
+            repeated += distinct_columns(family) < D.region_count
+    assert repeated == 600
+
+
+@pytest.mark.parametrize("seed, moves, n", [(5, 500, 741), (9, 2000, 3021)])
+def test_grouped_walk_matches_the_row_walk_at_large_n(seed, moves, n):
+    D = random_diagram(seed, moves)
+    assert D.crossing_count == n
+    b = tuple((7 * i) % 19 - 9 for i in range(n))
+    family = solve(D, SINGLE, b)
+    assert distinct_columns(family) <= 20
+    assert_as_the_row_walk(family)
+
+
+def unit_families(rng, count, zero_columns=False):
+    """Families whose kernel entries lie in {-1, 0, 1}, so columns repeat
+    and norms tie; with ``zero_columns``, some coordinates have the kernel
+    column (0, 0) and never move."""
+    families = []
+    while len(families) < count:
+        n = rng.randint(2, 20)
+        k1 = [rng.randint(-1, 1) for _ in range(n)]
+        k2 = [rng.randint(-1, 1) for _ in range(n)]
+        if zero_columns:
+            for i in rng.sample(range(n), rng.randint(1, n - 1)):
+                k1[i] = k2[i] = 0
+        if (sum(x * x for x in k1) * sum(y * y for y in k2)
+                == sum(x * y for x, y in zip(k1, k2)) ** 2):
+            continue
+        u0 = tuple(rng.randint(-4, 4) for _ in range(n))
+        families.append(SolutionFamily((), (), u0, (tuple(k1), tuple(k2))))
+    return families
+
+
+def least_members(family, norm):
+    """How many members near the answer share its norm."""
+    best = minimize_by_rows(family, norm)
+    around = SolutionFamily((), (), best, family.kernel)
+    return len({u for u in (around.member(a, c) for a in range(-3, 4)
+                            for c in range(-3, 4))
+                if _norm(u, norm) == _norm(best, norm)})
+
+
+@pytest.mark.parametrize("zero_columns", [False, True])
+def test_grouped_walk_matches_the_row_walk_on_unit_kernels(zero_columns):
+    rng = random.Random(61 + zero_columns)
+    families = unit_families(rng, 800, zero_columns)
+    for family in families:
+        assert_as_the_row_walk(family)
+    assert sum(distinct_columns(f) < len(f.particular) for f in families) > 600
+    ties = sum(least_members(f, norm) > 1
+               for f in families[:200] for norm in ("Linf", "L2"))
+    assert ties > 100
+    if zero_columns:
+        assert all((0, 0) in set(zip(*f.kernel)) for f in families)
 
 
 def test_window_is_none_exactly_when_no_real_coefficient_qualifies():
