@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index, itemgetter
+from operator import index, itemgetter, mul, ne
 
 from .diagram import FlatDiagram, regions
 
@@ -46,22 +46,6 @@ def build_matrix(diagram: FlatDiagram, rule: str) -> RegionChoiceMatrix:
         tuple(f"r{reg.index + 1}" for reg in regions(diagram)))
 
 
-def _rows(diagram: FlatDiagram, rule: str) -> list[dict[int, int]]:
-    """The matrix as sparse rows: per crossing, ``{region: entry}`` over the
-    regions touching it, in increasing region order.  One step per corner,
-    read off the diagram's faces: a corner at crossing v puts its region in
-    row v, once under the single rule and once per corner under the double
-    rule.  The single rule's engine factors these."""
-    if rule not in (SINGLE, DOUBLE):
-        raise ValueError(f"unknown rule {rule!r}")
-    rows: list[dict[int, int]] = [{} for _ in diagram.crossings]
-    for j, face in enumerate(diagram._faces):
-        for d in face:
-            row = rows[d >> 2]
-            row[j] = 1 if rule == SINGLE else row.get(j, 0) + 1
-    return rows
-
-
 def apply(matrix: RegionChoiceMatrix, u) -> tuple[int, ...]:
     """Exact integer matrix-vector product."""
     _require_length(u, matrix.shape[1], "assignment")
@@ -78,17 +62,22 @@ def _residual(diagram: FlatDiagram, rule: str, u, b) -> tuple[int, ...]:
     """``M u + b`` for the rule's matrix of the diagram, with the length
     checks of ``residual``, read off the regions at the corners: row v
     holds ``diagram._region[4 v .. 4 v + 3]``, each corner once under the
-    double rule and each region once under the single rule."""
+    double rule and each region once under the single rule.  It reads the
+    corner table afresh and shares nothing with a solve route, so that
+    ``solvers.verify`` checks a route from outside."""
     if rule not in (SINGLE, DOUBLE):
         raise ValueError(f"unknown rule {rule!r}")
     _require_length(b, diagram.crossing_count, "point vector")
     _require_length(u, diagram.region_count, "assignment")
     region = diagram._region
-    if rule == SINGLE:
-        return tuple(sum([u[r] for r in set(region[d:d + 4])]) + y
-                     for d, y in zip(range(0, len(region), 4), b))
     at = itemgetter(*region)(u)
-    return tuple(map(sum, zip(at[0::4], at[1::4], at[2::4], at[3::4], b)))
+    a0, a1, a2, a3 = at[0::4], at[1::4], at[2::4], at[3::4]
+    if rule == SINGLE:
+        # a region at two corners of a crossing is at opposite ones; the
+        # second of them is dropped
+        a2 = map(mul, a2, map(ne, region[2::4], region[0::4]))
+        a3 = map(mul, a3, map(ne, region[3::4], region[1::4]))
+    return tuple(map(sum, zip(a0, a1, a2, a3, b)))
 
 
 class _Matrix:

@@ -4,25 +4,28 @@ These couple the diagram geometry to the integer algebra.  Solvability for
 every integral point vector is a theorem for valid knot projections: deleting
 the two side columns of an arc leaves a unimodular matrix.  The two rules
 take two routes, each built once per diagram and kept for the queries that
-follow.  The double rule is the paper's add-1 construction, summed: one
-running sum over the strand and one pass down a spanning tree of the
-regions, with no elimination.  The single rule's matrix is factored by the
-engine of ``zlinalg``.  Every call checks the route's certificate, and a
-failure of either is reported as an internal invariant violation rather
-than an input error.
+follow, and neither eliminates.  The double rule is the paper's add-1
+construction, summed: one running sum over the strand and one pass down a
+spanning tree of the regions.  The single rule is that sum corrected at the
+loops of the reducible crossings, where a region with two corners at a
+crossing counts once: one more pass over the loops, in the order in which
+they nest.  Every call checks the route's certificate, which bounds the
+pinned matrix's determinant to +-1 under either rule (README,
+"Certificates"), and a failure of either is reported as an internal
+invariant violation rather than an input error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import add, itemgetter, mul, sub
+from itertools import accumulate, compress, repeat
+from operator import add, itemgetter, mul, ne, sub
 from typing import NoReturn
 
 from . import incidence, zlinalg
-from .diagram import (FlatDiagram, InternalInvariantError, _require_crossing,
-                      _walk, arc_by_label, arcs, is_knot)
+from .diagram import (FlatDiagram, InternalInvariantError, _doubled_crossings,
+                      _require_crossing, _walk, arc_by_label, arcs, is_knot)
 from .incidence import DOUBLE, SINGLE
 from .zlinalg import SolutionFamily
 
@@ -68,15 +71,16 @@ _KNOT_ONLY = "the region choice solve requires a knot projection"
 def _factored(diagram: FlatDiagram, rule: str):
     """The solve route for the rule's matrix, pinned on
     ``_pin_pair(diagram)``, for the last few (diagram, rule) pairs asked.
-    The double rule needs no elimination: its route is the paper's add-1
-    construction, summed (``_WindingSum``).  The single rule uses the
-    engine: one factorisation, which keeps the rows it was built from,
-    compiled into gathers.  Both offer ``particular``, ``kernel``,
+    Neither rule needs an elimination.  The double rule's route is the
+    paper's add-1 construction, summed (``_WindingSum``).  The single
+    rule's is that winding sum, cached under the double rule and certified
+    in this call, corrected at the loops of the reducible crossings
+    (``_LoopCorrection``).  Both offer ``particular``, ``kernel``,
     ``image``, ``check``, ``fail`` and ``fresh``, and every query reads its
     answers off them; no route keeps a matrix, and a solution family
     carries the view ``incidence._Matrix``.
     Only a knot projection is solvable for every b, so a link raises
-    ``ValueError``.
+    ``ValueError``, as does a rule that is neither.
 
     The bound is set by the traffic: a sweep over one diagram needs 2
     entries, and 8 keep 3 interleaved diagrams under both rules.  Keeping
@@ -85,11 +89,9 @@ def _factored(diagram: FlatDiagram, rule: str):
     """
     if rule == DOUBLE:
         return _WindingSum(diagram)
-    if not is_knot(diagram):
-        raise ValueError(_KNOT_ONLY)
-    return zlinalg._UnitFactorisation(
-        incidence._rows(diagram, rule), diagram.region_count,
-        _pin_pair(diagram), "pinned solve")
+    if rule == SINGLE:
+        return _LoopCorrection(diagram, _certified(diagram, DOUBLE))
+    raise ValueError(f"unknown rule {rule!r}")
 
 
 def _certified(diagram: FlatDiagram, rule: str):
@@ -128,8 +130,10 @@ class _WindingSum:
     both: multiples of ``e`` and ``e alpha`` are all that is dropped.
 
     Construction checks the certificate (``check``), and every later call
-    checks it again.  Each answer's residual is checked from the corner
-    table.  ``stage`` names the route in every ``InternalInvariantError``.
+    checks it again; the single rule's route, which reads this one, checks
+    its rank certificate (``check_rank``).  Each answer's residual is
+    checked from the corner table.  ``stage`` names the route in every
+    ``InternalInvariantError``.
     """
 
     stage = "winding sum"
@@ -201,12 +205,12 @@ class _WindingSum:
         first pin and ``a = +-1`` on the second, so the kernel vectors that
         are (1, 0) and (0, 1) on the pins are ``e - a e alpha`` and
         ``-a e alpha``.  ``e`` and ``e alpha`` are checked to be in the
-        kernel and every ``sigma[v]`` to be +-1."""
+        kernel, and ``sigma`` by ``_signs``."""
         alpha = self._tree_pass([1] * len(self.walk))
         e = [-1 if x & 1 else 1 for x in alpha]
         e_alpha = list(map(mul, e, alpha))
-        at = self._at_corner(e)
-        if any(_corner_sums(at)) or any(self.image(e_alpha)):
+        a0 = self._alternating(e)
+        if any(self.image(e_alpha)):
             self.fail("e or e alpha is outside the kernel")
         d = zlinalg._minor(e, e_alpha, *self.pins)
         if d not in (1, -1):
@@ -214,20 +218,48 @@ class _WindingSum:
         a = alpha[self.pins[1]]
         kernel = (tuple(map(sub, e, map(mul, e_alpha, repeat(a)))),
                   tuple(map(mul, e_alpha, repeat(-a))))
+        return e, kernel, self._signs(a0)
+
+    def _alternating(self, e) -> list[int]:
+        """``e`` at each crossing's corner 0, checked to alternate around
+        every crossing: equal at opposite corners, and so in the kernel
+        when it sums to 0 there."""
+        at = self._at_corner(e)
+        a0, a1 = at[0::4], at[1::4]
+        if a0 != at[2::4] or a1 != at[3::4]:
+            self.fail("e does not alternate around a crossing")
+        if any(map(add, a0, a1)):
+            self.fail("e or e alpha is outside the kernel")
+        return a0
+
+    def _signs(self, a0) -> list[int]:
+        """``sigma``, read off ``e`` at each crossing's corner 0 (``a0``),
+        where ``e`` alternates: the sum of ``e alpha1[v]`` over v's corners,
+        checked to be +-1.  ``alpha1[v]`` less its value at corner 0 is
+        ``corner_alpha1`` at corners 1, 2, 3, where ``e`` reads ``-a0``,
+        ``a0``, ``-a0``."""
         one, two, three = self.corner_alpha1
-        sigma = list(map(add, map(add, map(mul, one, at[1::4]),
-                                  map(mul, two, at[2::4])),
-                         map(mul, three, at[3::4])))
+        sigma = list(map(mul, a0, map(sub, two, map(add, one, three))))
         if not set(sigma) <= {1, -1}:
             v = next(v for v, s in enumerate(sigma) if s not in (1, -1))
             self.fail(f"sigma at v{v + 1} is {sigma[v]}, not +-1")
-        return e, kernel, sigma
+        return sigma
+
+    def check_rank(self) -> None:
+        """The rank certificate, O(n): ``e`` alternates around every
+        crossing, and every ``sigma[v]`` is the sum at v's corners and is
+        +-1.  With the parse's count of ``n + 2`` faces, they give
+        determinant +-1 for ``A2`` with the pin columns deleted (README,
+        "Certificates")."""
+        if self._signs(self._alternating(self.e)) != self.sigma:
+            self.fail("a sign sigma is not the sum at its corners")
 
     def check(self) -> None:
         """The certificate: ``e`` and ``e alpha``, summed down the tree
         again, lie in the kernel; the kernel is their pinned basis, with
-        minor 1 on the pins; every ``sigma[v]`` is the sum at v's corners,
-        and is +-1."""
+        minor 1 on the pins; ``e`` alternates around every crossing and
+        every ``sigma[v]`` is the sum at v's corners, and is +-1, the rank
+        certificate of ``check_rank``."""
         e, kernel, sigma = self._derived()
         if e != self.e:
             self.fail("e is not (-1)^alpha")
@@ -240,9 +272,14 @@ class _WindingSum:
 
     def particular(self, b) -> tuple[int, ...]:
         """The solution of ``A2 u + b = o`` that is zero on the pins."""
-        w = list(accumulate(map(mul, self.turn, self._at_arrival(
-            list(map(mul, self.sigma, b)))), initial=0))
-        return tuple(map(mul, self.e, self._tree_pass(w)))
+        return tuple(map(mul, self.e, self.sum(b)))
+
+    def sum(self, b) -> list[int]:
+        """The particular before its signs ``e``: the running sum of
+        ``sigma b`` taken down the tree."""
+        return self._tree_pass(list(accumulate(map(
+            mul, self.turn, self._at_arrival(list(map(mul, self.sigma, b)))),
+            initial=0)))
 
     def add1(self, v: int) -> tuple[int, ...]:
         """The paper's add-1 at v,
@@ -261,16 +298,160 @@ class _WindingSum:
 
     def image(self, u) -> list[int]:
         """``A2 u``, read off the regions at each crossing's corners."""
-        return _corner_sums(self._at_corner(u))
+        at = self._at_corner(u)
+        return list(map(add, map(add, at[0::4], at[1::4]),
+                        map(add, at[2::4], at[3::4])))
 
     def fail(self, what: str) -> NoReturn:
         raise InternalInvariantError(f"{self.stage}, certificate: {what}")
 
 
-def _corner_sums(at) -> list[int]:
-    """Per crossing, the sum of ``at`` over its four corners."""
-    return list(map(add, map(add, at[0::4], at[1::4]),
-                    map(add, at[2::4], at[3::4])))
+class _LoopCorrection:
+    """The single rule's solution families: the double rule's winding sum,
+    corrected at the loops of the reducible crossings, with no elimination
+    (README, "Layout").
+
+    A region with two corners at crossing ``v`` counts once under the
+    single rule, so ``A1 = A2 - U V^T``, with a unit column ``e_v`` of U and
+    ``e_R`` of V for each such pair ``(v, R)`` (``pairs``).  With ``S2`` the
+    winding sum's particular, the pinned solution of ``A1 u + b = o`` is
+    ``u = S2(b - U y)`` with ``y = V^T u``: the winding sum with a weight
+    ``sigma[v] y`` taken off the loop of each pair's crossing.  A pair on a
+    pin has ``y = 0``.
+
+    The loop of ``v`` is the strand between its two arrivals, the positions
+    ``(lo, hi]`` counted from ``start``, on which the running sum has the
+    sign ``tau``.  No other crossing is met on it just once, so the loops
+    nest, and ``S2(e_v)`` is 0 on every region outside v's loop.  So ``y``
+    at a loop needs ``y`` only at the loops around it, and in order of
+    ``lo`` (the tree order) ``I + W`` is unitriangular: one pass over the
+    loops fixes every ``y`` before a loop inside needs it.  The tree path
+    into a region enters its innermost loop ``h`` (``home``) through h's
+    region and stays inside, so the region's correction is
+    ``base[h] + acc[h] alpha``, where ``acc[h]`` sums the weights of h and
+    the loops around it and ``alpha`` is the tree's sum of unit weights.
+
+    Construction reads the pairs off the corner table and checks that the
+    loops nest and that no crossing's two arrivals straddle a loop.  Every
+    call checks the winding sum's rank certificate, the loops' tree order
+    and the kernel (``check``); each answer's residual is checked.
+    ``stage`` names the route in every ``InternalInvariantError``.
+    """
+
+    stage = "loop correction"
+
+    def __init__(self, diagram: FlatDiagram, double: _WindingSum) -> None:
+        self.double, self.pins = double, double.pins
+        self.pairs = [(v, r) for r, twice in enumerate(
+            _doubled_crossings(diagram)) for v in twice]
+        p, q, k, size = double.p, double.q, double.start, len(double.walk)
+        ends = []
+        for v, r in self.pairs:
+            lo, hi = (p[v] - k) % size, (q[v] - k) % size
+            ends.append((lo, hi, 1, v, r) if lo < hi else (hi, lo, -1, v, r))
+        ends.sort()
+        # each position's innermost loop, -1 for none, and each loop's
+        # parent, from one sweep over the loops' ends
+        inner, stack, parent, at = [-1] * size, [-1], [], 0
+        for t, j in sorted([(lo, j) for j, (lo, *_) in enumerate(ends)]
+                           + [(hi, ~j) for j, (_, hi, *_) in enumerate(ends)]):
+            inner[at:t + 1] = [stack[-1]] * (t + 1 - at)
+            at = t + 1
+            if j >= 0:
+                parent.append(stack[-1])
+                stack.append(j)
+            elif stack.pop() != ~j:
+                self.fail("two loops interleave")
+        inner[at:] = [-1] * (size - at)
+        # a crossing whose arrivals lie in different innermost loops is met
+        # once on a loop, unless it is the loop's own crossing
+        n = len(p)
+        moved = [(x - k) % size for x in p + q]
+        split = compress(range(n), map(ne, map(inner.__getitem__, moved[:n]),
+                                       map(inner.__getitem__, moved[n:])))
+        if set(split) != {v for v, _ in self.pairs}:
+            self.fail("a crossing is met once on a loop")
+        self.loops = [(v, r, up, tau * double.sigma[v])
+                      for (_, _, tau, v, r), up in zip(ends, parent)]
+        self.home = home = [-1] * len(diagram._faces)
+        for o, _, i, _ in double.tree:
+            home[o] = inner[i]
+        self.inside = [(r, h) for r, h in enumerate(home) if h >= 0]
+        self.alpha = double._tree_pass([1] * size)
+        # A1 k = -U V^T k for k in the double rule's kernel: the loops'
+        # weights -tau sigma k[R] alone take it back to 0
+        self.kernel = tuple(
+            tuple(map(add, x, map(mul, double.e, self._sum([0] * len(home), [
+                -c * x[r] for _, r, _, c in self.loops]))))
+            for x in double.kernel)
+        self._check()
+        self.fresh = True
+
+    def check(self) -> None:
+        """The certificate: the winding sum's rank certificate, then the
+        route's own."""
+        self.double.check_rank()
+        self._check()
+
+    def _check(self) -> None:
+        """The loops are the pairs, in tree order: ``lo`` increasing, each
+        loop inside its parent and the home loop of its region before it,
+        O(m); the kernel lies in the kernel, with minor 1 on the pins."""
+        pairs, home = set(self.pairs), self.home
+        d = self.double
+        p, q, k, size = d.p, d.q, d.start, len(d.walk)
+        stack, last = [(-1, size)], -1
+        for j, (v, r, up, _) in enumerate(self.loops):
+            lo, hi = (p[v] - k) % size, (q[v] - k) % size
+            if hi < lo:
+                lo, hi = hi, lo
+            while stack[-1][1] < lo:
+                stack.pop()
+            if (lo <= last or hi > stack[-1][1] or up != stack[-1][0]
+                    or home[r] >= j or (v, r) not in pairs):
+                self.fail(f"the loop of v{v + 1} is out of tree order")
+            stack.append((j, hi))
+            last = lo
+        if len(self.loops) != len(pairs):
+            self.fail("the loops are not the pairs")
+        k1, k2 = self.kernel
+        if any(self.image(k1)) or any(self.image(k2)):
+            self.fail("kernel vector outside the kernel")
+        if zlinalg._minor(k1, k2, *self.pins) != 1:
+            self.fail("kernel minor on the pins is not 1")
+
+    def _sum(self, total: list[int], weights) -> list[int]:
+        """``total``, a sum down the tree per region, with the loops' sum
+        added: ``weights[j]`` on loop ``j``, less ``tau sigma y`` with
+        ``y = e (total + the loops' sum)`` at each loop's region, fixed loop
+        by loop in tree order."""
+        e, alpha, home = self.double.e, self.alpha, self.home
+        acc = [0] * (len(self.loops) + 1)   # the last entry is no loop's
+        base = acc[:]
+        for j, ((_, r, up, c), w) in enumerate(zip(self.loops, weights)):
+            h, a = home[r], alpha[r]
+            s = base[h] + acc[h] * a        # the loops' sum at r
+            acc[j] = x = acc[up] + w - c * e[r] * (total[r] + s)
+            base[j] = s - x * a
+        for r, h in self.inside:
+            total[r] += base[h] + acc[h] * alpha[r]
+        return total
+
+    def particular(self, b) -> tuple[int, ...]:
+        """The solution of ``A1 u + b = o`` that is zero on the pins."""
+        return tuple(map(mul, self.double.e, self._sum(
+            self.double.sum(b), repeat(0))))
+
+    def image(self, u) -> list[int]:
+        """``A1 u``: the double rule's corner sums, less ``u[R]`` at v for
+        each pair ``(v, R)``."""
+        out = self.double.image(u)
+        for v, r in self.pairs:
+            out[v] -= u[r]
+        return out
+
+    def fail(self, what: str) -> NoReturn:
+        raise InternalInvariantError(f"{self.stage}, certificate: {what}")
 
 
 def _pin_pair(diagram: FlatDiagram) -> tuple[int, int]:
@@ -367,25 +548,14 @@ def add1_geometric(diagram: FlatDiagram, crossing: int) -> Add1Certificate:
 
 
 def solve_single_via_double(diagram: FlatDiagram, b):
-    """Single-rule solution built from a double-rule one plus add-1 fixes.
-
-    The double-rule particular ``p`` overshoots at each (necessarily
-    reducible) crossing by the values of the regions with two corners
-    there, so ``A1 p + b = (A1 - A2) p`` is minus the overshoot.  The
-    canonical single-rule particular is linear in the right-hand side, so
-    the sum of the add-1 fixes is the one particular for ``A1 p + b``.
-    """
-    b = tuple(b)
-    particular = solve(diagram, DOUBLE, b).particular
-    f = _certified(diagram, SINGLE)
-    (fix,) = zlinalg._families(
-        f, incidence._Matrix(diagram, SINGLE),
-        [incidence._residual(diagram, SINGLE, particular, b)])
-    u = tuple(x + y for x, y in zip(particular, fix.particular))
-    if any(map(add, f.image(u), b)):
-        raise InternalInvariantError(
-            "two-path single-rule construction has nonzero residual")
-    return u
+    """Single-rule solution built from the double-rule one: the winding
+    sum's particular, corrected at the loops of the reducible crossings,
+    where ``A1`` counts a region once that ``A2`` counts twice.  That is the
+    single rule's route (``_LoopCorrection``), so this is its particular,
+    the one zero on the pins."""
+    (family,) = zlinalg._families(_certified(diagram, SINGLE),
+                                  incidence._Matrix(diagram, SINGLE), [b])
+    return family.particular
 
 
 def solve_mod2(diagram: FlatDiagram, b) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ corner counts, reducibility and the mod-2 bit rows are all read there.  The
 code that built them elsewhere stays here as the oracle: the walk over each
 ``Region``'s corners, a region's corner count at a crossing, the overshoot
 that the two-path single-rule solve summed over the regions with two
-corners at a crossing, and the bit rows of ``incidence._rows``.
+corners at a crossing, and the bit rows of the sparse rows.
 """
 
 import random
@@ -20,10 +20,10 @@ from regionchoice.diagram import (DiagramError, FlatDiagram,
                                   _doubled_crossings, arc_by_label, arcs,
                                   random_diagram, reducible_crossings,
                                   regions)
-from regionchoice.incidence import DOUBLE, SINGLE, _residual, _rows
+from regionchoice.incidence import DOUBLE, SINGLE, _residual
 from regionchoice.solvers import (add1_algebraic, add1_geometric, solve,
                                   solve_mod2, solve_single_via_double)
-from test_sparse import LINKS
+from test_sparse import LINKS, sparse_rows
 
 KNOTS = ([catalog_entry(name).diagram for name in names()]
          + [random_diagram(s, 3 + s % 40) for s in range(300)])
@@ -63,7 +63,7 @@ def dict_bit_rows(diagram, b):
     """The mod-2 rows with ``b`` in bit ``n + 2``, from the sparse rows."""
     cols = diagram.region_count
     return [sum(1 << j for j in row) | x % 2 << cols
-            for row, x in zip(_rows(diagram, SINGLE), b)]
+            for row, x in zip(sparse_rows(diagram, SINGLE), b)]
 
 
 def test_doubled_crossings_equal_the_region_walk():

@@ -1,8 +1,9 @@
 """The pinned sparse solve and the (I | 0 0) decomposition against the dense
 Smith-style reduction, and by property.
 
-Every solver factors the matrix left when one arc's two side columns are
-deleted (``zlinalg.solve_pinned``), and ``zlinalg.reduce_to_e00`` reads
+Every solver answers with the family pinned on one arc's two side columns,
+which ``zlinalg.solve_pinned`` finds by factoring the matrix left when those
+columns are deleted, and ``zlinalg.reduce_to_e00`` reads
 ``P A Q = (I | 0 0)`` off the same kind of factorisation.  ``dense_e00`` is
 the reduction ``reduce_to_e00`` ran before: dense unimodular row and column
 operations with its own pivot search, Euclid steps and divisibility fix.  It
@@ -21,7 +22,7 @@ from operator import mul
 
 from hypothesis import given, settings, strategies as st
 
-from regionchoice import incidence, zlinalg
+from regionchoice import zlinalg
 from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (FlatDiagram, apply_r1, arcs,
                                   random_diagram, regions)
@@ -31,6 +32,7 @@ from regionchoice.zlinalg import (E00Decomposition, Operation, _APPLY,
                                   _make_unit as make_unit, reduce_to_e00,
                                   rref_rational, solve_pinned)
 from test_echelon import shuffled
+from test_sparse import sparse_rows
 from test_zlinalg import determinant
 
 DIAGRAMS = ([catalog_entry(name).diagram for name in names()]
@@ -355,7 +357,7 @@ def test_factor_unit_pivots_exactly_as_the_scan(monkeypatch):
     for D in diagrams:
         pins = _pin_pair(D)
         for rule in (SINGLE, DOUBLE):
-            rows = incidence._rows(D, rule)
+            rows = sparse_rows(D, rule)
             shuffled_rows = zlinalg._sparse(
                 shuffled(build_matrix(D, rule).entries, rng))
             cases += [(rows, pins, False), (shuffled_rows, pins, False)]
@@ -430,7 +432,6 @@ def test_compiled_products_equal_the_dict_products(monkeypatch):
     matrices = []
     for D in DIAGRAMS:
         for rule in (SINGLE, DOUBLE):
-            solve(D, rule, (1,) * D.crossing_count)
             matrices.append(build_matrix(D, rule).entries)
     matrices += [unimodular(rng, 1 + k % 7) for k in range(120)]
     for matrix in matrices:

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from regionchoice import incidence, solvers, zlinalg
 from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (D0, DiagramError, FlatDiagram,
-                                  InternalInvariantError,
-                                  _doubled_crossings, _walk, arcs,
+                                  InternalInvariantError, _Map,
+                                  _doubled_crossings, _walk, apply_r1, arcs,
                                   checkerboard, component_count,
                                   random_diagram, regions)
 from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
@@ -21,6 +21,7 @@ from regionchoice.solvers import (PinnedKernelRequest, _factored, _pin_pair,
                                   pinned_kernel, solve, solve_mod2,
                                   solve_single_via_double, verify)
 from splice_oracle import _strand_cut, splice
+from test_sparse import sparse_rows
 from test_zlinalg import _norm
 
 
@@ -144,28 +145,29 @@ def winding_sums(monkeypatch, cold_cache):
 
 
 @pytest.fixture
-def row_builds(monkeypatch):
-    """The rule of every sparse region choice matrix built, in order."""
-    from regionchoice import incidence
-    built = []
-    rows = incidence._rows
+def loop_corrections(monkeypatch, cold_cache):
+    """The diagram of every single-rule ``_LoopCorrection`` built, in
+    order."""
+    made = []
 
-    def counting(diagram, rule):
-        built.append(rule)
-        return rows(diagram, rule)
+    class Counting(solvers._LoopCorrection):
+        def __init__(self, diagram, double):
+            made.append(diagram)
+            super().__init__(diagram, double)
 
-    monkeypatch.setattr(incidence, "_rows", counting)
-    return built
+    monkeypatch.setattr(solvers, "_LoopCorrection", Counting)
+    return made
 
 
 def test_add1_algebraic_builds_and_factors_each_matrix_once(
-        row_builds, factorisations):
-    # the single rule's engine; the double rule factors nothing (below)
+        loop_corrections, winding_sums, factorisations):
+    # the single rule's loop correction and the winding sum under it, once
+    # each; no rule factors anything (the double rule's sweep is below)
     D = random_diagram(3, 9)
     n = D.crossing_count
     certs = [add1_algebraic(D, SINGLE, v) for v in range(n)]
-    assert row_builds == [SINGLE]
-    assert factorisations == ["pinned solve"]
+    assert loop_corrections == winding_sums == [D]
+    assert factorisations == []
     for cert in certs:
         (family,) = zlinalg.solve_pinned(
             build_matrix(D, cert.rule).entries, _pin_pair(D),
@@ -311,7 +313,7 @@ def add1_by_splicing(D, v):
         u1[r2] = 1
     else:
         u1 = zlinalg._UnitFactorisation(
-            incidence._rows(first.diagram, DOUBLE),
+            sparse_rows(first.diagram, DOUBLE),
             first.diagram.region_count, (r1, r2), "oracle").kernel[1]
     # the uncached coloring: each component is used once
     sign2 = ((1, -1) if second.diagram is None
@@ -499,20 +501,18 @@ def test_the_route_cache_keeps_no_dense_matrix(cold_cache):
 
 
 def test_single_via_double_builds_each_route_once_then_not_at_all(
-        row_builds, factorisations, winding_sums):
-    # one factorisation of the single-rule matrix, one winding sum for the
-    # double-rule particular
+        loop_corrections, winding_sums, factorisations):
+    # one loop correction, on one winding sum for the double-rule
+    # particular; nothing is factored
     D = random_diagram(5, 12)
     b = tuple(range(1, D.crossing_count + 1))
     u = solve_single_via_double(D, b)
-    assert row_builds == [SINGLE]
-    assert factorisations == ["pinned solve"]
-    assert winding_sums == [D]
-    row_builds.clear()
-    factorisations.clear()
+    assert loop_corrections == winding_sums == [D]
+    assert factorisations == []
+    loop_corrections.clear()
     winding_sums.clear()
     assert solve_single_via_double(D, b) == u
-    assert row_builds == factorisations == winding_sums == []
+    assert loop_corrections == winding_sums == factorisations == []
     # both paths are zero on the pin pair, so the sum is the canonical
     # single-rule particular
     (family,) = zlinalg.solve_pinned(build_matrix(D, SINGLE).entries,
@@ -526,65 +526,83 @@ def flip_kernel_entry(f):
     f.kernel = (k1[:j] + (-k1[j],) + k1[j + 1:], k2)
 
 
-def make_a_pivot_2(f):
-    i, j, _, rest = f.pivots[0]
-    f.pivots[0] = (i, j, 2, rest)
+def drop_a_pair(f):
+    f.pairs.pop(len(f.pairs) // 2)
 
 
-def bump_a_gather_weight(f):
-    # the compiled rows are the one copy every product reads: a row holding
-    # the first pin, where the first kernel vector is 1, now weighs it one
-    # more, so that row of A k1 is 1
-    r1 = f.pins[0]
-    i, row = next((i, zlinalg._entries(g, f.cols))
-                  for i, g in enumerate(f.rows)
-                  if r1 in zlinalg._entries(g, f.cols))
-    row[r1] += 1
-    f.rows[i] = zlinalg._gather(row)
+def move_a_pairs_region(f):
+    # to a region at another corner of the same crossing
+    v, r = f.pairs[0]
+    f.pairs[0] = (v, next(x for x in f.double.region[4 * v:4 * v + 4]
+                          if x != r))
 
 
-@pytest.mark.parametrize("corrupt", [flip_kernel_entry, make_a_pivot_2,
-                                     bump_a_gather_weight])
+def break_the_tree_order(f):
+    # a loop inside another is put before it
+    j = next(j for j, (_, _, up, _) in enumerate(f.loops) if up >= 0)
+    up = f.loops[j][2]
+    f.loops[up], f.loops[j] = f.loops[j], f.loops[up]
+
+
+@pytest.mark.parametrize("corrupt", [flip_kernel_entry, drop_a_pair,
+                                     move_a_pairs_region,
+                                     break_the_tree_order])
 def test_a_corrupted_cached_factorisation_is_refused(corrupt, cold_cache):
-    # the engine serves the single rule only
-    D = random_diagram(4, 10)
+    # the single rule's route is the loop correction; its certificate is
+    # checked in every call that reads it
+    D = random_diagram(4, 30)
     n = D.crossing_count
     calls = [lambda: solve(D, SINGLE, (1,) * n),
              lambda: add1_algebraic(D, SINGLE, 0),
-             lambda: pinned_kernel(D, PinnedKernelRequest(1, 0, 1, SINGLE))]
+             lambda: pinned_kernel(D, PinnedKernelRequest(1, 0, 1, SINGLE)),
+             lambda: solve_single_via_double(D, (1,) * n)]
     for call in calls:
         _factored.cache_clear()
         call()
-        corrupt(_factored(D, SINGLE))
+        f = _factored(D, SINGLE)
+        assert len(f.pairs) > 2 and any(up >= 0 for _, _, up, _ in f.loops)
+        corrupt(f)
         with pytest.raises(InternalInvariantError,
-                           match="^pinned solve, certificate: "):
+                           match="^loop correction, certificate: "):
             call()
 
 
 def test_each_query_checks_the_certificate_once(monkeypatch, cold_cache):
-    # the construction's check serves the query that built it, under the
-    # single rule's engine and the double rule's winding sum alike; the
-    # winding sum's check and construction both derive its certificate
+    # the construction's check serves the query that built it, and every
+    # later query checks again: under the single rule the loop
+    # correction's own certificate and the winding sum's rank certificate
+    # (``_signs``, which the winding sum's construction and ``check_rank``
+    # both run), under the double rule the winding sum's, which its check
+    # and construction both derive
     D = random_diagram(4, 10)
-    for rule, route, name in (
-            (SINGLE, zlinalg._UnitFactorisation, "check"),
-            (DOUBLE, solvers._WindingSum, "_derived")):
-        checks = []
-        check = getattr(route, name)
-        monkeypatch.setattr(route, name,
-                            lambda f, check=check: checks.append(f) or check(f))
+    for rule, checked in (
+            (SINGLE, [(solvers._LoopCorrection, "_check"),
+                      (solvers._WindingSum, "_signs")]),
+            (DOUBLE, [(solvers._WindingSum, "_derived")])):
+        counts = []
+        for route, name in checked:
+            seen = []
+            check = getattr(route, name)
+            monkeypatch.setattr(
+                route, name,
+                lambda f, *a, check=check, seen=seen: seen.append(f)
+                or check(f, *a))
+            counts.append((route, seen))
         for k in range(1, 4):
             solve(D, rule, (1,) * D.crossing_count)
-            assert len(checks) == k
-        assert all(type(f) is route for f in checks)
+            assert [len(seen) for _, seen in counts] == [k] * len(counts)
+        assert all(type(f) is route for route, seen in counts for f in seen)
+        monkeypatch.undo()
 
 
 def test_the_factorisation_cache_stays_bounded(cold_cache):
+    # each single-rule solve on a new diagram builds its loop correction
+    # and the winding sum under it: two entries
     for seed in range(50):
         D = random_diagram(seed, 8)
         solve(D, SINGLE, (1,) * D.crossing_count)
         assert _factored.cache_info().currsize <= 8
-    assert _factored.cache_info().misses == 50
+    assert _factored.cache_info().misses == 100
 
 
 def test_add1_geometric_reads_the_cached_double_rule_route(cold_cache):
@@ -726,11 +744,10 @@ def test_relabeling_permutes_the_solution_set(seed, moves, rule, shuffle):
 
 
 def test_a_double_rule_sweep_builds_one_winding_sum_per_diagram(
-        row_builds, factorisations, winding_sums):
+        loop_corrections, factorisations, winding_sums):
     # every double-rule query on a diagram reads one winding sum; none
-    # builds the matrix rows or factors anything
+    # builds the single rule's route or factors anything
     diagrams = [catalog_entry("example2_4").diagram, random_diagram(2, 15)]
-    row_builds.clear()      # the catalog checks its reference matrices
     for D in diagrams:
         n = D.crossing_count
         solve(D, DOUBLE, tuple(range(n)))
@@ -742,7 +759,7 @@ def test_a_double_rule_sweep_builds_one_winding_sum_per_diagram(
             add1_algebraic(D, DOUBLE, v)
             add1_geometric(D, v)
     assert winding_sums == diagrams
-    assert row_builds == factorisations == []
+    assert loop_corrections == factorisations == []
 
 
 def test_the_winding_sum_is_the_pinned_solve():
@@ -758,6 +775,89 @@ def test_the_winding_sum_is_the_pinned_solve():
         (family,) = zlinalg.solve_pinned(build_matrix(D, DOUBLE).entries,
                                          _pin_pair(D), [b])
         assert solve(D, DOUBLE, b) == family
+
+
+def nested_kinks(D, count):
+    """``count`` kinks, each put on the last one: repeating
+    ``apply_r1(D, max(D.crossings[-1]), "left")``, on one map.  An arc's
+    label is its rank by least dart, so the largest label at the last
+    crossing is its arc with the largest least dart."""
+    grow = _Map(D)
+    for _ in range(count):
+        x = len(grow.mate) - 4
+        grow.r1(max(min(d, grow.mate[d]) for d in range(x, x + 4)), "left")
+    return FlatDiagram(grow.crossings(), D.name)
+
+
+def test_nested_kinks_are_repeated_r1_moves():
+    D = random_diagram(5, 60)
+    repeated = D
+    for count in range(1, 13):
+        repeated = apply_r1(repeated, max(repeated.crossings[-1]), "left")
+        assert nested_kinks(D, count) == repeated
+
+
+def single_by_naive_sweep(D, b):
+    """The single-rule particular zero on the pins, by the sweep
+    ``y <- V^T S2(b - U y)`` over the pairs off the pins until ``y`` stops
+    moving, with ``S2`` the double rule's pinned solve: the route's
+    unitriangular solve done the slow way, one winding sum per sweep.
+    ``I + W`` is unitriangular, so ``W`` is nilpotent and the sweep stops
+    after at most one more sweep than there are pairs."""
+    double = _factored(D, DOUBLE)
+    pairs = [(v, r) for r, twice in enumerate(_doubled_crossings(D))
+             for v in twice if r not in double.pins]
+    y = [0] * len(pairs)
+    for _ in range(len(pairs) + 2):
+        rhs = list(b)
+        for (v, _), x in zip(pairs, y):
+            rhs[v] -= x
+        u = double.particular(rhs)
+        if [u[r] for _, r in pairs] == y:
+            return u
+        y = [u[r] for _, r in pairs]
+    raise AssertionError("the sweep did not stop")
+
+
+def assert_the_pinned_solve(diagrams):
+    """The single rule's family is the engine's on the same pins, and its
+    particular the naive sweep's."""
+    for i, D in enumerate(diagrams):
+        rng = random.Random(i)
+        b = tuple(rng.randint(-9, 9) for _ in range(D.crossing_count))
+        (family,) = zlinalg.solve_pinned(build_matrix(D, SINGLE).entries,
+                                         _pin_pair(D), [b])
+        _factored.cache_clear()
+        assert solve(D, SINGLE, b) == family
+        assert single_by_naive_sweep(D, b) == family.particular
+
+
+def test_the_loop_correction_is_the_pinned_solve():
+    diagrams = ([catalog_entry(name).diagram for name in names()]
+                + [random_diagram(s, 3 + s % 40) for s in range(300)])
+    assert_the_pinned_solve(diagrams)
+    # loops inside loops are among them
+    assert any(up >= 0 for D in diagrams
+               for _, _, up, _ in _factored(D, SINGLE).loops)
+
+
+def test_the_loop_correction_is_the_pinned_solve_at_large_n():
+    diagrams = [random_diagram(5, 500), random_diagram(9, 2000)]
+    assert [D.crossing_count for D in diagrams] == [741, 3021]
+    assert_the_pinned_solve(diagrams)
+
+
+def test_the_loop_correction_is_the_pinned_solve_on_nested_kinks():
+    # the sweep takes one more sweep than the kinks are deep; the route
+    # takes one pass
+    diagrams = [nested_kinks(random_diagram(5, 500), count)
+                for count in (300, 1000)]
+    assert [D.crossing_count for D in diagrams] == [1041, 1741]
+    assert_the_pinned_solve(diagrams)
+    depth = []
+    for _, _, up, _ in _factored(diagrams[-1], SINGLE).loops:
+        depth.append(depth[up] + 1 if up >= 0 else 1)
+    assert max(depth) >= 1000
 
 
 def add1_by_winding_walk(D, v):

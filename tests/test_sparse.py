@@ -1,9 +1,11 @@
 """The sparse matrix path against the dense routines it replaced.
 
-Every solver reads the region choice matrix as sparse rows built by
-``incidence._rows``, eliminates mod 2 on bit rows in ``zlinalg._solve_gf2``
-and counts components on the diagram's int darts ``4 c + s``.  The routines
-they replaced stay as oracles: ``dense_matrix`` is the corner loop
+The mod-2 solve eliminates on bit rows in ``zlinalg._solve_gf2``, and the
+components are counted on the diagram's int darts ``4 c + s``.  The sparse
+rows ``sparse_rows``, which the single rule's elimination factored before
+its loop correction, stay here as the oracle of the bit rows and of the
+splice construction's factorisation.  The routines these replaced stay as
+oracles too: ``dense_matrix`` is the corner loop
 ``build_matrix`` ran over ``regions``, ``column_scan_gf2`` the GF(2)
 elimination that scanned every column of every row, and the component
 count is the strand walk on ``(crossing, slot)`` pairs,
@@ -20,8 +22,8 @@ from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (DiagramError, FlatDiagram, apply_r1,
                                   apply_r2, component_count, is_knot,
                                   random_diagram, regions)
-from regionchoice.incidence import (DOUBLE, SINGLE, _residual, _rows,
-                                    build_matrix, mod2, residual)
+from regionchoice.incidence import (DOUBLE, SINGLE, _residual, build_matrix,
+                                    mod2, residual)
 from regionchoice.solvers import solve_mod2
 from regionchoice.zlinalg import _solve_gf2
 from test_diagram import tuple_mates, tuple_orbits
@@ -32,6 +34,22 @@ LINKS = [FlatDiagram(((1, 2, 3, 4), (1, 4, 3, 2))),
                       (6, 8, 7, 5)))]
 KNOTS = ([catalog_entry(name).diagram for name in names()]
          + [random_diagram(s, 3 + s % 40) for s in range(200)])
+
+
+def sparse_rows(diagram, rule):
+    """The matrix as sparse rows: per crossing, ``{region: entry}`` over the
+    regions touching it, in increasing region order.  One step per corner,
+    read off the diagram's faces: a corner at crossing v puts its region in
+    row v, once under the single rule and once per corner under the double
+    rule."""
+    if rule not in (SINGLE, DOUBLE):
+        raise ValueError(f"unknown rule {rule!r}")
+    rows = [{} for _ in diagram.crossings]
+    for j, face in enumerate(diagram._faces):
+        for d in face:
+            row = rows[d >> 2]
+            row[j] = 1 if rule == SINGLE else row.get(j, 0) + 1
+    return rows
 
 
 def dense_matrix(diagram, rule):
@@ -98,15 +116,15 @@ def test_rows_are_the_nonzeros_of_the_matrix(rule):
     for D in KNOTS + LINKS:
         dense = build_matrix(D, rule).entries
         assert dense == dense_matrix(D, rule)
-        assert _rows(D, rule) == [{j: x for j, x in enumerate(row) if x}
+        assert sparse_rows(D, rule) == [{j: x for j, x in enumerate(row) if x}
                                   for row in dense]
-        # in increasing region order, the order the elimination reads
-        assert all(list(row) == sorted(row) for row in _rows(D, rule))
+        # in increasing region order
+        assert all(list(row) == sorted(row) for row in sparse_rows(D, rule))
 
 
 def test_rows_refuse_an_unknown_rule():
     with pytest.raises(ValueError, match="unknown rule 'triple'"):
-        _rows(LINKS[0], "triple")
+        sparse_rows(LINKS[0], "triple")
 
 
 @pytest.mark.parametrize("rule", [SINGLE, DOUBLE])
@@ -124,6 +142,22 @@ def test_residual_from_the_corners_equals_the_dense_residual(rule):
                                                                  *args)
     with pytest.raises(ValueError, match="unknown rule 'triple'"):
         _residual(LINKS[0], "triple", (0,) * 4, (0, 0))
+
+
+def test_single_rule_residual_drops_the_second_of_two_opposite_corners():
+    # the corner table's single-rule residual, with no set per row, is the
+    # dense product, also where a region has two corners at a crossing
+    rng = random.Random(17)
+    diagrams = ([catalog_entry(name).diagram for name in names()] + LINKS
+                + [random_diagram(s, 3 + s % 40) for s in range(300)])
+    doubled = 0
+    for D in diagrams:
+        M = build_matrix(D, SINGLE)
+        u = tuple(rng.randint(-9, 9) for _ in range(D.region_count))
+        b = tuple(rng.randint(-9, 9) for _ in range(D.crossing_count))
+        assert _residual(D, SINGLE, u, b) == residual(M, u, b)
+        doubled += any(4 - sum(row) for row in M.entries)
+    assert doubled > 200
 
 
 def test_solve_mod2_equals_the_column_scan():
@@ -145,7 +179,7 @@ def test_bit_rows_of_links_equal_the_column_scan_on_every_b():
     inconsistent = 0
     for D in LINKS:
         n, cols = D.crossing_count, D.region_count
-        masks = [sum(1 << j for j in row) for row in _rows(D, SINGLE)]
+        masks = [sum(1 << j for j in row) for row in sparse_rows(D, SINGLE)]
         bits = mod2(build_matrix(D, SINGLE))
         for k in range(2 ** n):
             b = tuple((k >> i) & 1 for i in range(n))
