@@ -9,10 +9,12 @@ construction, summed: one running sum over the strand and one pass down a
 spanning tree of the regions.  The single rule is that sum corrected at the
 loops of the reducible crossings, where a region with two corners at a
 crossing counts once: one more pass over the loops, in the order in which
-they nest.  Every call checks the route's certificate, which bounds the
-pinned matrix's determinant to +-1 under either rule (README,
-"Certificates"), and a failure of either is reported as an internal
-invariant violation rather than an input error.
+they nest.  The mod-2 solve reads the single rule's route too, reducing its
+answer mod 2, so no solver has an elimination of its own.  Every call
+checks the route's certificate, which bounds the pinned matrix's
+determinant to +-1 under either rule (README, "Certificates"), and a
+failure of either is reported as an internal invariant violation rather
+than an input error.
 """
 
 from __future__ import annotations
@@ -472,8 +474,8 @@ def _pin_pair(diagram: FlatDiagram) -> tuple[int, int]:
 
 def solve(diagram: FlatDiagram, rule: str, b) -> SolutionFamily:
     """All integral assignments u with ``A_rule u + b = o``."""
-    return zlinalg._families(_certified(diagram, rule),
-                             incidence._Matrix(diagram, rule), [b])[0]
+    return zlinalg._family(_certified(diagram, rule),
+                           incidence._Matrix(diagram, rule), b)
 
 
 def kernel_basis(diagram: FlatDiagram, rule: str):
@@ -514,10 +516,10 @@ def add1_algebraic(diagram: FlatDiagram, rule: str, crossing: int) -> Add1Certif
     """Assignment with unit residual at one crossing, by direct solving."""
     _require_crossing(diagram, crossing)
     n = diagram.crossing_count
-    # _families checks A u + b = o, so the residual A u is -b
-    (family,) = zlinalg._families(_certified(diagram, rule),
-                                  incidence._Matrix(diagram, rule),
-                                  [_unit(n, crossing, -1)])
+    # _family checks A u + b = o, so the residual A u is -b
+    family = zlinalg._family(_certified(diagram, rule),
+                             incidence._Matrix(diagram, rule),
+                             _unit(n, crossing, -1))
     return Add1Certificate(crossing, rule, family.particular, ALGEBRAIC,
                            _unit(n, crossing, 1))
 
@@ -553,30 +555,38 @@ def solve_single_via_double(diagram: FlatDiagram, b):
     where ``A1`` counts a region once that ``A2`` counts twice.  That is the
     single rule's route (``_LoopCorrection``), so this is its particular,
     the one zero on the pins."""
-    (family,) = zlinalg._families(_certified(diagram, SINGLE),
-                                  incidence._Matrix(diagram, SINGLE), [b])
-    return family.particular
+    return zlinalg._family(_certified(diagram, SINGLE),
+                           incidence._Matrix(diagram, SINGLE), b).particular
 
 
 def solve_mod2(diagram: FlatDiagram, b) -> tuple[int, ...]:
     """Region subset solving the classical mod-2 problem; never unsolvable
-    for a knot projection."""
+    for a knot projection.
+
+    An integral single-rule solution is one mod 2, so the answer is read off
+    the single rule's route: its particular for ``b mod 2``, reduced mod 2
+    and moved along its kernel, reduced mod 2, to zero on the
+    lexicographically last pair of columns with an odd kernel minor
+    (``zlinalg._last_pair``).  The route certifies ``det A1' = +-1``, so
+    ``A1`` has rank n mod 2 and this is the one solution zero on that pair:
+    the answer of a bit elimination whose free columns are 0 (README,
+    "Certificates").  Its residual mod 2 and its zeros on the pair are
+    checked."""
     if not is_knot(diagram):
         raise ValueError("the mod-2 solve requires a knot projection")
     b = tuple(x % 2 for x in b)
     incidence._require_length(b, diagram.crossing_count, "b")
-    cols, region = diagram.region_count, diagram._region
-    # every single-rule entry is 1: row v's bits are its corners' regions
-    bits = zlinalg._solve_gf2(
-        [1 << r0 | 1 << r1 | 1 << r2 | 1 << r3 | x << cols
-         for r0, r1, r2, r3, x in zip(region[0::4], region[1::4],
-                                      region[2::4], region[3::4], b)],
-        cols)
-    if bits is None:
-        raise InternalInvariantError(
-            "mod-2 region choice problem reported unsolvable for a knot "
-            "projection")
-    return tuple(r for r, bit in enumerate(bits) if bit)
+    f = _certified(diagram, SINGLE)
+    kernel = [[x & 1 for x in k] for k in f.kernel]
+    f1, f2 = zlinalg._last_pair(kernel, f.fail)
+    _, z1, z2 = zlinalg._pair_basis(kernel, f1, f2)
+    p = [x & 1 for x in f.particular(b)]
+    # the minor on the pair is odd, so z1 and z2 read (1, 0) and (0, 1)
+    # there mod 2, where adding is subtracting
+    u = [(x + p[f1] * y + p[f2] * z) & 1 for x, y, z in zip(p, z1, z2)]
+    if u[f1] or u[f2] or any((x + y) & 1 for x, y in zip(f.image(u), b)):
+        f.fail("the mod-2 solution misses b or its zeros on the free pair")
+    return tuple(r for r, bit in enumerate(u) if bit)
 
 
 def verify(diagram: FlatDiagram, rule: str, u, b) -> VerificationReport:

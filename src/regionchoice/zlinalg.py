@@ -197,25 +197,22 @@ def solve_pinned(matrix: Matrix, pins: tuple[int, int],
     r1, r2 = pins
     if r1 == r2 or not (0 <= r1 < cols and 0 <= r2 < cols):
         raise ValueError(f"pins must be two distinct columns, got {pins!r}")
-    return _families(
-        _UnitFactorisation(_sparse(matrix), cols, pins, "pinned solve"),
-        tuple(map(tuple, matrix)), rhs)
+    f = _UnitFactorisation(_sparse(matrix), cols, pins, "pinned solve")
+    dense = tuple(map(tuple, matrix))
+    return [_family(f, dense, b) for b in rhs]
 
 
-def _families(route, matrix: Matrix, rhs) -> list[SolutionFamily]:
-    """The solution family of ``A u + b = o`` for each b in ``rhs``, off a
-    solve route for ``A``: its ``particular(b)``, zero on the pins, and its
-    pinned ``kernel``.  Every particular's residual is checked by the
-    route's ``image``."""
-    families = []
-    for b in map(tuple, rhs):
-        if len(b) != len(matrix):
-            raise ValueError(f"b has length {len(b)}, expected {len(matrix)}")
-        u = route.particular(b)
-        if any(map(add, route.image(u), b)):
-            route.fail("particular solution has nonzero residual")
-        families.append(SolutionFamily(matrix, b, u, route.kernel))
-    return families
+def _family(route, matrix: Matrix, b) -> SolutionFamily:
+    """The solution family of ``A u + b = o`` off a solve route for ``A``:
+    its ``particular(b)``, zero on the pins, and its pinned ``kernel``.  The
+    particular's residual is checked by the route's ``image``."""
+    b = tuple(b)
+    if len(b) != len(matrix):
+        raise ValueError(f"b has length {len(b)}, expected {len(matrix)}")
+    u = route.particular(b)
+    if any(map(add, route.image(u), b)):
+        route.fail("particular solution has nonzero residual")
+    return SolutionFamily(matrix, b, u, route.kernel)
 
 
 def _shape(matrix: Matrix, error=ValueError) -> tuple[int, int]:
@@ -246,16 +243,15 @@ class _UnitFactorisation:
     over a row's entries.  The compiled ``rows`` and ``pivots`` are the only
     copy kept: the pivot signs the certificate multiplies are the ones the
     back-substitution reads.  ``particular``, ``kernel``, ``image`` and
-    ``fail`` are the solve route that ``_families`` reads.
+    ``fail`` are the solve route that ``_family`` reads.
 
     One ``_factor_unit`` call makes it: with ``pins`` given those two
     columns are left out of the elimination; with ``pins=None`` the two
     columns the elimination leaves become the pins.  Construction checks the
     certificate shared by every caller (pivot product +-1, both kernel
     vectors in the kernel, kernel minor 1 on the pins); ``stage`` names the
-    caller in every ``InternalInvariantError``.  ``check`` runs that
-    certificate again, for a caller that keeps the factorisation; ``fresh``
-    is True until a caller marks the construction's check as used.
+    caller in every ``InternalInvariantError``.  No caller keeps a
+    factorisation, so the certificate is checked once, here.
     """
 
     def __init__(self, rows: list[dict[int, int]], cols: int,
@@ -277,18 +273,12 @@ class _UnitFactorisation:
         self.kernel = (
             tuple(self.solve([-row.get(r1, 0) for row in rows], (1, 0))),
             tuple(self.solve([-row.get(r2, 0) for row in rows], (0, 1))))
-        self.check()
-        self.fresh = True
-
-    def check(self) -> None:
-        """The certificate: pivot product +-1, both kernel vectors in the
-        kernel, kernel minor 1 on the pins."""
         product = 1
         for _, _, p, _ in self.pivots:
             product *= p
         if product not in (1, -1):
             self.fail(f"pivot product is {product}")
-        (r1, r2), (k1, k2) = self.pins, self.kernel
+        k1, k2 = self.kernel
         if any(self.image(k1)) or any(self.image(k2)):
             self.fail("kernel vector outside the kernel")
         if _minor(k1, k2, r1, r2) != 1:
@@ -516,6 +506,23 @@ def _pair_basis(kernel, r1: int, r2: int) -> tuple[int, list[int], list[int]]:
     return _minor(k1, k2, r1, r2), z1, z2
 
 
+def _last_pair(kernel, fail) -> tuple[int, int]:
+    """The lexicographically last pair of columns ``f1 < f2`` on which the
+    kernel basis has a nonzero minor: ``f2`` is the last column where the
+    kernel is not zero and ``f1`` the last before it with a nonzero minor.
+    By matroid duality (Oxley, *Matroid Theory*) this pair is the
+    complement of the matrix's lexicographically first column basis, the
+    pivot columns of its echelon form.  ``fail``, a route's, is called
+    when no minor is nonzero."""
+    k1, k2 = kernel
+    f2 = max(j for j in range(len(k1)) if k1[j] or k2[j])
+    f1 = next((j for j in range(f2 - 1, -1, -1) if _minor(k1, k2, j, f2)),
+              None)
+    if f1 is None:
+        fail("the kernel basis has no nonzero minor")
+    return f1, f2
+
+
 # ---------------------------------------------------------------------------
 # norm minimization over a solution family
 
@@ -661,39 +668,6 @@ def _within_linf(low, high, k, limit: int) -> range | None:
 
 
 # ---------------------------------------------------------------------------
-# GF(2)
-
-
-def _solve_gf2(masks: list[int], cols: int):
-    """Solve ``A u = b`` over GF(2) on bit rows; returns a 0/1 tuple or
-    None.  Bit ``j < cols`` of a mask is the row's entry in column ``j``
-    and bit ``cols`` its right-hand side.
-
-    Each row is reduced by the pivot rows before it and pivots on its
-    lowest column bit; the free columns are 0, and each pivot column is
-    resolved from the last pivot upwards as the parity of its row against
-    the columns resolved so far."""
-    columns = (1 << cols) - 1
-    pivots = []  # (column bit, mask)
-    for m in masks:
-        for bit, pm in pivots:
-            if m & bit:
-                m ^= pm
-        m_cols = m & columns
-        if m_cols:
-            pivots.append((m_cols & -m_cols, m))
-        elif m >> cols:
-            return None
-    # a pivot row's other column bits are all later pivots' or free, so
-    # they are resolved before it
-    u = 0
-    for bit, pm in reversed(pivots):
-        if ((pm >> cols) + (pm & u).bit_count()) & 1:
-            u |= bit
-    return tuple((u >> j) & 1 for j in range(cols))
-
-
-# ---------------------------------------------------------------------------
 # rational echelon with symbolic right-hand side
 
 
@@ -733,9 +707,8 @@ def rref_rational(matrix: Matrix) -> EchelonForm:
     The RREF is unique, so it is read off one ``_UnitFactorisation`` over
     all columns.  Its two non-pivot columns ``f1 < f2`` are the
     lexicographically last pair on which the kernel basis has a nonzero
-    minor ``D``: ``f2`` is the last column where the kernel is not zero and
-    ``f1`` the last before it with ``D`` nonzero.  The ``b`` coefficients
-    are ``A_S^-1 e_k``, the solution of ``A x = e_k`` that is zero on
+    minor ``D`` (``_last_pair``).  The ``b`` coefficients are
+    ``A_S^-1 e_k``, the solution of ``A x = e_k`` that is zero on
     ``(f1, f2)``: the factorisation's solution, moved along the kernel by
     one Cramer step with denominator ``D``.  A free column's coefficients
     are the negated kernel vector that is 1 there and 0 on the other.  The
@@ -744,12 +717,7 @@ def rref_rational(matrix: Matrix) -> EchelonForm:
     """
     rows, cols = _shape(matrix)
     f = _UnitFactorisation(_sparse(matrix), cols, None, "echelon")
-    k1, k2 = f.kernel
-    f2 = max(j for j in range(cols) if k1[j] or k2[j])
-    f1 = next((j for j in range(f2 - 1, -1, -1) if _minor(k1, k2, j, f2)),
-              None)
-    if f1 is None:
-        f.fail("the kernel basis has no nonzero minor")
+    f1, f2 = _last_pair(f.kernel, f.fail)
     d, z1, z2 = _pair_basis(f.kernel, f1, f2)
     pivot_cols = tuple(j for j in range(cols) if j != f1 and j != f2)
 

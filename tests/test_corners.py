@@ -3,18 +3,17 @@ replaced.
 
 Row v of either region choice matrix is the four corners at crossing v,
 ``diagram._region[4 v .. 4 v + 3]``: the regions with two corners at v, the
-corner counts, reducibility and the mod-2 bit rows are all read there.  The
-code that built them elsewhere stays here as the oracle: the walk over each
-``Region``'s corners, a region's corner count at a crossing, the overshoot
-that the two-path single-rule solve summed over the regions with two
-corners at a crossing, and the bit rows of the sparse rows.
+corner counts, reducibility and the mod-2 oracle's bit rows are all read
+there.  The code that built them elsewhere stays here as the oracle: the
+walk over each ``Region``'s corners, a region's corner count at a crossing,
+the overshoot that the two-path single-rule solve summed over the regions
+with two corners at a crossing, and the bit rows of the sparse rows.
 """
 
 import random
 
 import pytest
 
-from regionchoice import zlinalg
 from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import (DiagramError, FlatDiagram,
                                   _doubled_crossings, arc_by_label, arcs,
@@ -23,7 +22,7 @@ from regionchoice.diagram import (DiagramError, FlatDiagram,
 from regionchoice.incidence import DOUBLE, SINGLE, _residual
 from regionchoice.solvers import (add1_algebraic, add1_geometric, solve,
                                   solve_mod2, solve_single_via_double)
-from test_sparse import LINKS, sparse_rows
+from test_sparse import LINKS, corner_bit_rows, sparse_rows
 
 KNOTS = ([catalog_entry(name).diagram for name in names()]
          + [random_diagram(s, 3 + s % 40) for s in range(300)])
@@ -93,21 +92,12 @@ def test_corner_counts_and_reducibility_equal_the_region_walk():
     assert counts == {0, 1, 2}
 
 
-def test_mod2_bit_rows_equal_the_sparse_rows(monkeypatch):
-    seen = []
-    solve_gf2 = zlinalg._solve_gf2
-
-    def recording(rows, cols):
-        seen.append(list(rows))
-        return solve_gf2(rows, cols)
-
-    monkeypatch.setattr(zlinalg, "_solve_gf2", recording)
+def test_mod2_bit_rows_equal_the_sparse_rows():
+    # the input of the mod-2 oracle, read off the corner table
     rng = random.Random(5)
-    for D in KNOTS:
+    for D in KNOTS + LINKS:
         b = tuple(rng.randint(-3, 3) for _ in range(D.crossing_count))
-        solve_mod2(D, b)
-        assert seen.pop() == dict_bit_rows(D, b)
-    assert seen == []
+        assert corner_bit_rows(D, b) == dict_bit_rows(D, b)
 
 
 def test_overshoot_is_the_single_rule_residual_of_the_double_particular():

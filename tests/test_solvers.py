@@ -21,7 +21,7 @@ from regionchoice.solvers import (PinnedKernelRequest, _factored, _pin_pair,
                                   pinned_kernel, solve, solve_mod2,
                                   solve_single_via_double, verify)
 from splice_oracle import _strand_cut, splice
-from test_sparse import sparse_rows
+from test_sparse import LINKS, bit_elimination_mod2, sparse_rows
 from test_zlinalg import _norm
 
 
@@ -549,13 +549,14 @@ def break_the_tree_order(f):
                                      break_the_tree_order])
 def test_a_corrupted_cached_factorisation_is_refused(corrupt, cold_cache):
     # the single rule's route is the loop correction; its certificate is
-    # checked in every call that reads it
+    # checked in every call that reads it, the mod-2 solve's among them
     D = random_diagram(4, 30)
     n = D.crossing_count
     calls = [lambda: solve(D, SINGLE, (1,) * n),
              lambda: add1_algebraic(D, SINGLE, 0),
              lambda: pinned_kernel(D, PinnedKernelRequest(1, 0, 1, SINGLE)),
-             lambda: solve_single_via_double(D, (1,) * n)]
+             lambda: solve_single_via_double(D, (1,) * n),
+             lambda: solve_mod2(D, (1,) * n)]
     for call in calls:
         _factored.cache_clear()
         call()
@@ -569,16 +570,21 @@ def test_a_corrupted_cached_factorisation_is_refused(corrupt, cold_cache):
 
 def test_each_query_checks_the_certificate_once(monkeypatch, cold_cache):
     # the construction's check serves the query that built it, and every
-    # later query checks again: under the single rule the loop
-    # correction's own certificate and the winding sum's rank certificate
-    # (``_signs``, which the winding sum's construction and ``check_rank``
-    # both run), under the double rule the winding sum's, which its check
-    # and construction both derive
+    # later query checks again: under the single rule, the mod-2 solve
+    # included, the loop correction's own certificate and the winding sum's
+    # rank certificate (``_signs``, which the winding sum's construction
+    # and ``check_rank`` both run), under the double rule the winding
+    # sum's, which its check and construction both derive
     D = random_diagram(4, 10)
-    for rule, checked in (
-            (SINGLE, [(solvers._LoopCorrection, "_check"),
-                      (solvers._WindingSum, "_signs")]),
-            (DOUBLE, [(solvers._WindingSum, "_derived")])):
+    ones = (1,) * D.crossing_count
+    single = [(solvers._LoopCorrection, "_check"),
+              (solvers._WindingSum, "_signs")]
+    for query, checked in (
+            (lambda: solve(D, SINGLE, ones), single),
+            (lambda: solve_mod2(D, ones), single),
+            (lambda: solve(D, DOUBLE, ones),
+             [(solvers._WindingSum, "_derived")])):
+        _factored.cache_clear()
         counts = []
         for route, name in checked:
             seen = []
@@ -589,7 +595,7 @@ def test_each_query_checks_the_certificate_once(monkeypatch, cold_cache):
                 or check(f, *a))
             counts.append((route, seen))
         for k in range(1, 4):
-            solve(D, rule, (1,) * D.crossing_count)
+            query()
             assert [len(seen) for _, seen in counts] == [k] * len(counts)
         assert all(type(f) is route for route, seen in counts for f in seen)
         monkeypatch.undo()
@@ -860,6 +866,32 @@ def test_the_loop_correction_is_the_pinned_solve_on_nested_kinks():
     assert max(depth) >= 1000
 
 
+def test_solve_mod2_is_the_bit_elimination():
+    # the route's answer, moved to zero on the lexicographically last pair
+    # with an odd kernel minor, is the answer of the elimination, whose
+    # free columns are that pair: identical, also where the move is not
+    # the reduced particular's
+    rng = random.Random(29)
+    diagrams = ([catalog_entry(name).diagram for name in names()]
+                + [random_diagram(s, 3 + s % 40) for s in range(300)]
+                + [random_diagram(5, 500), random_diagram(9, 2000)])
+    diagrams.append(nested_kinks(diagrams[-2], 300))
+    assert [D.crossing_count for D in diagrams[-3:]] == [741, 3021, 1041]
+    moved = 0
+    for D in diagrams:
+        for _ in range(3):
+            b = tuple(rng.randint(-3, 3) for _ in range(D.crossing_count))
+            answer = solve_mod2(D, b)
+            assert answer == bit_elimination_mod2(D, b)
+            p = solve(D, SINGLE, tuple(x % 2 for x in b)).particular
+            moved += answer != tuple(r for r, x in enumerate(p) if x % 2)
+    assert moved > len(diagrams)
+    for D in LINKS:
+        with pytest.raises(ValueError, match="^the mod-2 solve requires a "
+                                             "knot projection$"):
+            solve_mod2(D, (1,) * D.crossing_count)
+
+
 def add1_by_winding_walk(D, v):
     """The geometric add-1 as one walk over the regions per crossing, with
     both windings stepped across every arc and checked on the arcs it does
@@ -991,3 +1023,21 @@ def test_a_wrong_answer_of_the_winding_sum_is_refused_by_its_residual(
                        match=f"^winding sum, certificate: geometric add-1 at "
                              f"v{v + 1} has residual "):
         add1_geometric(D, v)
+
+
+def test_a_wrong_mod2_answer_is_refused_by_its_residual(monkeypatch,
+                                                         cold_cache):
+    # a particular off by one at a region passes the route's certificate;
+    # the mod-2 answer's own residual refuses it
+    D = random_diagram(4, 10)
+    particular = solvers._LoopCorrection.particular
+
+    def off_by_one(f, b):
+        u = particular(f, b)
+        return (u[0] + 1,) + u[1:]
+
+    monkeypatch.setattr(solvers._LoopCorrection, "particular", off_by_one)
+    with pytest.raises(InternalInvariantError,
+                       match="^loop correction, certificate: the mod-2 "
+                             "solution misses b "):
+        solve_mod2(D, (1,) * D.crossing_count)

@@ -1,13 +1,15 @@
 """The sparse matrix path against the dense routines it replaced.
 
-The mod-2 solve eliminates on bit rows in ``zlinalg._solve_gf2``, and the
-components are counted on the diagram's int darts ``4 c + s``.  The sparse
-rows ``sparse_rows``, which the single rule's elimination factored before
-its loop correction, stay here as the oracle of the bit rows and of the
-splice construction's factorisation.  The routines these replaced stay as
-oracles too: ``dense_matrix`` is the corner loop
-``build_matrix`` ran over ``regions``, ``column_scan_gf2`` the GF(2)
-elimination that scanned every column of every row, and the component
+The mod-2 solve reads the single rule's route; the GF(2) elimination on
+bit rows it ran before, ``solve_gf2`` on ``corner_bit_rows``, stays here as
+its oracle (``bit_elimination_mod2``).  The components are counted on the
+diagram's int darts ``4 c + s``.  The sparse rows ``sparse_rows``, which
+the single rule's elimination factored before its loop correction, stay
+here as the oracle of the bit rows and of the splice construction's
+factorisation.  The routines these replaced stay as oracles too:
+``dense_matrix`` is the corner loop ``build_matrix`` ran over ``regions``,
+``column_scan_gf2`` the GF(2) elimination that scanned every column of
+every row, and the component
 count is the strand walk on ``(crossing, slot)`` pairs,
 ``tuple_orbits(tuple_mates(...), 2)`` from ``test_diagram``.  The residual
 that ``verify`` and the geometric add-1 read off the regions at each
@@ -25,7 +27,6 @@ from regionchoice.diagram import (DiagramError, FlatDiagram, apply_r1,
 from regionchoice.incidence import (DOUBLE, SINGLE, _residual, build_matrix,
                                     mod2, residual)
 from regionchoice.solvers import solve_mod2
-from regionchoice.zlinalg import _solve_gf2
 from test_diagram import tuple_mates, tuple_orbits
 
 # the Hopf diagram and one R2 move on it: two components each
@@ -101,6 +102,51 @@ def column_scan_gf2(matrix, b):
                 acc ^= u[j]
         u[col] = acc
     return tuple(u)
+
+
+def solve_gf2(masks: list[int], cols: int):
+    """Solve ``A u = b`` over GF(2) on bit rows; returns a 0/1 tuple or
+    None.  Bit ``j < cols`` of a mask is the row's entry in column ``j``
+    and bit ``cols`` its right-hand side.
+
+    Each row is reduced by the pivot rows before it and pivots on its
+    lowest column bit; the free columns are 0, and each pivot column is
+    resolved from the last pivot upwards as the parity of its row against
+    the columns resolved so far."""
+    columns = (1 << cols) - 1
+    pivots = []  # (column bit, mask)
+    for m in masks:
+        for bit, pm in pivots:
+            if m & bit:
+                m ^= pm
+        m_cols = m & columns
+        if m_cols:
+            pivots.append((m_cols & -m_cols, m))
+        elif m >> cols:
+            return None
+    # a pivot row's other column bits are all later pivots' or free, so
+    # they are resolved before it
+    u = 0
+    for bit, pm in reversed(pivots):
+        if ((pm >> cols) + (pm & u).bit_count()) & 1:
+            u |= bit
+    return tuple((u >> j) & 1 for j in range(cols))
+
+
+def corner_bit_rows(diagram, b):
+    """The mod-2 rows with ``b mod 2`` in bit ``n + 2``: every single-rule
+    entry is 1, so row v's bits are the regions at v's four corners."""
+    cols, region = diagram.region_count, diagram._region
+    return [1 << r0 | 1 << r1 | 1 << r2 | 1 << r3 | x % 2 << cols
+            for r0, r1, r2, r3, x in zip(region[0::4], region[1::4],
+                                         region[2::4], region[3::4], b)]
+
+
+def bit_elimination_mod2(diagram, b):
+    """The regions of ``solve_gf2``'s answer on ``corner_bit_rows``, whose
+    free columns are 0: the oracle of ``solve_mod2``."""
+    bits = solve_gf2(corner_bit_rows(diagram, b), diagram.region_count)
+    return tuple(r for r, bit in enumerate(bits) if bit)
 
 
 def outcome(call, *args):
@@ -183,7 +229,7 @@ def test_bit_rows_of_links_equal_the_column_scan_on_every_b():
         bits = mod2(build_matrix(D, SINGLE))
         for k in range(2 ** n):
             b = tuple((k >> i) & 1 for i in range(n))
-            got = _solve_gf2([m | x << cols for m, x in zip(masks, b)], cols)
+            got = solve_gf2([m | x << cols for m, x in zip(masks, b)], cols)
             assert got == column_scan_gf2(bits, b)
             inconsistent += got is None
     assert inconsistent == 2 + 8
@@ -200,7 +246,7 @@ def test_solve_gf2_equals_the_column_scan_on_random_systems():
         b = [rng.randint(-2, 2) for _ in range(rows)]
         masks = [sum(1 << j for j, x in enumerate(row) if x % 2)
                  | bit % 2 << cols for row, bit in zip(matrix, b)]
-        got = _solve_gf2(masks, cols)
+        got = solve_gf2(masks, cols)
         # with no rows the scan knows no column count; all-zero solves
         assert got == (column_scan_gf2(matrix, b) if rows else (0,) * cols)
         answered += got is not None

@@ -12,9 +12,9 @@ from regionchoice.incidence import DOUBLE, SINGLE
 from regionchoice.solvers import solve
 from regionchoice.zlinalg import (EchelonForm, InternalInvariantError,
                                   NotE00Error, SolutionFamily, Vector,
-                                  _solve_gf2, minimize_in_family,
-                                  reduce_to_e00, replay, rref_rational,
-                                  solve_pinned)
+                                  minimize_in_family, reduce_to_e00, replay,
+                                  rref_rational, solve_pinned)
+from test_sparse import solve_gf2
 
 
 def determinant(matrix):
@@ -479,15 +479,15 @@ def test_minimize_rejects_unknown_norm():
 
 
 def test_solve_gf2_basic():
-    # bit j of a row is column j, bit 3 the right-hand side
-    sol = _solve_gf2([0b1011, 0b0110], 3)
+    # the mod-2 oracle: bit j of a row is column j, bit 3 the right-hand side
+    sol = solve_gf2([0b1011, 0b0110], 3)
     assert sol is not None
     assert [(sum(r * x for r, x in zip(row, sol)) % 2)
             for row in ((1, 1, 0), (0, 1, 1))] == [1, 0]
 
 
 def test_solve_gf2_unsolvable_returns_none():
-    assert _solve_gf2([0b011, 0b111], 2) is None
+    assert solve_gf2([0b011, 0b111], 2) is None
 
 
 def test_rref_of_trefoil_matrix():
