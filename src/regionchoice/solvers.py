@@ -27,7 +27,7 @@ from typing import NoReturn
 
 from . import incidence, zlinalg
 from .diagram import (FlatDiagram, InternalInvariantError, _doubled_crossings,
-                      _require_crossing, _walk, arc_by_label, arcs, is_knot)
+                      _require_crossing, _walk, arc_by_label, arcs)
 from .incidence import DOUBLE, SINGLE
 from .zlinalg import SolutionFamily
 
@@ -571,12 +571,15 @@ def solve_mod2(diagram: FlatDiagram, b) -> tuple[int, ...]:
     ``A1`` has rank n mod 2 and this is the one solution zero on that pair:
     the answer of a bit elimination whose free columns are 0 (README,
     "Certificates").  Its residual mod 2 and its zeros on the pair are
-    checked."""
-    if not is_knot(diagram):
-        raise ValueError("the mod-2 solve requires a knot projection")
+    checked.  A link is refused by the route's own strand walk, before
+    ``b`` is read."""
+    try:
+        f = _certified(diagram, SINGLE)
+    except ValueError:      # the route's one refusal: a link
+        raise ValueError(
+            "the mod-2 solve requires a knot projection") from None
     b = tuple(x % 2 for x in b)
     incidence._require_length(b, diagram.crossing_count, "b")
-    f = _certified(diagram, SINGLE)
     kernel = [[x & 1 for x in k] for k in f.kernel]
     f1, f2 = zlinalg._last_pair(kernel, f.fail)
     _, z1, z2 = zlinalg._pair_basis(kernel, f1, f2)

@@ -1,14 +1,16 @@
 """Exact integer linear algebra: unimodular factorisation, solving, kernels.
 
-Everything here is plain Python arbitrary-precision arithmetic, and one
-elimination engine, ``_UnitFactorisation``, is behind every exact result:
-sparse elimination with +-1 pivots of an n x (n+2) matrix, leaving two
-columns unpivoted so that the square rest is unimodular.  ``solve_pinned``,
-the one exact solve, names those two columns and solves every right-hand
-side from one factorisation; ``rref_rational`` reads the exact echelon form
-of ``[A | I]`` off it and ``reduce_to_e00`` the ``(I | 0 0)`` certificate
-``P A Q = S`` with a replayable operation log, both letting the elimination
-pick the two columns.
+Everything here is plain Python arbitrary-precision arithmetic.  One
+elimination engine, ``_UnitFactorisation``, serves the three entry points on
+a caller's dense matrix: sparse elimination with +-1 pivots of an n x (n+2)
+matrix, leaving two columns unpivoted so that the square rest is
+unimodular.  ``solve_pinned`` names those two columns and solves every
+right-hand side from one factorisation; ``rref_rational`` reads the exact
+echelon form of ``[A | I]`` off it and ``reduce_to_e00`` the ``(I | 0 0)``
+certificate ``P A Q = S`` with a replayable operation log, both letting the
+elimination pick the two columns.  The solvers of a diagram run no
+elimination (``solvers``); they share ``_family``, the kernel helpers and
+``minimize_in_family`` with this module.
 Region choice matrices of valid knot projections always factor, which
 certifies integral solvability for every right-hand side.
 """
@@ -21,7 +23,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from operator import add, mul, neg, sub
 from typing import NoReturn
 
 from .diagram import InternalInvariantError
@@ -151,7 +153,7 @@ def reduce_to_e00(matrix: Matrix) -> E00Decomposition:
             for i, _, pivot, _ in f.pivots if pivot == -1]
     log += [Operation("add_col", c, j, -pivot * x)
             for _, j, pivot, rest in f.pivots
-            for c, x in _entries(rest, cols).items()]
+            for c, x in rest.items()]
     order = [j for _, j in sorted((i, j) for i, j, _, _ in f.pivots)]
     at = list(range(cols))      # at[k]: the column now in position k
     for k, j in enumerate(order + list(f.pins)):
@@ -237,13 +239,14 @@ class _UnitFactorisation:
     them) and its column count, factored once by ``_factor_unit``, leaving
     two columns, the pins, unpivoted: the square rest ``B`` is unimodular.
 
-    Construction compiles the rows and each pivot's rest into gathers
-    (``_gather``), and every product reads them: ``image`` and the
-    back-substitution are one C-level gather per row, with no Python loop
-    over a row's entries.  The compiled ``rows`` and ``pivots`` are the only
-    copy kept: the pivot signs the certificate multiplies are the ones the
-    back-substitution reads.  ``particular``, ``kernel``, ``image`` and
-    ``fail`` are the solve route that ``_family`` reads.
+    The rows and each pivot's rest are kept as the ``{column: entry}``
+    dicts they are given and ``_factor_unit`` returns; the pivot signs the
+    certificate multiplies are the ones the back-substitution reads.
+    ``solve`` and ``product`` take a block of r right-hand sides or vectors,
+    one list of r ints per row or column, so each row step is one C-level
+    map over r entries.  ``particular``, ``kernel``, ``image`` and ``fail``
+    are the solve route that ``_family`` reads; ``particular`` and ``image``
+    are blocks with r = 1, and the kernel is one solve with r = 2.
 
     One ``_factor_unit`` call makes it: with ``pins`` given those two
     columns are left out of the elimination; with ``pins=None`` the two
@@ -256,8 +259,7 @@ class _UnitFactorisation:
 
     def __init__(self, rows: list[dict[int, int]], cols: int,
                  pins: tuple[int, int] | None, stage: str) -> None:
-        self.stage = stage
-        self.cols = cols
+        self.stage, self.cols, self.rows = stage, cols, rows
         skip = pins or ()
         # copied and popped in C: a filtering comprehension per row took
         # about 3x as long
@@ -265,71 +267,68 @@ class _UnitFactorisation:
         for j in skip:
             for row in work:
                 row.pop(j, None)
-        self.ops, pivots, left = _factor_unit(
+        self.ops, self.pivots, left = _factor_unit(
             work, [j for j in range(cols) if j not in skip], stage)
-        self.pivots = [(i, j, p, _gather(rest)) for i, j, p, rest in pivots]
-        self.rows = [_gather(row) for row in rows]
         self.pins = r1, r2 = pins or tuple(sorted(left))
-        self.kernel = (
-            tuple(self.solve([-row.get(r1, 0) for row in rows], (1, 0))),
-            tuple(self.solve([-row.get(r2, 0) for row in rows], (0, 1))))
+        x = self.solve([[-row.get(r1, 0), -row.get(r2, 0)] for row in rows])
+        x[r1], x[r2] = [1, 0], [0, 1]
+        self.kernel = k1, k2 = tuple(zip(*x))
         product = 1
         for _, _, p, _ in self.pivots:
             product *= p
         if product not in (1, -1):
             self.fail(f"pivot product is {product}")
-        k1, k2 = self.kernel
-        if any(self.image(k1)) or any(self.image(k2)):
+        if any(map(any, self.product(x))):
             self.fail("kernel vector outside the kernel")
         if _minor(k1, k2, r1, r2) != 1:
             self.fail("kernel minor on the pins is not 1")
 
     def particular(self, b) -> tuple[int, ...]:
         """The solution of ``A u + b = o`` that is zero on the pins."""
-        return tuple(self.solve([-v for v in b]))
-
-    def solve(self, y: list[int], pinned: tuple[int, int] = (0, 0)
-              ) -> list[int]:
-        """The x with ``A x = y`` and the values ``pinned`` on the pins."""
-        x = _substitute(self.ops, self.pivots, y, self.cols)
-        x[self.pins[0]], x[self.pins[1]] = pinned
-        return x
+        return tuple(v for v, in self.solve([[-v] for v in b]))
 
     def image(self, u) -> list[int]:
-        """``A u``, one compiled gather per row."""
-        return [sum(get(u)) if w is None else sum(map(mul, w, get(u)))
-                for get, w in self.rows]
+        """``A u``."""
+        return [v for v, in self.product([[v] for v in u])]
+
+    def solve(self, y: list[list[int]]) -> list[list[int]]:
+        """The block ``X`` with ``A X = Y`` and zero rows on the pins: ``Y``
+        has one list of r ints per row of ``A``, ``X`` one per column.  One
+        pass over the row operations, one back over the pivots; no row of
+        ``Y`` or ``X`` is changed in place, so rows may be shared."""
+        y = list(y)
+        for target, source, m in self.ops:
+            y[target] = list(_plus(y[target], m, y[source]))
+        x = [[0] * len(y[0])] * self.cols
+        for i, j, p, rest in reversed(self.pivots):
+            # p is +-1, so dividing by it is multiplying by it
+            row = y[i] if p == 1 else map(neg, y[i])
+            for c, v in rest.items():
+                row = _plus(row, -p * v, x[c])
+            x[j] = list(row)
+        return x
+
+    def product(self, x: list[list[int]]):
+        """The rows of the block ``A X``, one at a time, for ``X`` with one
+        list of r ints per column of ``A``."""
+        for entries in self.rows:
+            row = itertools.repeat(0, len(x[0]))
+            for c, v in entries.items():
+                row = _plus(row, v, x[c])
+            yield list(row)
 
     def fail(self, what: str) -> NoReturn:
         raise InternalInvariantError(f"{self.stage}, certificate: {what}")
 
 
-def _gather(entries: dict[int, int]
-            ) -> tuple[itemgetter, tuple[int, ...] | None]:
-    """The sparse row or pivot rest ``entries`` compiled for products:
-    ``(get, weights)``, where ``get`` is an ``operator.itemgetter`` over its
-    columns in dict order and ``weights`` its entries, or None when every
-    entry is 1.  The dot product with a vector ``u`` is then
-    ``sum(get(u))``, or ``sum(map(mul, weights, get(u)))``, all in C.
-
-    ``itemgetter`` of one index returns a scalar, not a tuple, so fewer
-    than two entries are padded to two, on one column (column 0 when there
-    are none), by weight-0 entries that come first.  ``_entries`` reads the
-    entries back."""
-    w = tuple(entries.values())
-    if len(w) > 1:
-        return itemgetter(*entries), None if w.count(1) == len(w) else w
-    j = next(iter(entries), 0)
-    return itemgetter(j, j), (0,) * (2 - len(w)) + w
-
-
-def _entries(gather, cols: int) -> dict[int, int]:
-    """The ``{column: entry}`` dict, in dict order, that ``_gather`` compiled
-    into ``gather``: its getter applied to the column numbers gives its
-    columns back, and the padding's zero weights are dropped."""
-    get, w = gather
-    return {c: x for c, x in zip(get(range(cols)), w or itertools.repeat(1))
-            if x}
+def _plus(row, v: int, other: list[int]):
+    """``row + v other`` entry by entry, as a lazy iterator that runs in C;
+    a weight of +-1 costs no multiplication."""
+    if v == 1:
+        return map(add, row, other)
+    if v == -1:
+        return map(sub, row, other)
+    return map(add, row, map(mul, other, itertools.repeat(v)))
 
 
 def _factor_unit(rows: list[dict[int, int]], columns, stage: str):
@@ -473,22 +472,6 @@ def _make_unit(rows, col_rows, live_cols, add_row, stage: str) -> None:
             return
         for k in holders[1:]:
             add_row(k, holders[0], -(rows[k][j] // e))
-
-
-def _substitute(ops, pivots, y: list[int], cols: int) -> list[int]:
-    """Solve ``B x = y`` from ``_factor_unit``'s row operations and the
-    pivots with their rests compiled by ``_gather``, as
-    ``_UnitFactorisation`` keeps them; ``x`` is returned as a
-    length-``cols`` list indexed by the original column numbers."""
-    for target, source, m in ops:
-        if y[source]:
-            y[target] += m * y[source]
-    x = [0] * cols
-    for i, j, p, (get, w) in reversed(pivots):
-        # p is +-1, so dividing by it is multiplying by it
-        x[j] = p * (y[i] - (sum(get(x)) if w is None
-                            else sum(map(mul, w, get(x)))))
-    return x
 
 
 def _minor(k1, k2, r1: int, r2: int) -> int:
@@ -707,47 +690,44 @@ def rref_rational(matrix: Matrix) -> EchelonForm:
     The RREF is unique, so it is read off one ``_UnitFactorisation`` over
     all columns.  Its two non-pivot columns ``f1 < f2`` are the
     lexicographically last pair on which the kernel basis has a nonzero
-    minor ``D`` (``_last_pair``).  The ``b`` coefficients are
-    ``A_S^-1 e_k``, the solution of ``A x = e_k`` that is zero on
-    ``(f1, f2)``: the factorisation's solution, moved along the kernel by
-    one Cramer step with denominator ``D``.  A free column's coefficients
-    are the negated kernel vector that is 1 there and 0 on the other.  The
-    call checks that every such ``x`` solves ``A x = e_k`` exactly and
-    raises ``InternalInvariantError`` naming the stage otherwise.
+    minor ``D`` (``_last_pair``).  The ``b`` coefficients are ``A_S^-1``,
+    the solution of ``A X = I`` that is zero on ``(f1, f2)``: one block
+    solve of the identity, moved along the kernel in one step to
+    ``D X - z1 X[f1] - z2 X[f2]`` with ``z1``, ``z2`` from ``_pair_basis``,
+    and divided by ``D``; its rows at the pivot columns are the ``b_coeffs``
+    rows.  A free column's coefficients are the negated kernel vector that
+    is 1 there and 0 on the other.  The call checks, by one block product,
+    that every column solves ``A x = e_k`` exactly and is zero on the pair,
+    and raises ``InternalInvariantError`` naming the stage otherwise.
     """
     rows, cols = _shape(matrix)
     f = _UnitFactorisation(_sparse(matrix), cols, None, "echelon")
     f1, f2 = _last_pair(f.kernel, f.fail)
     d, z1, z2 = _pair_basis(f.kernel, f1, f2)
     pivot_cols = tuple(j for j in range(cols) if j != f1 and j != f2)
-
-    def on_pair(x: list[int]) -> list[int]:
-        """``D x`` moved along the kernel to zero on ``(f1, f2)``."""
-        return [d * v - x[f1] * a - x[f2] * b for v, a, b in zip(x, z1, z2)]
-
-    fractions: dict[int, Fraction] = {}
-
-    def frac(v: int) -> Fraction:
-        """``v / D``, each value built once."""
-        got = fractions.get(v)
-        if got is None:
-            got = fractions[v] = Fraction(v, d)
-        return got
-
-    b_columns = []
-    for k in range(rows):
-        x = on_pair(f.solve([int(i == k) for i in range(rows)]))
-        if (x[f1] or x[f2]
-                or f.image(x) != [d * int(i == k) for i in range(rows)]):
-            f.fail(f"A_S^-1 e_{k + 1} does not solve A x = e_{k + 1}")
-        b_columns.append([frac(x[j]) for j in pivot_cols])
+    x = f.solve([[0] * i + [1] + [0] * (rows - 1 - i) for i in range(rows)])
+    x1, x2 = x[f1], x[f2]
+    for j, (s, t) in enumerate(zip(z1, z2)):
+        moved = map(mul, x[j], itertools.repeat(d))
+        x[j] = list(_plus(_plus(moved, -s, x1), -t, x2))
+    # A X = D I: row i of A X is D at i and 0 elsewhere
+    if (any(x[f1]) or any(x[f2])
+            or any(row[i] != d or row.count(0) != rows - 1
+                   for i, row in enumerate(f.product(x)))):
+        ax = list(f.product(x))     # again, to name the first bad column
+        k = next(k for k in range(rows) if x[f1][k] or x[f2][k] or any(
+            row[k] != d * (i == k) for i, row in enumerate(ax)))
+        f.fail(f"A_S^-1 e_{k + 1} does not solve A x = e_{k + 1}")
+    # each distinct value over D built once
+    table = {v: Fraction(v, d) for v in set(itertools.chain(
+        *(x[j] for j in pivot_cols), map(neg, z1), map(neg, z2)))}
     zero, one = Fraction(0), Fraction(1)
     coeffs = []
     for p in pivot_cols:
         row = [zero] * cols
         row[p] = one
-        row[f1], row[f2] = frac(-z1[p]), frac(-z2[p])
+        row[f1], row[f2] = table[-z1[p]], table[-z2[p]]
         coeffs.append(tuple(row))
     return EchelonForm(pivot_cols, tuple(coeffs),
-                       tuple(zip(*b_columns)))
-
+                       tuple(tuple(map(table.__getitem__, x[j]))
+                             for j in pivot_cols))

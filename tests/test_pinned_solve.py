@@ -11,15 +11,17 @@ stays here, with ``dense_solve`` reading a solution family off it, as the
 independent path; both must describe the same solution lattice.
 ``markowitz_scan`` is the elimination before its pivot queues: it must
 pick exactly the pivots ``zlinalg._factor_unit`` picks.  ``dict_image`` and
-``dict_substitute`` are the products before ``_UnitFactorisation`` compiled
-its rows and pivot rests into gathers: a generator over each row's dict.
+``dict_substitute`` are one product and one substitution per vector, a
+generator over each row's dict: the oracles, column by column, of
+``_UnitFactorisation``'s block ``product`` and ``solve``, and with one
+substitution per unit vector of ``rref_rational``'s block solve.
 """
 
 import hashlib
 import random
 from fractions import Fraction
-from operator import mul
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from regionchoice import zlinalg
@@ -386,14 +388,15 @@ def test_factor_unit_pivots_exactly_as_the_scan(monkeypatch):
 
 
 def dict_image(rows, u):
-    """``A u`` from sparse dict rows, one generator per row: the product
-    ``_UnitFactorisation.image`` compiled away, kept as its oracle."""
+    """``A u`` from sparse dict rows, one generator per row: the oracle of
+    ``_UnitFactorisation.product``, column by column."""
     return [sum(x * u[j] for j, x in row.items()) for row in rows]
 
 
 def dict_substitute(ops, pivots, y, cols):
     """``B x = y`` solved from ``_factor_unit``'s dict pivots, one
-    generator per pivot rest: the oracle for ``zlinalg._substitute``."""
+    generator per pivot rest: the oracle of ``_UnitFactorisation.solve``,
+    column by column."""
     for target, source, m in ops:
         if y[source]:
             y[target] += m * y[source]
@@ -401,6 +404,11 @@ def dict_substitute(ops, pivots, y, cols):
     for i, j, p, rest in reversed(pivots):
         x[j] = p * (y[i] - sum(v * x[c] for c, v in rest.items()))
     return x
+
+
+def columns(block):
+    """The columns of a block, one list of r ints per row, as lists."""
+    return [list(column) for column in zip(*block)]
 
 
 def unimodular(rng, n):
@@ -419,7 +427,7 @@ def unimodular(rng, n):
     return a
 
 
-def test_compiled_products_equal_the_dict_products(monkeypatch):
+def test_block_solve_and_product_equal_the_dict_oracles(monkeypatch):
     made = []
 
     class Recording(zlinalg._UnitFactorisation):
@@ -444,24 +452,36 @@ def test_compiled_products_equal_the_dict_products(monkeypatch):
         solve_pinned(matrix, pins, [[rng.randint(-9, 9) for _ in matrix]])
     seen = set()
     for rows, f in made:
-        cols = f.cols
+        cols, n = f.cols, len(rows)
         skip = f.pins if f.stage == "pinned solve" else ()
         ops, pivots, _ = zlinalg._factor_unit(
             [{j: x for j, x in row.items() if j not in skip} for row in rows],
             [j for j in range(cols) if j not in skip], "oracle")
-        # the compiled data reads back as the dicts it was compiled from
-        assert f.ops == ops
-        assert [zlinalg._entries(g, cols) for g in f.rows] == rows
-        assert [(i, j, p, list(zlinalg._entries(g, cols).items()))
-                for i, j, p, g in f.pivots] == [
-                    (i, j, p, list(rest.items())) for i, j, p, rest in pivots]
-        for u in (*f.kernel, *([rng.randint(-10 ** 6, 10 ** 6)
-                                for _ in range(cols)] for _ in range(3))):
-            assert f.image(u) == dict_image(rows, u)
-        for y in ([rng.randint(-50, 50) for _ in rows],
-                  [int(i == 0) for i in range(len(rows))]):
-            assert (zlinalg._substitute(f.ops, f.pivots, list(y), cols)
-                    == dict_substitute(ops, pivots, list(y), cols))
+        # the rows and pivot rests are the dicts the elimination returned,
+        # in the same order
+        assert f.rows is rows and f.ops == ops
+        assert [(i, j, p, list(rest.items())) for i, j, p, rest in f.pivots
+                ] == [(i, j, p, list(rest.items()))
+                      for i, j, p, rest in pivots]
+        # r = 1, the identity (r = n) and a random r = n block
+        for y in ([[rng.randint(-50, 50)] for _ in rows],
+                  [[int(i == k) for k in range(n)] for i in range(n)],
+                  [[rng.randint(-50, 50) for _ in rows] for _ in rows]):
+            before = [row[:] for row in y]
+            x = f.solve(y)
+            assert y == before
+            assert len(x) == cols
+            assert columns(x) == [dict_substitute(ops, pivots, column, cols)
+                                  for column in columns(y)]
+        # the kernel as an r = 2 block, r = 1 and r = n
+        for u in (list(zip(*f.kernel)),
+                  [[rng.randint(-10 ** 6, 10 ** 6)] for _ in range(cols)],
+                  [[rng.randint(-10 ** 6, 10 ** 6) for _ in rows]
+                   for _ in range(cols)]):
+            ax = list(f.product(u))
+            assert len(ax) == n
+            assert columns(ax) == [dict_image(rows, column)
+                                   for column in columns(u)]
         seen.update(f"{len(r)}-entry row" for r in rows if len(r) < 2)
         seen.update(f"{len(rest)}-entry rest" for *_, rest in pivots
                     if len(rest) < 2)
@@ -469,7 +489,7 @@ def test_compiled_products_equal_the_dict_products(monkeypatch):
                     if any(abs(x) > 2 for x in r.values()))
         seen.update("negative weight" for r in rows
                     if any(x < 0 for x in r.values()))
-        if len(rows) == 1:
+        if n == 1:
             seen.add("n = 1")
         seen.add(f.stage)
     assert seen >= {"1-entry row", "0-entry rest", "1-entry rest",
@@ -477,11 +497,60 @@ def test_compiled_products_equal_the_dict_products(monkeypatch):
                     "pinned solve", "echelon", "E00"}
 
 
-def test_gather_reads_back_and_multiplies_short_rows():
-    u = (5, -7, 11, 13)
-    for entries in ({}, {2: 1}, {1: -3}, {3: 1, 0: 1}, {0: 4, 3: -1, 2: 1}):
-        g = zlinalg._gather(entries)
-        assert zlinalg._entries(g, len(u)) == entries
-        get, w = g
-        product = sum(get(u)) if w is None else sum(map(mul, w, get(u)))
-        assert product == dict_image([entries], u)[0]
+def test_a_corrupted_block_is_refused_by_the_echelon_check(monkeypatch):
+    # one entry of the identity's solved block flipped, in every row in
+    # turn: the block product names the column, also on the free pair
+    solve = zlinalg._UnitFactorisation.solve
+    matrix = build_matrix(catalog_entry("5_2").diagram, SINGLE).entries
+    rows, cols = len(matrix), len(matrix) + 2
+    expected = rref_rational(matrix)
+    for j in range(cols):
+        k = j % rows
+
+        def corrupt(self, y):
+            x = solve(self, y)
+            if hasattr(self, "kernel"):     # not the kernel's own solve
+                x[j] = x[j][:]              # rows may be shared
+                x[j][k] += 1
+            return x
+
+        monkeypatch.setattr(zlinalg._UnitFactorisation, "solve", corrupt)
+        with pytest.raises(zlinalg.InternalInvariantError,
+                           match=rf"^echelon, certificate: A_S\^-1 e_{k + 1} "
+                                 rf"does not solve A x = e_{k + 1}$"):
+            rref_rational(matrix)
+        monkeypatch.undo()
+    assert rref_rational(matrix) == expected
+
+
+def test_rref_at_n_741_is_the_per_column_solve():
+    # the block solve and move against one dict substitution and one
+    # kernel move per unit vector, off the same elimination
+    matrix = build_matrix(random_diagram(5, 500), SINGLE).entries
+    rows, cols = len(matrix), len(matrix) + 2
+    assert rows == 741
+    sparse = zlinalg._sparse(matrix)
+    ops, pivots, left = zlinalg._factor_unit(
+        [row.copy() for row in sparse], range(cols), "oracle")
+    kernel = []
+    for pin in sorted(left):
+        x = dict_substitute(ops, pivots, [-row.get(pin, 0) for row in sparse],
+                            cols)
+        x[pin] = 1
+        kernel.append(x)
+    f1, f2 = zlinalg._last_pair(kernel, pytest.fail)
+    d, z1, z2 = zlinalg._pair_basis(kernel, f1, f2)
+    pivot_cols = tuple(j for j in range(cols) if j not in (f1, f2))
+    b_columns = []
+    for k in range(rows):
+        x = dict_substitute(ops, pivots, [int(i == k) for i in range(rows)],
+                            cols)
+        b_columns.append([Fraction(d * x[j] - x[f1] * z1[j] - x[f2] * z2[j],
+                                   d) for j in pivot_cols])
+    e = rref_rational(matrix)
+    assert e.pivot_cols == pivot_cols
+    assert e.b_coeffs == tuple(zip(*b_columns))
+    for p, row in zip(pivot_cols, e.coeffs):
+        assert (row[p], row[f1], row[f2]) == (
+            1, Fraction(-z1[p], d), Fraction(-z2[p], d))
+        assert row.count(0) == cols - 3 + (not z1[p]) + (not z2[p])

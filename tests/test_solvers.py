@@ -886,10 +886,12 @@ def test_solve_mod2_is_the_bit_elimination():
             p = solve(D, SINGLE, tuple(x % 2 for x in b)).particular
             moved += answer != tuple(r for r, x in enumerate(p) if x % 2)
     assert moved > len(diagrams)
+    # a link is refused before the length of b is read
     for D in LINKS:
-        with pytest.raises(ValueError, match="^the mod-2 solve requires a "
-                                             "knot projection$"):
-            solve_mod2(D, (1,) * D.crossing_count)
+        for b in ((1,) * D.crossing_count, (1,) * (D.crossing_count + 1)):
+            with pytest.raises(ValueError, match="^the mod-2 solve requires "
+                                                 "a knot projection$"):
+                solve_mod2(D, b)
 
 
 def add1_by_winding_walk(D, v):
