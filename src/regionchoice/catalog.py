@@ -9,12 +9,12 @@ checked at load time, so a catalog entry that stops matching its table raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import TYPE_CHECKING
 
-from .diagram import FlatDiagram, InternalInvariantError, apply_r1, arcs
+from .diagram import (FlatDiagram, InternalInvariantError, _Record, apply_r1,
+                      arcs)
 
 if TYPE_CHECKING:
     from .incidence import RegionChoiceMatrix
@@ -94,8 +94,7 @@ class CatalogError(KeyError):
     """Unknown catalog name."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """A shipped projection plus the relabeling onto the reference tables."""
 
     name: str

@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
+from operator import attrgetter
 
 Dart = tuple[int, int]
 
@@ -35,23 +35,95 @@ class DiagramError(ValueError):
     """The given PD code does not describe a valid spherical projection."""
 
 
-@dataclass(frozen=True)
-class FlatDiagram:
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass lists its fields as annotations in its body, in order, with
+    optional defaults after the fields without one.  Each subclass gets,
+    from one ``exec``, an ``__init__`` that sets every field with
+    ``object.__setattr__`` and then calls ``__post_init__`` if the class
+    has one, and a ``__hash__`` of the field tuple unless the body defines
+    its own; compiled per class, the hash reads each field as fast as the
+    dataclass's does, where a shared one reading them by name is slower.
+    Equality (same class, equal field tuples), ``repr``,
+    ``__match_args__`` and the refusal to set or delete an attribute are
+    shared.  These are the semantics of a frozen dataclass, without
+    importing ``dataclasses``, which costs a call a few milliseconds.
+    ``_fields`` names the fields in order.
+    """
+
+    def __init_subclass__(cls) -> None:
+        body = cls.__dict__
+        fields = tuple(cls.__annotations__)
+        cls._fields = cls.__match_args__ = fields
+        cls._get = attrgetter(*fields)
+        scope = {"_setattr": object.__setattr__}
+        params = []
+        for f in fields:
+            if f in body:
+                scope[f"_default_{f}"] = body[f]
+                params.append(f"{f}=_default_{f}")
+            else:
+                params.append(f)
+        lines = [f"def __init__(self, {', '.join(params)}):"]
+        lines += [f"    _setattr(self, {f!r}, {f})" for f in fields]
+        if "__post_init__" in body:
+            lines.append("    self.__post_init__()")
+        if "__hash__" not in body:
+            values = "".join(f"self.{f}, " for f in fields)
+            lines += ["def __hash__(self):", f"    return hash(({values}))"]
+        exec("\n".join(lines), scope)
+        for name in ("__init__", "__hash__"):
+            if name in scope:
+                function = scope[name]
+                function.__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, function)
+
+    def __eq__(self, other):
+        # a lone field is compared bare, not as a 1-tuple: the same unless
+        # a value is unequal to itself, as no record's is
+        if other.__class__ is self.__class__:
+            get = self._get
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        items = (f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({', '.join(items)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FlatDiagram(_Record):
     """A flat projection: crossings with counterclockwise dart order."""
 
     crossings: tuple[tuple[int, int, int, int], ...]
     name: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "crossings",
-                           tuple(tuple(c) for c in self.crossings))
+        crossings = tuple(map(tuple, self.crossings))
+        object.__setattr__(self, "crossings", crossings)
         # the validation's mate table, faces in region order and region of
-        # every dart, kept so that nothing builds them again; not fields,
-        # so ==, hash and repr ignore them
-        mate, faces, region = _validate(self.crossings)
+        # every dart, kept so that nothing builds them again, and the hash,
+        # which the lru_caches keyed by diagram ask for on every lookup;
+        # not fields, so ==, hash and repr ignore them
+        mate, faces, region = _validate(crossings)
         object.__setattr__(self, "_mate", mate)
         object.__setattr__(self, "_faces", faces)
         object.__setattr__(self, "_region", region)
+        object.__setattr__(self, "_hash", hash((crossings, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes are salted per process: a copy or an unpickled diagram
+        # is built afresh, and so hashes in its own process
+        return type(self), (self.crossings, self.name)
 
     @property
     def crossing_count(self) -> int:
@@ -70,8 +142,7 @@ class FlatDiagram:
         return f"FlatDiagram({list(map(list, self.crossings))!r}{tag})"
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(_Record):
     """A face of the projection, with its corners in trace order.
 
     A corner ``(c, s)`` is the wedge at crossing ``c`` between the arcs in
@@ -82,8 +153,7 @@ class Region:
     corners: tuple[Dart, ...]
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(_Record):
     """An edge of the projection with its two end darts and side regions."""
 
     label: int
@@ -91,8 +161,7 @@ class Arc:
     sides: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CheckerboardColoring:
+class CheckerboardColoring(_Record):
     """A proper two-coloring of regions across arcs; +1 black, -1 white."""
 
     signs: tuple[int, ...]
@@ -348,7 +417,7 @@ def parse_flat_pd(text: str) -> FlatDiagram:
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise DiagramError('"name" must be a string')
-    return FlatDiagram(tuple(tuple(c) for c in crossings), name)
+    return FlatDiagram(crossings, name)
 
 
 def to_flat_pd(diagram: FlatDiagram) -> str:

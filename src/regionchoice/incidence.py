@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index, itemgetter, mul, ne
 
-from .diagram import FlatDiagram, regions
+from .diagram import FlatDiagram, _Record, regions
 
 SINGLE = "single"
 DOUBLE = "double"
 
 
-@dataclass(frozen=True)
-class RegionChoiceMatrix:
+class RegionChoiceMatrix(_Record):
     """Integer crossings-by-regions matrix with its labelings.
 
     Single rule: entry 1 iff the region touches the crossing at all.

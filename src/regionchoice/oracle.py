@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from .diagram import _Record
 from .zlinalg import SolutionFamily
 
 DEFAULT_BUDGET = 10_000_000
@@ -18,8 +18,7 @@ class OracleMismatch(AssertionError):
     """Brute force and the solution family disagree."""
 
 
-@dataclass(frozen=True)
-class SearchBox:
+class SearchBox(_Record):
     """Exhaustive search over assignments with entries in [-radius, radius]."""
 
     matrix: tuple[tuple[int, ...], ...]
@@ -68,8 +67,7 @@ def _recover_coefficients(family: SolutionFamily, u) -> tuple[int, int]:
     raise OracleMismatch("kernel basis has no unimodular coordinate pair")
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(_Record):
     brute_count: int
     coefficients: tuple[tuple[int, int], ...]
 

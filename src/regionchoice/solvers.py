@@ -19,7 +19,6 @@ than an input error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, mul, ne, sub
@@ -27,7 +26,7 @@ from typing import NoReturn
 
 from . import incidence, zlinalg
 from .diagram import (FlatDiagram, InternalInvariantError, _doubled_crossings,
-                      _require_crossing, _walk, arc_by_label, arcs)
+                      _Record, _require_crossing, _walk, arc_by_label, arcs)
 from .incidence import DOUBLE, SINGLE
 from .zlinalg import SolutionFamily
 
@@ -35,8 +34,7 @@ ALGEBRAIC = "algebraic"
 GEOMETRIC = "geometric"
 
 
-@dataclass(frozen=True)
-class Add1Certificate:
+class Add1Certificate(_Record):
     """An assignment whose point change is +1 at one crossing, 0 elsewhere."""
 
     crossing: int
@@ -46,8 +44,7 @@ class Add1Certificate:
     residual: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PinnedKernelRequest:
+class PinnedKernelRequest(_Record):
     """Ask for a kernel solution with fixed values beside one arc."""
 
     arc: int
@@ -56,8 +53,7 @@ class PinnedKernelRequest:
     rule: str = DOUBLE
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Residual of a proposed solution, with a per-crossing breakdown."""
 
     rule: str

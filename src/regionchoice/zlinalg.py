@@ -21,12 +21,13 @@ import heapq
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul, neg, sub
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-from .diagram import InternalInvariantError
+from .diagram import InternalInvariantError, _Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -36,8 +37,7 @@ class NotE00Error(ValueError):
     """The matrix is not equivalent to (I | 0 0); no solvability guarantee."""
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(_Record):
     """One elementary operation: kind, target indices, optional multiplier."""
 
     kind: str          # swap_rows/swap_cols/negate_row/negate_col/add_row/add_col
@@ -46,8 +46,7 @@ class Operation:
     multiplier: int = 0
 
 
-@dataclass(frozen=True)
-class E00Decomposition:
+class E00Decomposition(_Record):
     """Unimodular P, Q and diagonal S with ``P A Q = S`` exactly."""
 
     matrix: Matrix
@@ -64,8 +63,7 @@ class E00Decomposition:
                    for i in range(rows) for j in range(cols))
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(_Record):
     """All integral solutions of ``A u + b = o``: particular + rank-2 kernel.
     A solver's ``matrix`` is a read-only view that builds rows on access."""
 
@@ -548,7 +546,7 @@ def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
     if g11 > g22:
         g11, g22, t1, t2 = g22, g11, t2, t1
     while True:
-        m = round(Fraction(g12, g11))
+        m = _round_div(g12, g11)
         g12, g22 = g12 - m * g11, g22 - m * (2 * g12 - m * g11)
         t2 = (t2[0] - m * t1[0], t2[1] - m * t1[1])
         if g22 >= g11:
@@ -559,8 +557,6 @@ def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
     # real least-squares for u0 + a k1 + b k2 = 0
     r1, r2 = sum(map(mul, total, p)), sum(map(mul, total, q))
     det = g11 * g22 - g12 * g12
-    a0 = Fraction(r2 * g12 - r1 * g22, det)
-    b0 = Fraction(r1 * g12 - r2 * g11, det)
     squares = sum(map(mul, u0, u0))
     low, high = list(map(min, values)), list(map(max, values))
 
@@ -594,7 +590,8 @@ def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
     # nonzero entry is positive.  Scanned in lexicographic order, the row's
     # least member is where its norm stops falling, and only that member is
     # compared with the best.
-    start, b = round(a0), round(b0)
+    start = _round_div(r2 * g12 - r1 * g22, det)
+    b = _round_div(r1 * g12 - r2 * g11, det)
     best = (line(start)[0](b), start, b)
     rising = next(y for y in q if y) > 0
     for rows in (itertools.count(start), itertools.count(start - 1, -1)):
@@ -614,6 +611,15 @@ def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
                 best = (row[0], a, row[1])
     _, a, b = best
     return family.member(a * t1[0] + b * t2[0], a * t1[1] + b * t2[1])
+
+
+def _round_div(p: int, q: int) -> int:
+    """The integer nearest ``p / q``, ties to even: ``round(Fraction(p,
+    q))`` by one exact division."""
+    if q < 0:
+        p, q = -p, -q
+    m, r = divmod(p, q)
+    return m + (2 * r > q or 2 * r == q and m & 1)
 
 
 def _within_l2(c: int, p: int, g: int) -> range | None:
@@ -654,8 +660,7 @@ def _within_linf(low, high, k, limit: int) -> range | None:
 # rational echelon with symbolic right-hand side
 
 
-@dataclass(frozen=True)
-class EchelonForm:
+class EchelonForm(_Record):
     """RREF of A with the right-hand side carried symbolically.
 
     Row i reads: sum_j coeffs[i][j] * u_j = sum_k b_coeffs[i][k] * b_{k+1},
@@ -668,6 +673,7 @@ class EchelonForm:
 
     def evaluate(self, b: Vector, free_values) -> tuple[Fraction, ...]:
         """Solve ``A u = b`` with the non-pivot variables fixed."""
+        from fractions import Fraction
         cols = len(self.coeffs[0]) if self.coeffs else 0
         free_cols = [j for j in range(cols) if j not in self.pivot_cols]
         if len(free_values) != len(free_cols):
@@ -719,6 +725,7 @@ def rref_rational(matrix: Matrix) -> EchelonForm:
             row[k] != d * (i == k) for i, row in enumerate(ax)))
         f.fail(f"A_S^-1 e_{k + 1} does not solve A x = e_{k + 1}")
     # each distinct value over D built once
+    from fractions import Fraction
     table = {v: Fraction(v, d) for v in set(itertools.chain(
         *(x[j] for j in pivot_cols), map(neg, z1), map(neg, z2)))}
     zero, one = Fraction(0), Fraction(1)

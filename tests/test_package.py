@@ -114,6 +114,56 @@ def test_a_fresh_import_loads_only_diagram_and_lists_every_name():
     assert {n for n in listed if not n.startswith("_")} == EXPORTED_NAMES
 
 
+# the benchmark's ten CLI kinds (bench/workloads.py CLI_KINDS), on 5_2
+CLI_KINDS = {
+    "solve": ["solve", "--rule", "single", "--b=1,0,-2,0,3"],
+    "solve_min": ["solve", "--rule", "double", "--b=1,0,-2,0,3",
+                  "--minimize", "Linf"],
+    "solve_mod2": ["solve", "--b=1,0,1,1,0", "--mod2"],
+    "add1_alg": ["add1", "--crossing", "v2", "--rule", "single",
+                 "--path", "algebraic"],
+    "add1_geo": ["add1", "--crossing", "v3", "--rule", "double",
+                 "--path", "geometric"],
+    "matrix": ["matrix", "--rule", "double"],
+    "rref": ["rref"],
+    "validate": ["validate"],
+    "regions": ["regions"],
+    "checkerboard": ["checkerboard"],
+}
+
+
+@pytest.mark.parametrize("source", ["diagram", "file"])
+def test_a_cli_call_imports_no_dataclasses_and_fractions_for_rref_only(
+        source, tmp_path):
+    # python -S, as site can import more than the call does
+    from regionchoice.catalog import catalog_entry
+    from regionchoice.diagram import to_flat_pd
+    path = tmp_path / "5_2.json"
+    path.write_text(to_flat_pd(catalog_entry("5_2").diagram))
+    where = (["--diagram", "5_2", "--reference-labels"] if source == "diagram"
+             else ["--file", str(path)])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for kind, args in CLI_KINDS.items():
+        labels = where if args[0] in ("matrix", "rref") else where[:2]
+        argv = [args[0], *labels, *args[1:], "--format", "json"]
+        child = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import json, sys\n"
+             "from regionchoice.cli import main\n"
+             "code = main(json.loads(sys.argv[1]))\n"
+             "sys.stdout.flush()\n"
+             "print(json.dumps([code, 'dataclasses' in sys.modules,"
+             " 'fractions' in sys.modules]), file=sys.stderr)",
+             json.dumps(argv)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert child.returncode == 0, (kind, child.stderr)
+        assert json.loads(child.stdout), kind
+        code, dataclasses, fractions = json.loads(
+            child.stderr.splitlines()[-1])
+        assert code == 0 and not dataclasses, kind
+        assert fractions is (kind == "rref"), kind
+
+
 def test_the_lazy_lookup_keeps_no_copy(monkeypatch):
     solvers = importlib.import_module("regionchoice.solvers")
     assert regionchoice.solve is solvers.solve

@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regionchoice.catalog import catalog_entry, names
 from regionchoice.diagram import random_diagram
@@ -12,8 +13,9 @@ from regionchoice.incidence import DOUBLE, SINGLE
 from regionchoice.solvers import solve
 from regionchoice.zlinalg import (EchelonForm, InternalInvariantError,
                                   NotE00Error, SolutionFamily, Vector,
-                                  minimize_in_family, reduce_to_e00, replay,
-                                  rref_rational, solve_pinned)
+                                  _round_div, minimize_in_family,
+                                  reduce_to_e00, replay, rref_rational,
+                                  solve_pinned)
 from test_sparse import solve_gf2
 
 
@@ -636,3 +638,30 @@ def test_e00_refuses_a_matrix_without_a_unit_pivot_factorisation():
     # Z-equivalent to (1 0 0), but no column has gcd 1, so no +-1 pivot
     with pytest.raises(InternalInvariantError, match="^E00, elimination: "):
         reduce_to_e00(((2, 3, 0),))
+
+
+NONZERO = st.integers(-10 ** 30, 10 ** 30).filter(bool)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(p=st.integers(-10 ** 40, 10 ** 40), q=NONZERO)
+def test_round_div_is_round_of_the_fraction(p, q):
+    assert _round_div(p, q) == round(Fraction(p, q))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(k=st.integers(-10 ** 20, 10 ** 20), m=NONZERO)
+def test_round_div_rounds_halves_to_even(k, m):
+    # (2k + 1) m / 2m is k + 1/2, in either sign of m
+    assert _round_div((2 * k + 1) * m, 2 * m) == round(Fraction(2 * k + 1, 2))
+    assert _round_div((2 * k + 1) * m, 2 * m) % 2 == 0
+
+
+def test_round_div_on_small_halves_and_signs():
+    for p in range(-9, 10):
+        for q in (-4, -2, -1, 1, 2, 4):
+            assert _round_div(p, q) == round(Fraction(p, q)), (p, q)
+    assert [_round_div(p, 2) for p in (-5, -3, -1, 1, 3, 5)] == [
+        -2, -2, 0, 0, 2, 2]
+    with pytest.raises(ZeroDivisionError):
+        _round_div(1, 0)
