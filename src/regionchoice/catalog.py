@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from typing import TYPE_CHECKING
 
 from .diagram import (FlatDiagram, InternalInvariantError, _Record, apply_r1,
                       arcs)
 
+TYPE_CHECKING = False  # type checkers read it as True; no typing import
 if TYPE_CHECKING:
     from .incidence import RegionChoiceMatrix
 

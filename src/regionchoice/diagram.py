@@ -274,7 +274,16 @@ def _dart(d: int) -> Dart:
     return d >> 2, d & 3
 
 
-@lru_cache(maxsize=None)
+# How many diagrams `regions`, `arcs`, `component_count` and `checkerboard`
+# each keep: the last ones asked, so a process that meets a new diagram on
+# every call holds a fixed number, not every one it has seen.  A bound, not
+# an option: a caller interleaves a few diagrams at a time (a sweep over
+# size classes keeps one per class, 3), as `solvers._factored` bounds its
+# routes at 8 for the same traffic.
+_DIAGRAMS_KEPT = 8
+
+
+@lru_cache(maxsize=_DIAGRAMS_KEPT)
 def regions(diagram: FlatDiagram) -> tuple[Region, ...]:
     """The ``n + 2`` faces of the diagram in canonical order."""
     return tuple(Region(i, tuple(map(_dart, face)))
@@ -300,7 +309,7 @@ def _doubled_crossings(diagram: FlatDiagram) -> list[tuple[int, ...]]:
     return list(map(tuple, twice))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_DIAGRAMS_KEPT)
 def arcs(diagram: FlatDiagram) -> tuple[Arc, ...]:
     """Arcs sorted by label, each with its two (distinct) side regions."""
     region = diagram._region
@@ -345,7 +354,7 @@ def arc_by_label(diagram: FlatDiagram, label: int) -> Arc:
     return arcs(diagram)[label - 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_DIAGRAMS_KEPT)
 def component_count(diagram: FlatDiagram) -> int:
     """Number of closed curves underlying the projection."""
     # each curve is two directed strand orbits
@@ -370,7 +379,7 @@ def is_knot(diagram: FlatDiagram) -> bool:
     return 2 * len(_walk(mate, 0, 2)) == len(mate)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_DIAGRAMS_KEPT)
 def checkerboard(diagram: FlatDiagram) -> CheckerboardColoring:
     """Proper 2-coloring of regions across arcs, region 0 colored +1."""
     m = diagram.region_count

@@ -22,13 +22,16 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, mul, ne, sub
-from typing import NoReturn
 
 from . import incidence, zlinalg
 from .diagram import (FlatDiagram, InternalInvariantError, _doubled_crossings,
                       _Record, _require_crossing, _walk, arc_by_label, arcs)
 from .incidence import DOUBLE, SINGLE
 from .zlinalg import SolutionFamily
+
+TYPE_CHECKING = False  # type checkers read it as True; no typing import
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 ALGEBRAIC = "algebraic"
 GEOMETRIC = "geometric"

@@ -22,12 +22,13 @@ import itertools
 import math
 from collections import defaultdict
 from operator import add, mul, neg, sub
-from typing import TYPE_CHECKING, NoReturn
 
 from .diagram import InternalInvariantError, _Record
 
+TYPE_CHECKING = False  # type checkers read it as True; no typing import
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import NoReturn
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]

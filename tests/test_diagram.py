@@ -1,17 +1,20 @@
+import gc
 import hashlib
 import json
+import weakref
 from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from regionchoice.catalog import catalog_entry, names
-from regionchoice.diagram import (D0, DiagramError, FlatDiagram,
-                                  InternalInvariantError, _Map, apply_r1,
-                                  apply_r2, arc_by_label, arcs, checkerboard,
-                                  component_count, is_knot, parse_flat_pd,
-                                  random_diagram, reducible_crossings,
-                                  regions, to_dot, to_flat_pd)
+from regionchoice.diagram import (_DIAGRAMS_KEPT, D0, DiagramError,
+                                  FlatDiagram, InternalInvariantError, _Map,
+                                  apply_r1, apply_r2, arc_by_label, arcs,
+                                  checkerboard, component_count, is_knot,
+                                  parse_flat_pd, random_diagram,
+                                  reducible_crossings, regions, to_dot,
+                                  to_flat_pd)
 from splice_oracle import splice
 
 TREFOIL = ((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3))
@@ -513,13 +516,52 @@ def test_stored_faces_are_not_a_field():
 
 
 def test_moves_leave_the_diagram_caches_alone():
-    before = (arcs.cache_info().currsize, regions.cache_info().currsize)
+    # lookups, not sizes: a full bounded cache keeps its size whatever it
+    # was asked
+    def lookups():
+        return [f.cache_info().hits + f.cache_info().misses
+                for f in (arcs, regions)]
+    before = lookups()
     for seed in range(3):
         D = random_diagram(1000 + seed, 43)
     apply_r1(D, 1, "left")
     apply_r2(D, *_r2_pairs(D)[0])
-    assert (arcs.cache_info().currsize,
-            regions.cache_info().currsize) == before
+    assert lookups() == before
+
+
+CACHED = (regions, arcs, component_count, checkerboard)
+
+
+def test_the_diagram_caches_share_one_bound():
+    assert [f.cache_info().maxsize for f in CACHED] == [_DIAGRAMS_KEPT] * 4
+
+
+def test_a_dropped_diagram_is_collected_once_more_are_asked():
+    # names never used before, so no cache already holds an equal diagram
+    D = FlatDiagram(random_diagram(31, 20).crossings, "dropped")
+    for f in CACHED:
+        f(D)
+    dropped = weakref.ref(D)
+    del D
+    for k in range(_DIAGRAMS_KEPT):
+        E = FlatDiagram(random_diagram(31, 20).crossings, f"asked after {k}")
+        for f in CACHED:
+            f(E)
+    gc.collect()
+    assert dropped() is None
+
+
+def test_interleaved_diagrams_fit_the_bound():
+    # a sweep that interleaves a few diagrams (one per size class) finds
+    # each in every cache after its first lookup
+    diagrams = [FlatDiagram(random_diagram(s, 4 + 4 * s).crossings,
+                            f"interleaved {s}") for s in range(3)]
+    before = [f.cache_info().misses for f in CACHED]
+    for _ in range(4):
+        for D in diagrams:
+            for f in CACHED:
+                f(D)
+    assert [f.cache_info().misses for f in CACHED] == [k + 3 for k in before]
 
 
 def test_faces_hold_the_mate_tables_dart_objects():

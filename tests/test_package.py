@@ -135,7 +135,8 @@ CLI_KINDS = {
 @pytest.mark.parametrize("source", ["diagram", "file"])
 def test_a_cli_call_imports_no_dataclasses_and_fractions_for_rref_only(
         source, tmp_path):
-    # python -S, as site can import more than the call does
+    # python -S, as site can import more than the call does; no call
+    # imports typing either, whose names only string annotations use
     from regionchoice.catalog import catalog_entry
     from regionchoice.diagram import to_flat_pd
     path = tmp_path / "5_2.json"
@@ -153,14 +154,15 @@ def test_a_cli_call_imports_no_dataclasses_and_fractions_for_rref_only(
              "code = main(json.loads(sys.argv[1]))\n"
              "sys.stdout.flush()\n"
              "print(json.dumps([code, 'dataclasses' in sys.modules,"
-             " 'fractions' in sys.modules]), file=sys.stderr)",
+             " 'fractions' in sys.modules, 'typing' in sys.modules]),"
+             " file=sys.stderr)",
              json.dumps(argv)],
             capture_output=True, text=True, env=env, timeout=120)
         assert child.returncode == 0, (kind, child.stderr)
         assert json.loads(child.stdout), kind
-        code, dataclasses, fractions = json.loads(
+        code, dataclasses, fractions, typing = json.loads(
             child.stderr.splitlines()[-1])
-        assert code == 0 and not dataclasses, kind
+        assert code == 0 and not dataclasses and not typing, kind
         assert fractions is (kind == "rref"), kind
 
 

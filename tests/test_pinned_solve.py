@@ -203,10 +203,12 @@ def test_solve_path_leaves_the_arcs_cache_alone():
     # a name never used before, so no cache holds this diagram yet
     D = FlatDiagram(random_diagram(71, 30).crossings, "uncached")
     regions(D)
-    before = arcs.cache_info().currsize
+    # lookups, not its size, which a full bounded cache keeps
+    before = arcs.cache_info()
     solve(D, SINGLE, (1,) * D.crossing_count)
     kernel_basis(D, DOUBLE)
-    assert arcs.cache_info().currsize == before
+    after = arcs.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
