@@ -174,13 +174,13 @@ class CheckerboardColoring(_Record):
 # core map machinery
 
 
-def _int_mates(crossings) -> list[int]:
-    """Each dart's partner, the other end of its arc."""
-    mate = [0] * (4 * len(crossings))
-    end: dict[int, int] = {}
-    for d, label in enumerate(chain.from_iterable(crossings)):
-        e = end.setdefault(label, d)
-        mate[d], mate[e] = e, d
+def _int_mates(order: list[int]) -> list[int]:
+    """Each dart's partner, the other end of its arc, from the darts sorted
+    by label, where the two ends of each arc sit side by side."""
+    mate = [0] * len(order)
+    for d, e in zip(order[0::2], order[1::2]):
+        mate[d] = e
+        mate[e] = d
     return mate
 
 
@@ -211,48 +211,75 @@ def _crowded(face) -> list[tuple[int, int]]:
 
 def _validate(crossings) -> tuple[list[int], tuple, list[int]]:
     """Check the crossings and return their mate table, their faces in
-    canonical order and the region of every dart."""
+    canonical order and the region of every dart.  A valid code passes a
+    few bulk checks; only a failed one runs the loops that name its first
+    fault, in a fixed order: labels, face count, crowding, connectivity."""
     n = len(crossings)
     if n == 0:
         raise DiagramError("diagram has no crossings")
-    counts: dict[int, int] = {}
-    for tup in crossings:
-        if len(tup) != 4:
-            raise DiagramError(f"crossing {tup!r} does not have 4 darts")
-        for label in tup:
-            # bool is a subclass of int, but true/false are not labels
-            if (not isinstance(label, int) or isinstance(label, bool)
-                    or label < 1 or label > 2 * n):
-                raise DiagramError(f"arc label {label!r} outside 1..{2 * n}")
-            counts[label] = counts.get(label, 0) + 1
-    for label in range(1, 2 * n + 1):
-        got = counts.get(label, 0)
-        if got == 0:
-            raise DiagramError(f"missing arc label {label}")
-        if got != 2:
-            raise DiagramError(f"unpaired arc label {label} (appears {got}x)")
+    flat = list(chain.from_iterable(crossings))
+    # bool is a subclass of int, but true/false are not labels
+    kinds = set(map(type, flat))
+    ints = bool not in kinds and all(map(int.__subclasscheck__, kinds))
+    # sorted by label, the darts of a valid code read 1, 1, 2, 2, ..., 2n, 2n
+    order = (sorted(range(len(flat)), key=flat.__getitem__)
+             if ints and set(map(len, crossings)) == {4} else [])
+    paired = list(map(flat.__getitem__, order))
+    labels = list(range(1, 2 * n + 1))
+    if paired[0::2] != labels or paired[1::2] != labels:
+        for tup in crossings:
+            if len(tup) != 4:
+                raise DiagramError(f"crossing {tup!r} does not have 4 darts")
+            for label in tup:
+                if (not isinstance(label, int) or isinstance(label, bool)
+                        or label < 1 or label > 2 * n):
+                    raise DiagramError(
+                        f"arc label {label!r} outside 1..{2 * n}")
+        # so every label is an int in 1..2n, and paired holds them all
+        for label in labels:
+            got = bisect_right(paired, label) - bisect_left(paired, label)
+            if got != 2:
+                raise DiagramError(
+                    f"unpaired arc label {label} (appears {got}x)" if got
+                    else f"missing arc label {label}")
 
-    mate = _int_mates(crossings)
+    mate = _int_mates(order)
+    # a face steps from a dart to its mate, then one slot clockwise, as
+    # _walk(mate, d, 3) does; each dart is the int the mate table holds for
+    # it, mate[mate[d]], so the faces add no int of their own
+    dart = list(map(mate.__getitem__, mate))
+    # one slot clockwise: the slot before, and slot 3 for slot 0
+    turn = dart[-1:] + dart[:-1]
+    turn[0::4] = dart[3::4]
+    step = list(map(turn.__getitem__, mate))
     # -1 until traced: every dart below a new start lies on an earlier
     # face, so the faces come out sorted by least dart, the region order
     region = [-1] * len(mate)
     faces = []
-    for start in range(len(mate)):
+    for start in dart:
         if region[start] < 0:
-            face = _walk(mate, start, 3)
-            r = len(faces)
-            for d in face:
+            r = region[start] = len(faces)
+            face = [start]
+            d = step[start]
+            while d != start:
+                face.append(d)
                 region[d] = r
+                d = step[d]
             faces.append(tuple(face))
     if len(faces) != n + 2:
         raise DiagramError(
             f"non-spherical map: {n} crossings but {len(faces)} faces "
             f"(expected {n + 2})")
-    for face in faces:
-        for c, k in _crowded(face):
-            raise DiagramError(
-                f"region touches crossing v{c + 1} {k} times "
-                "(more than twice is outside the supported domain)")
+    # a region with more than two corners at a crossing holds three of its
+    # four, among them an opposite pair: (a, c) or (b, d)
+    for a, b, c, d in zip(region[0::4], region[1::4], region[2::4],
+                          region[3::4]):
+        if (a == c and a in (b, d)) or (b == d and b in (a, c)):
+            for face in faces:
+                for v, k in _crowded(face):
+                    raise DiagramError(
+                        f"region touches crossing v{v + 1} {k} times "
+                        "(more than twice is outside the supported domain)")
     # "n + 2 faces iff spherical" holds for a connected map only: a torus
     # beside a sphere can count n + 2 faces too
     reached = [0]
