@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from functools import lru_cache
 from itertools import accumulate, chain
 from operator import attrgetter
@@ -487,36 +487,40 @@ class _Map:
     It starts from a copy of the diagram's int-dart mate table, which it
     edits, and from its faces.  Darts never move: a move re-pairs some darts
     with the darts of the crossings it appends, and retraces only the faces
-    that held a re-paired dart.  An arc is named by its least dart, and
-    ``least`` lists the names in order: an arc's label is its 1-based
-    position there, the label of first appearance in (crossing, slot) order
-    that the grown diagram carries.  A face is named by its least dart too,
-    so faces in name order are the regions in canonical order.
+    that held a re-paired dart.  An arc is named by its least dart, which
+    ``arc`` holds for each of its darts, and ``least`` lists the names in
+    order: an arc's label is its 1-based position there, the label of first
+    appearance in (crossing, slot) order that the grown diagram carries.  A
+    face is named by its least dart too, so faces in name order are the
+    regions in canonical order.
     """
 
     def __init__(self, diagram: FlatDiagram) -> None:
-        self.mate = list(diagram._mate)
-        self.least = [d for d, e in enumerate(self.mate) if d < e]
-        # each arc's number of R2 partners, in label order; a ``stale`` arc
-        # lies on a face traced since its count was last taken
-        self.count = [0] * len(self.least)
-        self.stale: set[int] = set()
-        self.face = [0] * len(self.mate)
-        self.arcs_on: dict[int, set[int]] = {}
-        for face in diagram._faces:
-            self._set_face(face)
-
-    def _set_face(self, orbit) -> None:
-        name = min(orbit)
-        for d in orbit:
-            self.face[d] = name
-        arcs_on = {min(d, self.mate[d]) for d in orbit}
-        self.arcs_on[name] = arcs_on
-        self.stale |= arcs_on
+        mate = self.mate = list(diagram._mate)
+        size = len(mate)
+        self.arc = [d if d < e else e for d, e in enumerate(mate)]
+        self.least = sorted(set(self.arc))
+        # a face steps from a dart to its mate, then one slot clockwise
+        turn = list(range(-1, size - 1))
+        turn[0::4] = range(3, size, 4)
+        self.step = list(map(turn.__getitem__, mate))
+        # each arc's number of R2 partners at its least dart, 0 at every
+        # other dart, with their sums over blocks of 64 darts and over runs
+        # of 64 blocks; a ``stale`` arc lies on a face traced since its
+        # count was last taken
+        self.count = [0] * size
+        self.block = [0] * ((size + 63) >> 6)
+        self.run = [0] * ((size + 4095) >> 12)
+        self.stale = set(self.least)
+        # each face starts at its least dart, its name
+        names = [face[0] for face in diagram._faces]
+        self.face = list(map(names.__getitem__, diagram._region))
+        self.arcs_on = {face[0]: set(map(self.arc.__getitem__, face))
+                        for face in diagram._faces}
 
     def crossings(self) -> list[list[int]]:
-        label = {a: i for i, a in enumerate(self.least, 1)}
-        flat = [label[min(d, e)] for d, e in enumerate(self.mate)]
+        label = dict(zip(self.least, range(1, len(self.least) + 1)))
+        flat = list(map(label.__getitem__, self.arc))
         return [flat[i:i + 4] for i in range(0, len(flat), 4)]
 
     def r1(self, a: int, side: str) -> None:
@@ -554,73 +558,102 @@ class _Map:
         crossings among them, and retrace the faces that held a re-paired
         dart.  The checks equal a full validation of the new diagram, since
         no other face changed."""
-        mate, face = self.mate, self.face
+        mate, face, arc, step, least = (self.mate, self.face, self.arc,
+                                        self.step, self.least)
         size = len(mate)
         touched = [d for pair in pairs for d in pair]
-        old = {face[d] for d in touched if d < size}
         grown = max(touched) + 1
-        mate.extend([-1] * (grown - size))
-        face.extend([-1] * (grown - size))
+        for table in (mate, face, arc, step):
+            table.extend([-1] * (grown - size))
+        self.count.extend([0] * (grown - size))
+        self.block.extend([0] * (((grown + 63) >> 6) - len(self.block)))
+        self.run.extend([0] * (((grown + 4095) >> 12) - len(self.run)))
+        # a re-paired old dart leaves its face, which is retraced
+        old = set()
+        for d in touched:
+            if d < size:
+                old.add(face[d])
+                face[d] = -1
         for d, e in pairs:
             mate[d], mate[e] = e, d
+            step[d] = e - 1 if e & 3 else e + 3
+            step[e] = d - 1 if d & 3 else d + 3
+            a = d if d < e else e
+            # an old dart is re-paired only with a new, larger one, so every
+            # old arc keeps its least dart; the arcs that start at a
+            # re-paired old dart or at a new dart are new
+            if arc[a] != a:
+                insort(least, a)
+            arc[d] = arc[e] = a
         n = (grown + 3) // 4
         if len(set(touched)) < len(touched) or -1 in mate[size:] or grown % 4:
             raise InternalInvariantError(
                 f"{move} move to {n} crossings: an arc it touched does not "
                 "have two ends")
-        # an old dart is re-paired only with a new, larger one, so every old
-        # arc keeps its least dart; the arcs that start at a re-paired old
-        # dart or at a new dart are new
-        least = self.least
-        for a in (min(pair) for pair in pairs):
-            i = bisect_left(least, a)
-            if i == len(least) or least[i] != a:
-                least.insert(i, a)
-                self.count.insert(i, 0)
 
         # every new face holds a re-paired or new dart, and every dart of
         # an old face that held one lies on a new face
-        orbits = []
-        seen: set[int] = set()
-        for start in touched:
-            if start in seen:
-                continue
-            orbit = _walk(mate, start, 3)
-            seen.update(orbit)
-            for c, k in _crowded(orbit):
-                raise InternalInvariantError(
-                    f"{move} move to {n} crossings: a region touches "
-                    f"crossing v{c + 1} {k} times")
-            orbits.append(orbit)
+        arcs_on, stale = self.arcs_on, self.stale
         for name in old:
-            del self.arcs_on[name]
-        for orbit in orbits:
-            self._set_face(orbit)
-        if len(self.arcs_on) != n + 2:
+            del arcs_on[name]
+        orbits = []
+        bridged = False
+        for start in touched:
+            if face[start] >= 0:
+                continue
+            orbit = [start]
+            d = step[start]
+            while d != start:
+                orbit.append(d)
+                d = step[d]
+            orbits.append(orbit)
+            name = min(orbit)
+            for d in orbit:
+                face[d] = name
+            on = arcs_on[name] = set(map(arc.__getitem__, orbit))
+            stale |= on
+            # a face holding both ends of an arc runs along both its sides
+            bridged = bridged or len(on) < len(orbit)
+        # three corners of a crossing on one face include two adjacent ones,
+        # the two sides of the arc between them: so a face is crowded only
+        # if it runs along both sides of an arc
+        if bridged:
+            for orbit in orbits:
+                for c, k in _crowded(orbit):
+                    raise InternalInvariantError(
+                        f"{move} move to {n} crossings: a region touches "
+                        f"crossing v{c + 1} {k} times")
+        if len(arcs_on) != n + 2:
             raise InternalInvariantError(
-                f"{move} move to {n} crossings: {len(self.arcs_on)} faces "
+                f"{move} move to {n} crossings: {len(arcs_on)} faces "
                 f"(expected {n + 2})")
-
-    def _sides(self, a: int) -> tuple[set[int], set[int]]:
-        """The arcs on each of the two faces along arc ``a``."""
-        return (self.arcs_on[self.face[a]],
-                self.arcs_on[self.face[self.mate[a]]])
 
     def r2_pair(self, pick) -> tuple[int, int]:
         """The R2 pair at position ``pick(total)`` of the ``total`` ordered
         pairs of distinct arcs that share a face: by first arc, then by
-        partner, both in label order."""
+        partner, both in label order, which is least-dart order."""
+        face, mate, arcs_on = self.face, self.mate, self.arcs_on
+        count, block, run = self.count, self.block, self.run
         for a in self.stale:
-            one, two = self._sides(a)
-            self.count[bisect_left(self.least, a)] = (
-                len(one) + len(two) - len(one & two) - 1)
+            one, two = arcs_on[face[a]], arcs_on[face[mate[a]]]
+            delta = len(one) + len(two) - len(one & two) - 1 - count[a]
+            count[a] += delta
+            block[a >> 6] += delta
+            run[a >> 12] += delta
         self.stale.clear()
-        totals = list(accumulate(self.count))
-        k = pick(totals[-1])
-        i = bisect_right(totals, k)
-        a = self.least[i]
-        one, two = self._sides(a)
-        return a, sorted((one | two) - {a})[k - (totals[i - 1] if i else 0)]
+        # the run that position k falls in, then the block in that run,
+        # then the arc in that block
+        k = pick(sum(run))
+        a, width = 0, len(run)
+        for sums in (run, block, count):
+            totals = list(accumulate(sums[a:a + width]))
+            i = bisect_right(totals, k)
+            if i:
+                k -= totals[i - 1]
+            a, width = (a + i) << 6, 64
+        a >>= 6
+        one, two = arcs_on[face[a]], arcs_on[face[mate[a]]]
+        return a, sorted((one | two) - {a})[k]
 
 
 # The moves seed a map from the diagram's own mate table and faces, not

@@ -3,19 +3,23 @@
 R1 and R2 growth from the curl leaves a monogon or a bigon in practice, so
 the grown diagrams never reach a reduced projection, one with no face of
 fewer than 3 corners.  The closure of (σ1 σ2⁻¹)^k is one for k ≥ 3: a knot
-when 3 does not divide k, and for k = 3 the Borromean rings, a link.  A
-flat projection forgets the signs, so the builder reads only which pair
-of strand positions each letter crosses.
+when 3 does not divide k, and a 3-component link when it does (for k = 3
+the Borromean rings).  A flat projection forgets the signs, so the builder
+reads only which pair of strand positions each letter crosses.  Each knot
+is solved against the dense ``zlinalg.solve_pinned`` and, mod 2, against
+the GF(2) elimination of ``tests/test_sparse.py``.
 """
 
 from itertools import chain
 
 import pytest
 
+from regionchoice import zlinalg
 from regionchoice.diagram import (FlatDiagram, _doubled_crossings,
                                   component_count, is_knot, regions)
 from regionchoice.incidence import DOUBLE, SINGLE, build_matrix
-from regionchoice.solvers import solve, verify
+from regionchoice.solvers import _pin_pair, solve, solve_mod2, verify
+from test_sparse import bit_elimination_mod2
 
 
 def braid_closure(word, strands: int = 3) -> FlatDiagram:
@@ -50,7 +54,17 @@ def sigma1_sigma2_inverse(k: int) -> FlatDiagram:
     return braid_closure([1, -2] * k)
 
 
-@pytest.mark.parametrize("k", [4, 5, 7])
+# (σ1 σ2⁻¹)^k closes to a knot unless 3 divides k: n = 2k up to 32
+KNOTS = [k for k in range(4, 17) if k % 3]
+LINKS = range(3, 17, 3)
+
+
+def right_hand_sides(n):
+    return ((1,) + (0,) * (n - 1), tuple(range(-3, n - 3)),
+            tuple((7 * i) % 5 - 2 for i in range(n)))
+
+
+@pytest.mark.parametrize("k", KNOTS)
 def test_closures_are_reduced_knots(k):
     D = sigma1_sigma2_inverse(k)
     assert D.crossing_count == 2 * k
@@ -59,13 +73,12 @@ def test_closures_are_reduced_knots(k):
     assert min(len(r.corners) for r in regions(D)) >= 3
 
 
-@pytest.mark.parametrize("k", [4, 5, 7])
+@pytest.mark.parametrize("k", KNOTS)
 def test_both_rules_solve_a_reduced_knot(k):
     D = sigma1_sigma2_inverse(k)
     n = D.crossing_count
     for rule in (SINGLE, DOUBLE):
-        for b in ((1,) + (0,) * (n - 1), tuple(range(-3, n - 3)),
-                  tuple((7 * i) % 5 - 2 for i in range(n))):
+        for b in right_hand_sides(n):
             family = solve(D, rule, b)
             for u in (family.particular,
                       [p + x - 2 * y for p, x, y in zip(family.particular,
@@ -75,7 +88,7 @@ def test_both_rules_solve_a_reduced_knot(k):
                 assert not any(report.residual)
 
 
-@pytest.mark.parametrize("k", [4, 5, 7])
+@pytest.mark.parametrize("k", KNOTS)
 def test_no_region_doubles_a_corner_so_the_rules_agree(k):
     D = sigma1_sigma2_inverse(k)
     assert not any(_doubled_crossings(D))
@@ -91,3 +104,30 @@ def test_the_borromean_rings_are_refused():
     for rule in (SINGLE, DOUBLE):
         with pytest.raises(ValueError, match="requires a knot projection"):
             solve(D, rule, (1, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("k", KNOTS)
+def test_a_reduced_knot_solves_as_the_dense_oracle_does(k):
+    D = sigma1_sigma2_inverse(k)
+    for rule in (SINGLE, DOUBLE):
+        for b in right_hand_sides(D.crossing_count):
+            (family,) = zlinalg.solve_pinned(build_matrix(D, rule).entries,
+                                             _pin_pair(D), [b])
+            assert solve(D, rule, b) == family
+
+
+@pytest.mark.parametrize("k", KNOTS)
+def test_a_reduced_knot_solves_mod_2_as_the_elimination_does(k):
+    D = sigma1_sigma2_inverse(k)
+    for b in right_hand_sides(D.crossing_count):
+        assert solve_mod2(D, b) == bit_elimination_mod2(D, b)
+
+
+@pytest.mark.parametrize("k", LINKS)
+def test_every_third_closure_is_a_three_component_link(k):
+    D = sigma1_sigma2_inverse(k)
+    assert component_count(D) == 3
+    assert not is_knot(D)
+    for rule in (SINGLE, DOUBLE):
+        with pytest.raises(ValueError, match="requires a knot projection"):
+            solve(D, rule, (1,) + (0,) * (D.crossing_count - 1))
