@@ -22,21 +22,17 @@ from move_oracle import oracle_Map
 def same_pick(rng, ours, theirs):
     """The R2 pair both maps give for one random position of their list,
     which must be the same pair out of the same total."""
-    totals = []
+    totals, position = [], []
 
     def pick(total):
         totals.append(total)
-        if len(totals) == 1:
-            totals.append(rng.randrange(total))
-        return totals[1]
-
-    def again(total):
-        totals.append(total)
-        return totals[1]
+        if not position:
+            position.append(rng.randrange(total))
+        return position[0]
 
     pair = theirs.r2_pair(pick)
-    assert ours.r2_pair(again) == pair
-    assert totals[0] == totals[2]
+    assert ours.r2_pair(pick) == pair
+    assert totals[0] == totals[1]
     return pair
 
 
