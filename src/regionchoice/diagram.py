@@ -108,14 +108,16 @@ class FlatDiagram(_Record):
         crossings = tuple(map(tuple, self.crossings))
         object.__setattr__(self, "crossings", crossings)
         # the validation's mate table, faces in region order and region of
-        # every dart, kept so that nothing builds them again, and the hash,
-        # which the lru_caches keyed by diagram ask for on every lookup;
-        # not fields, so ==, hash and repr ignore them
+        # every dart, kept so that nothing builds them again, the hash,
+        # which the lru_caches keyed by diagram ask for on every lookup, and
+        # the solve routes by rule (`solvers._certified`); not fields, so
+        # ==, hash, repr and pickling ignore them
         mate, faces, region = _validate(crossings)
         object.__setattr__(self, "_mate", mate)
         object.__setattr__(self, "_faces", faces)
         object.__setattr__(self, "_region", region)
         object.__setattr__(self, "_hash", hash((crossings, self.name)))
+        object.__setattr__(self, "_routes", {})
 
     def __hash__(self) -> int:
         return self._hash
@@ -305,8 +307,8 @@ def _dart(d: int) -> Dart:
 # each keep: the last ones asked, so a process that meets a new diagram on
 # every call holds a fixed number, not every one it has seen.  A bound, not
 # an option: a caller interleaves a few diagrams at a time (a sweep over
-# size classes keeps one per class, 3), as `solvers._factored` bounds its
-# routes at 8 for the same traffic.
+# size classes keeps one per class, 3).  A diagram kept keeps its solve
+# routes (`FlatDiagram._routes`) too.
 _DIAGRAMS_KEPT = 8
 
 

@@ -3,8 +3,8 @@
 These couple the diagram geometry to the integer algebra.  Solvability for
 every integral point vector is a theorem for valid knot projections: deleting
 the two side columns of an arc leaves a unimodular matrix.  The two rules
-take two routes, each built once per diagram and kept for the queries that
-follow, and neither eliminates.  The double rule is the paper's add-1
+take two routes, each built once per diagram and kept on it for the queries
+that follow, and neither eliminates.  The double rule is the paper's add-1
 construction, summed: one running sum over the strand and one pass down a
 spanning tree of the regions.  The single rule is that sum corrected at the
 loops of the reducible crossings, where a region with two corners at a
@@ -19,7 +19,6 @@ than an input error.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, mul, ne, sub
 
@@ -68,43 +67,40 @@ class VerificationReport(_Record):
 _KNOT_ONLY = "the region choice solve requires a knot projection"
 
 
-@lru_cache(maxsize=8)
-def _factored(diagram: FlatDiagram, rule: str):
+def _certified(diagram: FlatDiagram, rule: str):
     """The solve route for the rule's matrix, pinned on
-    ``_pin_pair(diagram)``, for the last few (diagram, rule) pairs asked.
-    Neither rule needs an elimination.  The double rule's route is the
-    paper's add-1 construction, summed (``_WindingSum``).  The single
-    rule's is that winding sum, cached under the double rule and certified
-    in this call, corrected at the loops of the reducible crossings
-    (``_LoopCorrection``).  Both offer ``particular``, ``kernel``,
-    ``image``, ``check``, ``fail`` and ``fresh``, and every query reads its
-    answers off them; no route keeps a matrix, and a solution family
-    carries the view ``incidence._Matrix``.
+    ``_pin_pair(diagram)``, kept on the diagram (``diagram._routes``) and
+    certified in this call: construction checks the certificate of a route
+    it builds, and every later call checks it again.  Neither rule needs an
+    elimination.  The double rule's route is the paper's add-1
+    construction, summed (``_WindingSum``).  The single rule's is that
+    winding sum, certified in this call, corrected at the loops of the
+    reducible crossings (``_LoopCorrection``).  Both offer ``particular``,
+    ``kernel``, ``image``, ``check`` and ``fail``, and every query reads
+    its answers off them; no route keeps a matrix or the diagram, and a
+    solution family carries the view ``incidence._Matrix``.
     Only a knot projection is solvable for every b, so a link raises
     ``ValueError``, as does a rule that is neither.
-
-    The bound is set by the traffic: a sweep over one diagram needs 2
-    entries, and 8 keep 3 interleaved diagrams under both rules.  Keeping
-    the route on the diagram instead would keep it alive as long as the
-    diagram caches keep the diagram.
     """
+    routes = diagram._routes
+    route = routes.get(rule)
+    if route is not None:
+        route.check()
+        return route
     if rule == DOUBLE:
-        return _WindingSum(diagram)
-    if rule == SINGLE:
-        return _LoopCorrection(diagram, _certified(diagram, DOUBLE))
-    raise ValueError(f"unknown rule {rule!r}")
-
-
-def _certified(diagram: FlatDiagram, rule: str):
-    """``_factored(diagram, rule)`` with its certificate checked in this
-    call: a route that is ``fresh`` was checked when it was built, in this
-    call, and every later call checks it again."""
-    f = _factored(diagram, rule)
-    if f.fresh:
-        f.fresh = False
+        route = _WindingSum(diagram)
+    elif rule == SINGLE:
+        route = _LoopCorrection(diagram, _certified(diagram, DOUBLE))
     else:
-        f.check()
-    return f
+        raise ValueError(f"unknown rule {rule!r}")
+    routes[rule] = route
+    return route
+
+
+def _family(diagram: FlatDiagram, rule: str, b) -> SolutionFamily:
+    """The family of ``A_rule u + b = o``, read off the rule's route."""
+    return zlinalg._family(_certified(diagram, rule),
+                           incidence._Matrix(diagram, rule), b)
 
 
 class _WindingSum:
@@ -190,7 +186,6 @@ class _WindingSum:
         two = list(map(add, one, steps[2::4]))
         self.corner_alpha1 = one, two, list(map(add, two, steps[3::4]))
         self.e, self.kernel, self.sigma = self._derived()
-        self.fresh = True
 
     def _tree_pass(self, w) -> list[int]:
         """The sum that is 0 on the first pin and moves by the weights
@@ -201,7 +196,7 @@ class _WindingSum:
         return total
 
     def _derived(self):
-        """``e``, the kernel and ``sigma``, read afresh off the tree and the
+        """``e``, the kernel and ``sigma``, read anew off the tree and the
         corners: ``alpha`` is the tree's sum with unit weights, 0 on the
         first pin and ``a = +-1`` on the second, so the kernel vectors that
         are (1, 0) and (0, 1) on the pins are ``e - a e alpha`` and
@@ -386,7 +381,6 @@ class _LoopCorrection:
                 -c * x[r] for _, r, _, c in self.loops]))))
             for x in double.kernel)
         self._check()
-        self.fresh = True
 
     def check(self) -> None:
         """The certificate: the winding sum's rank certificate, then the
@@ -473,8 +467,7 @@ def _pin_pair(diagram: FlatDiagram) -> tuple[int, int]:
 
 def solve(diagram: FlatDiagram, rule: str, b) -> SolutionFamily:
     """All integral assignments u with ``A_rule u + b = o``."""
-    return zlinalg._family(_certified(diagram, rule),
-                           incidence._Matrix(diagram, rule), b)
+    return _family(diagram, rule, b)
 
 
 def kernel_basis(diagram: FlatDiagram, rule: str):
@@ -516,9 +509,7 @@ def add1_algebraic(diagram: FlatDiagram, rule: str, crossing: int) -> Add1Certif
     _require_crossing(diagram, crossing)
     n = diagram.crossing_count
     # _family checks A u + b = o, so the residual A u is -b
-    family = zlinalg._family(_certified(diagram, rule),
-                             incidence._Matrix(diagram, rule),
-                             _unit(n, crossing, -1))
+    family = _family(diagram, rule, _unit(n, crossing, -1))
     return Add1Certificate(crossing, rule, family.particular, ALGEBRAIC,
                            _unit(n, crossing, 1))
 
@@ -554,8 +545,7 @@ def solve_single_via_double(diagram: FlatDiagram, b):
     where ``A1`` counts a region once that ``A2`` counts twice.  That is the
     single rule's route (``_LoopCorrection``), so this is its particular,
     the one zero on the pins."""
-    return zlinalg._family(_certified(diagram, SINGLE),
-                           incidence._Matrix(diagram, SINGLE), b).particular
+    return _family(diagram, SINGLE, b).particular
 
 
 def solve_mod2(diagram: FlatDiagram, b) -> tuple[int, ...]:
@@ -592,7 +582,7 @@ def solve_mod2(diagram: FlatDiagram, b) -> tuple[int, ...]:
 
 
 def verify(diagram: FlatDiagram, rule: str, u, b) -> VerificationReport:
-    """Check ``A u + b = o``, the matrix read afresh off the regions at the
+    """Check ``A u + b = o``, the matrix read anew off the regions at the
     diagram's corners."""
     res = incidence._residual(diagram, rule, tuple(u), tuple(b))
     return VerificationReport(

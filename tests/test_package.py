@@ -95,7 +95,7 @@ def test_every_name_the_package_imports_resolves():
     with pytest.raises(AttributeError, match="no_such_name"):
         regionchoice.no_such_name
     with pytest.raises(AttributeError):
-        regionchoice._factored   # a private name of a layer stays private
+        regionchoice._certified   # a private name of a layer stays private
 
 
 def test_a_fresh_import_loads_only_diagram_and_lists_every_name():

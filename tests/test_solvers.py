@@ -1,7 +1,10 @@
+import copy
 import gc
 import hashlib
+import pickle
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,7 @@ from regionchoice.diagram import (D0, DiagramError, FlatDiagram,
                                   random_diagram, regions)
 from regionchoice.incidence import (DOUBLE, SINGLE, apply, build_matrix,
                                     residual)
-from regionchoice.solvers import (PinnedKernelRequest, _factored, _pin_pair,
+from regionchoice.solvers import (PinnedKernelRequest, _pin_pair,
                                   add1_algebraic, add1_geometric,
                                   arc_unimodularity_report, kernel_basis,
                                   pinned_kernel, solve, solve_mod2,
@@ -108,16 +111,18 @@ def test_add1_algebraic_unit_residual():
             assert cert.residual == unit(4, v)
 
 
-@pytest.fixture
-def cold_cache():
-    """An empty factorisation cache, emptied again afterwards."""
-    _factored.cache_clear()
-    yield
-    _factored.cache_clear()
+def fresh(D):
+    """An equal copy of ``D`` that holds no solve route yet."""
+    return FlatDiagram(D.crossings, D.name)
+
+
+def route(D, rule):
+    """The solve route that a query stored on ``D`` for the rule."""
+    return D._routes[rule]
 
 
 @pytest.fixture
-def factorisations(monkeypatch, cold_cache):
+def factorisations(monkeypatch):
     """The stages of every ``_UnitFactorisation`` built, in order."""
     made = []
 
@@ -131,7 +136,7 @@ def factorisations(monkeypatch, cold_cache):
 
 
 @pytest.fixture
-def winding_sums(monkeypatch, cold_cache):
+def winding_sums(monkeypatch):
     """The diagram of every double-rule ``_WindingSum`` built, in order."""
     made = []
 
@@ -145,7 +150,7 @@ def winding_sums(monkeypatch, cold_cache):
 
 
 @pytest.fixture
-def loop_corrections(monkeypatch, cold_cache):
+def loop_corrections(monkeypatch):
     """The diagram of every single-rule ``_LoopCorrection`` built, in
     order."""
     made = []
@@ -435,16 +440,16 @@ def test_single_via_double_matches_direct():
             assert apply(M, diff) == zero
 
 
-def test_no_solver_builds_or_multiplies_a_dense_matrix(monkeypatch, capsys,
-                                                       cold_cache):
+def test_no_solver_builds_or_multiplies_a_dense_matrix(monkeypatch, capsys):
     from regionchoice import incidence
     from regionchoice.cli import main
 
     def dense(*args):
         raise AssertionError("a solver built or multiplied a dense matrix")
 
-    # the catalog checks its labelings on the dense matrices when it loads
-    catalog_entry("5_1")
+    # the catalog checks its labelings on the dense matrices when it loads;
+    # the CLI's solve below builds the entry's routes afresh
+    catalog_entry("5_1").diagram._routes.clear()
     for name in ("build_matrix", "apply", "residual", "mod2"):
         monkeypatch.setattr(incidence, name, dense)
     # the families' matrix is a view whose rows no solver reads
@@ -467,8 +472,9 @@ def test_no_solver_builds_or_multiplies_a_dense_matrix(monkeypatch, capsys,
     assert "PASS residual mod 2 = [0, 0, 0, 0, 0]" in capsys.readouterr().out
 
 
-def test_a_family_is_the_family_of_the_dense_matrix(cold_cache):
-    for D in (D0, catalog_entry("6_3").diagram, random_diagram(7, 20)):
+def test_a_family_is_the_family_of_the_dense_matrix():
+    for D in (fresh(D0), fresh(catalog_entry("6_3").diagram),
+              random_diagram(7, 20)):
         b = tuple(range(1, D.crossing_count + 1))
         for rule in (SINGLE, DOUBLE):
             family = solve(D, rule, b)
@@ -480,19 +486,19 @@ def test_a_family_is_the_family_of_the_dense_matrix(cold_cache):
             assert repr(family) == repr(dense)
 
 
-def test_the_route_cache_keeps_no_dense_matrix(cold_cache):
+def test_the_route_cache_keeps_no_dense_matrix():
     # the dense family matrix at n = 741 is about 4.6 MB, and the cache
     # kept it with its route; a route's own data is a fraction of 1 MB
     D = random_diagram(5, 500)
     b = tuple((7 * i) % 19 - 9 for i in range(D.crossing_count))
     for rule in (SINGLE, DOUBLE):
-        _factored.cache_clear()
+        D._routes.clear()
         tracemalloc.start()
         try:
             solve(D, rule, b)
             gc.collect()
             kept = tracemalloc.get_traced_memory()[0]
-            _factored.cache_clear()
+            D._routes.clear()
             gc.collect()
             kept -= tracemalloc.get_traced_memory()[0]
         finally:
@@ -547,44 +553,44 @@ def break_the_tree_order(f):
 @pytest.mark.parametrize("corrupt", [flip_kernel_entry, drop_a_pair,
                                      move_a_pairs_region,
                                      break_the_tree_order])
-def test_a_corrupted_cached_factorisation_is_refused(corrupt, cold_cache):
+def test_a_corrupted_cached_factorisation_is_refused(corrupt):
     # the single rule's route is the loop correction; its certificate is
     # checked in every call that reads it, the mod-2 solve's among them
-    D = random_diagram(4, 30)
-    n = D.crossing_count
-    calls = [lambda: solve(D, SINGLE, (1,) * n),
-             lambda: add1_algebraic(D, SINGLE, 0),
-             lambda: pinned_kernel(D, PinnedKernelRequest(1, 0, 1, SINGLE)),
-             lambda: solve_single_via_double(D, (1,) * n),
-             lambda: solve_mod2(D, (1,) * n)]
+    grown = random_diagram(4, 30)
+    n = grown.crossing_count
+    calls = [lambda D: solve(D, SINGLE, (1,) * n),
+             lambda D: add1_algebraic(D, SINGLE, 0),
+             lambda D: pinned_kernel(D, PinnedKernelRequest(1, 0, 1, SINGLE)),
+             lambda D: solve_single_via_double(D, (1,) * n),
+             lambda D: solve_mod2(D, (1,) * n)]
     for call in calls:
-        _factored.cache_clear()
-        call()
-        f = _factored(D, SINGLE)
+        D = fresh(grown)
+        call(D)
+        f = route(D, SINGLE)
         assert len(f.pairs) > 2 and any(up >= 0 for _, _, up, _ in f.loops)
         corrupt(f)
         with pytest.raises(InternalInvariantError,
                            match="^loop correction, certificate: "):
-            call()
+            call(D)
 
 
-def test_each_query_checks_the_certificate_once(monkeypatch, cold_cache):
+def test_each_query_checks_the_certificate_once(monkeypatch):
     # the construction's check serves the query that built it, and every
     # later query checks again: under the single rule, the mod-2 solve
     # included, the loop correction's own certificate and the winding sum's
     # rank certificate (``_signs``, which the winding sum's construction
     # and ``check_rank`` both run), under the double rule the winding
     # sum's, which its check and construction both derive
-    D = random_diagram(4, 10)
-    ones = (1,) * D.crossing_count
+    grown = random_diagram(4, 10)
+    ones = (1,) * grown.crossing_count
     single = [(solvers._LoopCorrection, "_check"),
               (solvers._WindingSum, "_signs")]
     for query, checked in (
-            (lambda: solve(D, SINGLE, ones), single),
-            (lambda: solve_mod2(D, ones), single),
-            (lambda: solve(D, DOUBLE, ones),
+            (lambda D: solve(D, SINGLE, ones), single),
+            (lambda D: solve_mod2(D, ones), single),
+            (lambda D: solve(D, DOUBLE, ones),
              [(solvers._WindingSum, "_derived")])):
-        _factored.cache_clear()
+        D = fresh(grown)
         counts = []
         for route, name in checked:
             seen = []
@@ -595,34 +601,105 @@ def test_each_query_checks_the_certificate_once(monkeypatch, cold_cache):
                 or check(f, *a))
             counts.append((route, seen))
         for k in range(1, 4):
-            query()
+            query(D)
             assert [len(seen) for _, seen in counts] == [k] * len(counts)
         assert all(type(f) is route for route, seen in counts for f in seen)
         monkeypatch.undo()
 
 
-def test_the_factorisation_cache_stays_bounded(cold_cache):
-    # each single-rule solve on a new diagram builds its loop correction
-    # and the winding sum under it: two entries
-    for seed in range(50):
-        D = random_diagram(seed, 8)
-        solve(D, SINGLE, (1,) * D.crossing_count)
-        assert _factored.cache_info().currsize <= 8
-    assert _factored.cache_info().misses == 100
-
-
-def test_add1_geometric_reads_the_cached_double_rule_route(cold_cache):
+def test_add1_geometric_reads_the_cached_double_rule_route(
+        monkeypatch, winding_sums, loop_corrections):
     # the add-1 is read off the double rule's winding sum, which the other
-    # double-rule queries built: a hit per call, nothing built or evicted
+    # queries built: one certificate check per call, nothing built or
+    # dropped
     D = random_diagram(6, 12)
     for rule in (SINGLE, DOUBLE):
         kernel_basis(D, rule)
-    before = _factored.cache_info()
+    kept = dict(D._routes)
+    assert set(kept) == {SINGLE, DOUBLE}
+    checks = []
+    check = solvers._WindingSum.check
+    monkeypatch.setattr(solvers._WindingSum, "check",
+                        lambda f: checks.append(f) or check(f))
     for v in range(D.crossing_count):
         add1_geometric(D, v)
-    after = _factored.cache_info()
-    assert (after.misses, after.currsize) == (before.misses, before.currsize)
-    assert after.hits == before.hits + D.crossing_count
+    assert winding_sums == loop_corrections == [D]
+    assert D._routes == kept
+    assert checks == [kept[DOUBLE]] * D.crossing_count
+
+
+def test_a_dropped_solved_diagram_is_freed_with_its_routes():
+    # the routes hang off the diagram and refer to no diagram, so dropping
+    # the last reference frees all three with the collector off
+    D = random_diagram(5, 40)
+    ones = (1,) * D.crossing_count
+    for rule in (SINGLE, DOUBLE):
+        solve(D, rule, ones)
+    solve_mod2(D, ones)
+    refs = [weakref.ref(x) for x in (D, route(D, SINGLE), route(D, DOUBLE))]
+    gc.disable()
+    try:
+        del D
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda D: pickle.loads(pickle.dumps(D))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_a_copy_builds_its_own_route(clone, winding_sums):
+    D = random_diagram(4, 10)
+    ones = (1,) * D.crossing_count
+    kernel_basis(D, DOUBLE)
+    E = clone(D)
+    assert E == D and E is not D and E._routes == {}
+    family = solve(E, DOUBLE, ones)
+    assert len(winding_sums) == 2 and winding_sums[1] is E
+    assert route(E, DOUBLE) is not route(D, DOUBLE)
+    flip_a_sign(route(D, DOUBLE))
+    with pytest.raises(InternalInvariantError,
+                       match="^winding sum, certificate: "):
+        solve(D, DOUBLE, ones)
+    assert solve(E, DOUBLE, ones) == family
+    assert len(winding_sums) == 2
+
+
+def test_equal_distinct_diagrams_each_build_one_winding_sum(winding_sums,
+                                                            loop_corrections):
+    D = random_diagram(6, 12)
+    E = fresh(D)
+    assert E == D and hash(E) == hash(D) and E is not D
+    b = tuple(range(D.crossing_count))
+    for G in (D, E, D, E):
+        for rule in (SINGLE, DOUBLE):
+            solve(G, rule, b)
+    for made in (winding_sums, loop_corrections):
+        assert [G is D for G in made] == [True, False]
+        assert made[1] is E
+
+
+def test_solving_and_dropping_grown_diagrams_leaves_the_heap_flat():
+    # each diagram's routes go with it.  Measured on Python 3.11: 300
+    # solved and dropped diagrams leave 50-65 KB, tuples on the
+    # interpreter's free lists; keeping their routes would hold 4.6 MB
+    def solve_grown(seeds):
+        for seed in seeds:
+            D = random_diagram(seed, 20)
+            ones = (1,) * D.crossing_count
+            for rule in (SINGLE, DOUBLE):
+                solve(D, rule, ones)
+            solve_mod2(D, ones)
+
+    tracemalloc.start()
+    try:
+        solve_grown(range(10))
+        before = tracemalloc.get_traced_memory()[0]
+        solve_grown(range(10, 310))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 500_000, grown
 
 
 def test_add1_geometric_leaves_the_diagram_caches_alone():
@@ -641,7 +718,7 @@ def test_add1_geometric_leaves_the_diagram_caches_alone():
     assert lookups() == before
 
 
-def test_a_cold_single_rule_solve_counts_no_components(cold_cache):
+def test_a_cold_single_rule_solve_counts_no_components():
     # the knot test walks one strand; the component scan is not asked, so
     # its cache neither looks up nor keeps a fresh diagram
     D = random_diagram(23, 30)
@@ -758,7 +835,8 @@ def test_a_double_rule_sweep_builds_one_winding_sum_per_diagram(
         loop_corrections, factorisations, winding_sums):
     # every double-rule query on a diagram reads one winding sum; none
     # builds the single rule's route or factors anything
-    diagrams = [catalog_entry("example2_4").diagram, random_diagram(2, 15)]
+    diagrams = [fresh(catalog_entry("example2_4").diagram),
+                random_diagram(2, 15)]
     for D in diagrams:
         n = D.crossing_count
         solve(D, DOUBLE, tuple(range(n)))
@@ -815,7 +893,7 @@ def single_by_naive_sweep(D, b):
     unitriangular solve done the slow way, one winding sum per sweep.
     ``I + W`` is unitriangular, so ``W`` is nilpotent and the sweep stops
     after at most one more sweep than there are pairs."""
-    double = _factored(D, DOUBLE)
+    double = route(D, DOUBLE)
     pairs = [(v, r) for r, twice in enumerate(_doubled_crossings(D))
              for v in twice if r not in double.pins]
     y = [0] * len(pairs)
@@ -838,18 +916,18 @@ def assert_the_pinned_solve(diagrams):
         b = tuple(rng.randint(-9, 9) for _ in range(D.crossing_count))
         (family,) = zlinalg.solve_pinned(build_matrix(D, SINGLE).entries,
                                          _pin_pair(D), [b])
-        _factored.cache_clear()
+        assert not D._routes
         assert solve(D, SINGLE, b) == family
         assert single_by_naive_sweep(D, b) == family.particular
 
 
 def test_the_loop_correction_is_the_pinned_solve():
-    diagrams = ([catalog_entry(name).diagram for name in names()]
+    diagrams = ([fresh(catalog_entry(name).diagram) for name in names()]
                 + [random_diagram(s, 3 + s % 40) for s in range(300)])
     assert_the_pinned_solve(diagrams)
     # loops inside loops are among them
     assert any(up >= 0 for D in diagrams
-               for _, _, up, _ in _factored(D, SINGLE).loops)
+               for _, _, up, _ in route(D, SINGLE).loops)
 
 
 def test_the_loop_correction_is_the_pinned_solve_at_large_n():
@@ -866,7 +944,7 @@ def test_the_loop_correction_is_the_pinned_solve_on_nested_kinks():
     assert [D.crossing_count for D in diagrams] == [1041, 1741]
     assert_the_pinned_solve(diagrams)
     depth = []
-    for _, _, up, _ in _factored(diagrams[-1], SINGLE).loops:
+    for _, _, up, _ in route(diagrams[-1], SINGLE).loops:
         depth.append(depth[up] + 1 if up >= 0 else 1)
     assert max(depth) >= 1000
 
@@ -962,27 +1040,27 @@ def bump_a_tree_weight_by_2_and_derive_again_blind(f):
 @pytest.mark.parametrize("corrupt", [
     flip_kernel_entry, flip_a_sign, bump_a_tree_weight,
     bump_a_tree_weight_by_2_and_derive_again_blind])
-def test_a_corrupted_cached_winding_sum_is_refused(corrupt, cold_cache):
-    D = random_diagram(4, 10)
-    n = D.crossing_count
-    calls = [lambda: solve(D, DOUBLE, (1,) * n),
-             lambda: add1_algebraic(D, DOUBLE, 0),
-             lambda: pinned_kernel(D, PinnedKernelRequest(1, 0, 1, DOUBLE)),
-             lambda: add1_geometric(D, n - 1)]
+def test_a_corrupted_cached_winding_sum_is_refused(corrupt):
+    grown = random_diagram(4, 10)
+    n = grown.crossing_count
+    calls = [lambda D: solve(D, DOUBLE, (1,) * n),
+             lambda D: add1_algebraic(D, DOUBLE, 0),
+             lambda D: pinned_kernel(D, PinnedKernelRequest(1, 0, 1, DOUBLE)),
+             lambda D: add1_geometric(D, n - 1)]
     for call in calls:
-        _factored.cache_clear()
-        call()
-        corrupt(_factored(D, DOUBLE))
+        D = fresh(grown)
+        call(D)
+        corrupt(route(D, DOUBLE))
         with pytest.raises(InternalInvariantError,
                            match="^winding sum, certificate: "):
-            call()
+            call(D)
 
 
-def test_a_sign_that_is_not_a_unit_is_refused(cold_cache):
+def test_a_sign_that_is_not_a_unit_is_refused():
     # sigma and the corner sums it is checked against both read 0 at v1
     D = random_diagram(4, 10)
     kernel_basis(D, DOUBLE)
-    f = _factored(D, DOUBLE)
+    f = route(D, DOUBLE)
     for corner in f.corner_alpha1:
         corner[0] = 0
     f.sigma[0] = 0
@@ -992,12 +1070,12 @@ def test_a_sign_that_is_not_a_unit_is_refused(cold_cache):
         solve(D, DOUBLE, (1,) * D.crossing_count)
 
 
-def test_an_e_outside_the_kernel_is_refused_by_its_corner_sums(cold_cache):
+def test_an_e_outside_the_kernel_is_refused_by_its_corner_sums():
     # with every tree step's sign 0, alpha is 0: e is all ones, whose corner
     # sums are 4, and e alpha is 0, which lies in the kernel
     D = random_diagram(4, 10)
     kernel_basis(D, DOUBLE)
-    f = _factored(D, DOUBLE)
+    f = route(D, DOUBLE)
     f.tree[:] = [(o, r, i, 0) for o, r, i, _ in f.tree]
     with pytest.raises(InternalInvariantError,
                        match="^winding sum, certificate: e or e alpha is "
@@ -1005,13 +1083,13 @@ def test_an_e_outside_the_kernel_is_refused_by_its_corner_sums(cold_cache):
         solve(D, DOUBLE, (1,) * D.crossing_count)
 
 
-def test_a_wrong_answer_of_the_winding_sum_is_refused_by_its_residual(
-        cold_cache):
+def test_a_wrong_answer_of_the_winding_sum_is_refused_by_its_residual():
     # the running sum's turns and the add-1's cut are not part of the
     # route's certificate: each answer's own residual refuses them
     D = random_diagram(4, 10)
     n = D.crossing_count
-    f = _factored(D, DOUBLE)
+    kernel_basis(D, DOUBLE)
+    f = route(D, DOUBLE)
     f.turn[0] *= -1
     with pytest.raises(InternalInvariantError,
                        match="^winding sum, certificate: particular solution "
@@ -1032,8 +1110,7 @@ def test_a_wrong_answer_of_the_winding_sum_is_refused_by_its_residual(
         add1_geometric(D, v)
 
 
-def test_a_wrong_mod2_answer_is_refused_by_its_residual(monkeypatch,
-                                                         cold_cache):
+def test_a_wrong_mod2_answer_is_refused_by_its_residual(monkeypatch):
     # a particular off by one at a region passes the route's certificate;
     # the mod-2 answer's own residual refuses it
     D = random_diagram(4, 10)
