@@ -511,19 +511,15 @@ def _last_pair(kernel, fail) -> tuple[int, int]:
 
 def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
     """The member of the family with the least norm and, among those, the
-    lexicographically smallest vector.
+    lexicographically smallest vector: it depends only on the set of
+    solutions, not on the particular solution or kernel basis given.
 
-    The answer depends only on the set of solutions, not on the particular
-    solution or the kernel basis that describe it.
-
-    Coordinates that share a kernel column ``(k1[i], k2[i])`` move
-    together, so the search reads one group per distinct column, in the
-    order of its first coordinate: O(n) to group, then O(d) per row.  Their
-    counts and sums of ``u0[i]`` give the Gram matrix, the least-squares
-    point and, with ``|u0|^2``, the L2 norm as a quadratic form; their least
-    and greatest ``u0[i]`` give the Linf norm; and the first group that
-    moves between two members settles a tie.  Only the answer is built as
-    a vector.
+    Coordinates that share a kernel column ``(k1[i], k2[i])`` move together,
+    so the search reads one group per distinct column, in the order of its
+    first coordinate: O(n) to group, then a few integer loops over the d
+    groups per row.  Their counts and sums of ``u0[i]`` give the Gram matrix,
+    the least-squares point and the L2 norm; their least and greatest
+    ``u0[i]`` the Linf norm; the first group that moves settles a tie.
     """
     if norm not in ("Linf", "L2"):
         raise ValueError(f"norm must be 'Linf' or 'L2', got {norm!r}")
@@ -554,62 +550,51 @@ def minimize_in_family(family: SolutionFamily, norm: str = "Linf") -> Vector:
             break
         g11, g22, t1, t2 = g22, g11, t2, t1
     p, q = ([s * x + t * y for x, y in groups] for s, t in (t1, t2))
-
     # real least-squares for u0 + a k1 + b k2 = 0
     r1, r2 = sum(map(mul, total, p)), sum(map(mul, total, q))
     det = g11 * g22 - g12 * g12
-    squares = sum(map(mul, u0, u0))
-    low, high = list(map(min, values)), list(map(max, values))
-
-    def line(a: int):
-        """The norm of the member (a, b) as a function of b, and the window
-        of b under a limit (``_within_l2``, ``_within_linf``)."""
-        if norm == "L2":
-            # |w + b k2|^2 for w = u0 + a k1
-            ww, wk = squares + a * (2 * r1 + a * g11), r2 + a * g12
-            return (lambda b: ww + b * (2 * wk + b * g22),
-                    lambda limit: _within_l2(ww - limit, wk, g22))
-        lo = [x + a * y for x, y in zip(low, p)]
-        hi = [x + a * y for x, y in zip(high, p)]
-        return (lambda b: max(max(x + b * y for x, y in zip(hi, q)),
-                              -min(x + b * y for x, y in zip(lo, q))),
-                lambda limit: _within_linf(lo, hi, q, limit))
-
-    def before(a: int, b: int, c: int, d: int) -> bool:
-        """Whether the member (a, b) is lexicographically before (c, d)."""
-        return next((s < 0 for s in ((a - c) * x + (b - d) * y
-                                     for x, y in zip(p, q)) if s), False)
-
-    # Start from the member at the rounded least-squares coefficients and
-    # walk the rows a outward, up from start and then down from start - 1.
-    # The rows holding a real member no larger than the best are an
-    # interval (the projection of a convex set) around the best's row, which
-    # lies behind the walk; so each direction stops at its first row with no
-    # such member, and the best only shrinking keeps that stop exact.
-    # The members of one row are w + b k2: convex in b under either norm,
-    # and lexicographically monotone in b, rising with b when k2's first
-    # nonzero entry is positive.  Scanned in lexicographic order, the row's
-    # least member is where its norm stops falling, and only that member is
-    # compared with the best.
-    start = _round_div(r2 * g12 - r1 * g22, det)
+    l2 = norm == "L2"
+    squares = sum(map(mul, u0, u0)) if l2 else 0
+    # group i of the member (a, b) holds c + a x + b y for c in [lo, hi]
+    groups = list(zip(map(min, values), map(max, values), p, q))
+    scale = math.lcm(*filter(None, q))
+    moving = [(lo, hi, x, scale // y) if y > 0 else (-hi, -lo, -x, scale // -y)
+              for lo, hi, x, y in groups if y]
+    still = [group for group in groups if not group[3]]
+    # Walk the rows a outward from the rounded least-squares member: up
+    # from its row, then down from the row below.  The rows holding a real
+    # member no larger than the best are an interval (the projection of a
+    # convex set) around the best's row, behind the walk, so each direction
+    # stops at its first row with none; the best only shrinks, which keeps
+    # the stop exact.  A row's members w + b k2, for w = u0 + a k1, are
+    # convex in b under either norm and lexicographically monotone in b,
+    # rising with b when k2's first nonzero entry is positive: scanned in
+    # that order, the row's least member is where its norm stops falling,
+    # and only it is compared with the best.
+    a = _round_div(r2 * g12 - r1 * g22, det)
     b = _round_div(r1 * g12 - r2 * g11, det)
-    best = (line(start)[0](b), start, b)
+    ww, wk = squares + a * (2 * r1 + a * g11), r2 + a * g12
+    best = (ww + b * (2 * wk + b * g22) if l2 else _linf(groups, a, b), a, b)
     rising = next(y for y in q if y) > 0
-    for rows in (itertools.count(start), itertools.count(start - 1, -1)):
+    for rows in (itertools.count(a), itertools.count(a - 1, -1)):
         for a in rows:
-            size_at, within = line(a)
-            window = within(best[0])
+            limit = best[0]
+            if l2:      # |w + b k2|^2 = ww + b (2 wk + b g22)
+                ww, wk = squares + a * (2 * r1 + a * g11), r2 + a * g12
+            window = (_within_l2(ww - limit, wk, g22) if l2
+                      else _within_linf(moving, still, scale, a, limit))
             if window is None:
                 break
-            row = None
+            least = math.inf
             for b in window if rising else reversed(window):
-                size = size_at(b)
-                if row is not None and size >= row[0]:
+                size = (ww + b * (2 * wk + b * g22) if l2
+                        else _linf(groups, a, b))
+                if size >= least:
                     break
-                row = (size, b)
-            if row is not None and (row[0] < best[0] or row[0] == best[0]
-                                    and before(a, row[1], *best[1:])):
-                best = (row[0], a, row[1])
+                least, at = size, b
+            if least < limit or least == limit and _first_sign(
+                    p, q, a - best[1], at - best[2]) < 0:
+                best = (least, a, at)
     _, a, b = best
     return family.member(a * t1[0] + b * t2[0], a * t1[1] + b * t2[1])
 
@@ -623,6 +608,26 @@ def _round_div(p: int, q: int) -> int:
     return m + (2 * r > q or 2 * r == q and m & 1)
 
 
+def _first_sign(p, q, da: int, db: int) -> int:
+    """The first nonzero ``da x + db y`` over the ``(x, y)``, or 0."""
+    for x, y in zip(p, q):
+        if s := da * x + db * y:
+            return s
+    return 0
+
+
+def _linf(groups, a: int, b: int) -> int:
+    """The greatest |c + a x + b y| for c in [lo, hi] over the groups."""
+    top = 0
+    for lo, hi, x, y in groups:
+        s = a * x + b * y
+        if hi + s > top:
+            top = hi + s
+        if -lo - s > top:
+            top = -lo - s
+    return top
+
+
 def _within_l2(c: int, p: int, g: int) -> range | None:
     """A range of integers b holding every b with g b^2 + 2 p b + c <= 0,
     or None when no real b has it; ``g`` is positive."""
@@ -633,28 +638,23 @@ def _within_l2(c: int, p: int, g: int) -> range | None:
     return range((-p - s) // g, (-p + s) // g + 1)
 
 
-def _within_linf(low, high, k, limit: int) -> range | None:
-    """A range of integers b holding every b with |c + b k[i]| <= limit for
-    every c in [low[i], high[i]] and every i, or None when no real b has
-    it; ``k`` is not zero."""
-    # Each i bounds b to [(-limit - low) / d, (limit - high) / d] for d > 0;
-    # the rational bounds are kept as (numerator, positive denominator)
-    # pairs and compared exactly by cross-multiplication.
-    lo = hi = None
-    for c, e, d in zip(low, high, k):
-        if d == 0:
-            if max(e, -c) > limit:
-                return None
-            continue
-        if d < 0:
-            c, e, d = -e, -c, -d    # |c + b d| = |-c - b d|
-        if lo is None or (-limit - c) * lo[1] > lo[0] * d:
-            lo = (-limit - c, d)
-        if hi is None or (limit - e) * hi[1] < hi[0] * d:
-            hi = (limit - e, d)
-    if lo[0] * hi[1] > hi[0] * lo[1]:
+def _within_linf(moving, still, scale, a: int, limit: int) -> range | None:
+    """The integers b with every |c + a x + b y| <= limit, or None when no
+    real b has it: ``still`` holds the groups with y = 0, ``moving`` the rest
+    as (lo, hi, x, scale // y), signs flipped (|c| = |-c|) to make y > 0."""
+    if _linf(still, a, 0) > limit:
         return None
-    return range(-(-lo[0] // lo[1]), hi[0] // hi[1] + 1)
+    # scale b lies in scale / y times [-limit - lo - a x, limit - hi - a x]
+    bottom, top = -math.inf, math.inf
+    for lo, hi, x, m in moving:
+        s = a * x
+        low, high = (-limit - lo - s) * m, (limit - hi - s) * m
+        if low > bottom:
+            bottom = low
+        if high < top:
+            top = high
+    return (range(-(-bottom // scale), top // scale + 1) if bottom <= top
+            else None)
 
 
 # ---------------------------------------------------------------------------

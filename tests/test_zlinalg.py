@@ -2,18 +2,22 @@ import itertools
 import math
 import random
 import re
+from collections import defaultdict
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regionchoice import zlinalg
 from regionchoice.catalog import catalog_entry, names
-from regionchoice.diagram import random_diagram
+from regionchoice.diagram import apply_r1, random_diagram
 from regionchoice.incidence import DOUBLE, SINGLE
 from regionchoice.solvers import solve
 from regionchoice.zlinalg import (EchelonForm, InternalInvariantError,
                                   NotE00Error, SolutionFamily, Vector,
-                                  _round_div, minimize_in_family,
+                                  _linf, _round_div, _within_l2,
+                                  _within_linf, minimize_in_family,
                                   reduce_to_e00, replay, rref_rational,
                                   solve_pinned)
 from test_sparse import solve_gf2
@@ -472,6 +476,286 @@ def test_window_is_none_exactly_when_no_real_coefficient_qualifies():
         else:
             assert set(within) <= set(window)
     assert 0 < nones < 2000
+
+
+# ---------------------------------------------------------------------------
+# the grouped walk as it read each row before the rows became integer loops
+# over normalised groups: every row rebuilt the Linf bounds and the norm as
+# closures; kept verbatim as the oracle for the rows and windows the walk
+# reads
+
+
+def minimize_by_groups(family: SolutionFamily, norm: str = "Linf") -> Vector:
+    """The member of the family with the least norm and, among those, the
+    lexicographically smallest vector.
+
+    The answer depends only on the set of solutions, not on the particular
+    solution or the kernel basis that describe it.
+
+    Coordinates that share a kernel column ``(k1[i], k2[i])`` move
+    together, so the search reads one group per distinct column, in the
+    order of its first coordinate: O(n) to group, then O(d) per row.  Their
+    counts and sums of ``u0[i]`` give the Gram matrix, the least-squares
+    point and, with ``|u0|^2``, the L2 norm as a quadratic form; their least
+    and greatest ``u0[i]`` give the Linf norm; and the first group that
+    moves between two members settles a tie.  Only the answer is built as
+    a vector.
+    """
+    if norm not in ("Linf", "L2"):
+        raise ValueError(f"norm must be 'Linf' or 'L2', got {norm!r}")
+    u0 = family.particular
+    groups = defaultdict(list)
+    for column, x in zip(zip(*family.kernel), u0):
+        groups[column].append(x)
+    values = list(groups.values())
+    count, total = list(map(len, values)), list(map(sum, values))
+    p, q = [c[0] for c in groups], [c[1] for c in groups]
+    # checked before the lattice reduction, which divides by zero on a
+    # degenerate basis; the reduction leaves the Gram determinant unchanged
+    g11, g12, g22 = (sum(map(mul, map(mul, x, y), count))
+                     for x, y in ((p, p), (p, q), (q, q)))
+    if g11 * g22 - g12 * g12 == 0:
+        raise InternalInvariantError(
+            "minimize_in_family: kernel basis is degenerate")
+    # two-dimensional lattice (Gaussian) reduction under L2, on the Gram
+    # matrix; t1 and t2 write the reduced basis in the given one
+    t1, t2 = (1, 0), (0, 1)
+    if g11 > g22:
+        g11, g22, t1, t2 = g22, g11, t2, t1
+    while True:
+        m = _round_div(g12, g11)
+        g12, g22 = g12 - m * g11, g22 - m * (2 * g12 - m * g11)
+        t2 = (t2[0] - m * t1[0], t2[1] - m * t1[1])
+        if g22 >= g11:
+            break
+        g11, g22, t1, t2 = g22, g11, t2, t1
+    p, q = ([s * x + t * y for x, y in groups] for s, t in (t1, t2))
+
+    # real least-squares for u0 + a k1 + b k2 = 0
+    r1, r2 = sum(map(mul, total, p)), sum(map(mul, total, q))
+    det = g11 * g22 - g12 * g12
+    squares = sum(map(mul, u0, u0))
+    low, high = list(map(min, values)), list(map(max, values))
+
+    def line(a: int):
+        """The norm of the member (a, b) as a function of b, and the window
+        of b under a limit (``_grouped_within_l2``, ``_grouped_within_linf``)."""
+        if norm == "L2":
+            # |w + b k2|^2 for w = u0 + a k1
+            ww, wk = squares + a * (2 * r1 + a * g11), r2 + a * g12
+            return (lambda b: ww + b * (2 * wk + b * g22),
+                    lambda limit: _grouped_within_l2(ww - limit, wk, g22))
+        lo = [x + a * y for x, y in zip(low, p)]
+        hi = [x + a * y for x, y in zip(high, p)]
+        return (lambda b: max(max(x + b * y for x, y in zip(hi, q)),
+                              -min(x + b * y for x, y in zip(lo, q))),
+                lambda limit: _grouped_within_linf(lo, hi, q, limit))
+
+    def before(a: int, b: int, c: int, d: int) -> bool:
+        """Whether the member (a, b) is lexicographically before (c, d)."""
+        return next((s < 0 for s in ((a - c) * x + (b - d) * y
+                                     for x, y in zip(p, q)) if s), False)
+
+    # Start from the member at the rounded least-squares coefficients and
+    # walk the rows a outward, up from start and then down from start - 1.
+    # The rows holding a real member no larger than the best are an
+    # interval (the projection of a convex set) around the best's row, which
+    # lies behind the walk; so each direction stops at its first row with no
+    # such member, and the best only shrinking keeps that stop exact.
+    # The members of one row are w + b k2: convex in b under either norm,
+    # and lexicographically monotone in b, rising with b when k2's first
+    # nonzero entry is positive.  Scanned in lexicographic order, the row's
+    # least member is where its norm stops falling, and only that member is
+    # compared with the best.
+    start = _round_div(r2 * g12 - r1 * g22, det)
+    b = _round_div(r1 * g12 - r2 * g11, det)
+    best = (line(start)[0](b), start, b)
+    rising = next(y for y in q if y) > 0
+    for rows in (itertools.count(start), itertools.count(start - 1, -1)):
+        for a in rows:
+            size_at, within = line(a)
+            window = within(best[0])
+            if window is None:
+                break
+            row = None
+            for b in window if rising else reversed(window):
+                size = size_at(b)
+                if row is not None and size >= row[0]:
+                    break
+                row = (size, b)
+            if row is not None and (row[0] < best[0] or row[0] == best[0]
+                                    and before(a, row[1], *best[1:])):
+                best = (row[0], a, row[1])
+    _, a, b = best
+    return family.member(a * t1[0] + b * t2[0], a * t1[1] + b * t2[1])
+
+
+def _grouped_within_l2(c: int, p: int, g: int) -> range | None:
+    """A range of integers b holding every b with g b^2 + 2 p b + c <= 0,
+    or None when no real b has it; ``g`` is positive."""
+    disc = p * p - g * c
+    if disc < 0:
+        return None
+    s = math.isqrt(disc) + 1
+    return range((-p - s) // g, (-p + s) // g + 1)
+
+
+def _grouped_within_linf(low, high, k, limit: int) -> range | None:
+    """A range of integers b holding every b with |c + b k[i]| <= limit for
+    every c in [low[i], high[i]] and every i, or None when no real b has
+    it; ``k`` is not zero."""
+    # Each i bounds b to [(-limit - low) / d, (limit - high) / d] for d > 0;
+    # the rational bounds are kept as (numerator, positive denominator)
+    # pairs and compared exactly by cross-multiplication.
+    lo = hi = None
+    for c, e, d in zip(low, high, k):
+        if d == 0:
+            if max(e, -c) > limit:
+                return None
+            continue
+        if d < 0:
+            c, e, d = -e, -c, -d    # |c + b d| = |-c - b d|
+        if lo is None or (-limit - c) * lo[1] > lo[0] * d:
+            lo = (-limit - c, d)
+        if hi is None or (limit - e) * hi[1] < hi[0] * d:
+            hi = (limit - e, d)
+    if lo[0] * hi[1] > hi[0] * lo[1]:
+        return None
+    return range(-(-lo[0] // lo[1]), hi[0] // hi[1] + 1)
+
+
+def windows_read(monkeypatch, walk, where, names, family, norm):
+    """The answer of ``walk`` on the family and every window its rows read,
+    in order, through the window functions ``names`` of the namespace
+    ``where``."""
+    log = []
+
+    def recording(window):
+        def read(*args):
+            log.append(window(*args))
+            return log[-1]
+        return read
+
+    with monkeypatch.context() as m:
+        for name in names:
+            m.setitem(where, name, recording(where[name]))
+        answer = walk(family, norm)
+    return answer, log
+
+
+def top_up(diagram, n, rng):
+    """``diagram`` with curls added, on random arcs and sides, until it has
+    ``n`` crossings."""
+    while diagram.crossing_count < n:
+        label = rng.randint(1, 2 * diagram.crossing_count)
+        diagram = apply_r1(diagram, label, rng.choice(("left", "right")))
+    return diagram
+
+
+@pytest.mark.parametrize("n", [17, 34, 65])
+def test_walk_reads_the_rows_and_windows_of_the_grouped_walk(monkeypatch, n):
+    """Families shaped as the benchmark's fresh solves: a grown diagram of
+    fewer than n crossings topped up with curls to n, b in [-9, 9]."""
+    rng = random.Random(f"fresh-{n}")
+    walked_past_empty = stopped = 0
+    for _ in range(40):
+        D = top_up(random_diagram(rng.randrange(2 ** 31), (n - 2) // 2), n,
+                   rng)
+        b = tuple(rng.randint(-9, 9) for _ in range(n))
+        for rule in (SINGLE, DOUBLE):
+            family = solve(D, rule, b)
+            for norm in ("Linf", "L2"):
+                got, windows = windows_read(
+                    monkeypatch, minimize_in_family, vars(zlinalg),
+                    ("_within_l2", "_within_linf"), family, norm)
+                want, oracle = windows_read(
+                    monkeypatch, minimize_by_groups, globals(),
+                    ("_grouped_within_l2", "_grouped_within_linf"), family,
+                    norm)
+                assert got == want, (rule, norm)
+                assert windows == oracle, (rule, norm)
+                # the walk goes on past a row with no integer member under
+                # the limit when a real one exists
+                walked_past_empty += sum(w is not None and not w
+                                         for w in windows)
+                stopped += windows.count(None)
+    assert stopped == 40 * 2 * 2 * 2
+    assert walked_past_empty > 0
+
+
+def linf_arguments(groups, multiple):
+    """``_within_linf``'s groups for groups ``(lo, hi, x, y)``: those with
+    y = 0, and the others as ``(lo, hi, x, scale // y)`` with signs flipped
+    to make y > 0, for ``scale`` a multiple of every y."""
+    scale = math.lcm(*(y for *_, y in groups if y)) * multiple
+    moving = [(lo, hi, x, scale // y) if y > 0 else (-hi, -lo, -x, scale // -y)
+              for lo, hi, x, y in groups if y]
+    return moving, [g for g in groups if not g[3]], scale
+
+
+def test_linf_window_is_the_integer_window_of_its_exact_real_bounds():
+    rng = random.Random(41)
+    counts = dict.fromkeys(("none", "still", "empty", "found"), 0)
+    for trial in range(3000):
+        groups = []
+        for _ in range(rng.randint(1, 6)):
+            lo = rng.randint(-30, 30)
+            groups.append((lo, lo + rng.randint(0, 8), rng.randint(-4, 4),
+                           rng.choice((0, 0, 1, 2, 3, -1, -2, -4))))
+        if not any(y for *_, y in groups):
+            continue
+        a = rng.randint(-5, 5)
+
+        def size(b):
+            return max(abs(c + a * x + b * y)
+                       for lo, hi, x, y in groups for c in (lo, hi))
+
+        sizes = {b: size(b) for b in range(-120, 121)}
+        assert all(_linf(groups, a, b) == sizes[b] for b in range(-3, 4))
+        # every other limit sits just below the least integer member's norm,
+        # where a real window may hold no integer
+        limit = (rng.randint(0, 40) if trial % 2
+                 else max(0, min(sizes.values()) - rng.randint(0, 2)))
+        window = _within_linf(*linf_arguments(groups, rng.randint(1, 3)), a,
+                              limit)
+        held = all(max(hi + a * x, -lo - a * x) <= limit
+                   for lo, hi, x, y in groups if y == 0)
+        # b y lies in [-limit - lo - a x, limit - hi - a x]
+        bounds = [(Fraction(-limit - lo - a * x, y),
+                   Fraction(limit - hi - a * x, y))[::1 if y > 0 else -1]
+                  for lo, hi, x, y in groups if y]
+        low = max(lower for lower, _ in bounds)
+        high = min(upper for _, upper in bounds)
+        if not held or low > high:
+            assert window is None
+            counts["none"] += 1
+            counts["still"] += not held and low <= high
+            continue
+        assert window == range(math.ceil(low), math.floor(high) + 1)
+        assert list(window) == [b for b in sizes if sizes[b] <= limit]
+        counts["empty" if not window else "found"] += 1
+    assert min(counts.values()) > 20, counts
+
+
+def test_l2_window_holds_every_qualifying_b_and_is_none_without_a_real_one():
+    rng = random.Random(43)
+    nones = 0
+    for _ in range(3000):
+        g, p, c = (rng.randint(1, 30), rng.randint(-200, 200),
+                   rng.randint(-600, 600))
+        window = _within_l2(c, p, g)
+        # g b^2 + 2 p b + c is least at b = -p / g
+        if c - Fraction(p * p, g) > 0:
+            assert window is None
+            nones += 1
+            continue
+        # the b that qualify are an interval, so none lies further out
+        exact = [b for b in range(window.start - 3, window.stop + 3)
+                 if g * b * b + 2 * p * b + c <= 0]
+        assert set(exact) <= set(window)
+        # at most two integers past each real root
+        assert len(window) <= len(exact) + 4
+    assert 0 < nones < 3000
 
 
 def test_minimize_rejects_unknown_norm():
