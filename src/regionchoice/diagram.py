@@ -107,15 +107,17 @@ class FlatDiagram(_Record):
     def __post_init__(self) -> None:
         crossings = tuple(map(tuple, self.crossings))
         object.__setattr__(self, "crossings", crossings)
-        # the validation's mate table, faces in region order and region of
-        # every dart, kept so that nothing builds them again, the hash,
-        # which the lru_caches keyed by diagram ask for on every lookup, and
-        # the solve routes by rule (`solvers._certified`); not fields, so
-        # ==, hash, repr and pickling ignore them
-        mate, faces, region = _validate(crossings)
+        # the validation's mate table, faces in region order, region of
+        # every dart and strand from dart 0, kept so that nothing builds
+        # them again, the hash, which the lru_caches keyed by diagram ask
+        # for on every lookup, and the solve routes by rule
+        # (`solvers._certified`); not fields, so ==, hash, repr and
+        # pickling ignore them
+        mate, faces, region, strand = _validate(crossings)
         object.__setattr__(self, "_mate", mate)
         object.__setattr__(self, "_faces", faces)
         object.__setattr__(self, "_region", region)
+        object.__setattr__(self, "_strand", strand)
         object.__setattr__(self, "_hash", hash((crossings, self.name)))
         object.__setattr__(self, "_routes", {})
 
@@ -211,11 +213,13 @@ def _crowded(face) -> list[tuple[int, int]]:
     return [(c, k) for c, k in count.items() if k > 2]
 
 
-def _validate(crossings) -> tuple[list[int], tuple, list[int]]:
+def _validate(crossings) -> tuple[list[int], tuple, list[int], list[int]]:
     """Check the crossings and return their mate table, their faces in
-    canonical order and the region of every dart.  A valid code passes a
-    few bulk checks; only a failed one runs the loops that name its first
-    fault, in a fixed order: labels, face count, crowding, connectivity."""
+    canonical order, the region of every dart and the strand from dart 0,
+    the darts it leaves through (``_walk(mate, 0, 2)``).  A valid code
+    passes a few bulk checks; only a failed one runs the loops that name
+    its first fault, in a fixed order: labels, face count, crowding,
+    connectivity."""
     n = len(crossings)
     if n == 0:
         raise DiagramError("diagram has no crossings")
@@ -283,19 +287,26 @@ def _validate(crossings) -> tuple[list[int], tuple, list[int]]:
                         f"region touches crossing v{v + 1} {k} times "
                         "(more than twice is outside the supported domain)")
     # "n + 2 faces iff spherical" holds for a connected map only: a torus
-    # beside a sphere can count n + 2 faces too
-    reached = [0]
-    seen = bytearray(n)
-    seen[0] = 1
-    for c in reached:
-        for d in mate[4 * c:4 * c + 4]:
-            if not seen[d >> 2]:
-                seen[d >> 2] = 1
-                reached.append(d >> 2)
-    if len(reached) != n:
-        raise DiagramError(f"disconnected map: crossing v{seen.index(0) + 1} "
-                           "cannot be reached from v1")
-    return mate, tuple(faces), region
+    # beside a sphere can count n + 2 faces too.  A strand never runs along
+    # an arc both ways (its reverse is another orbit), so one that leaves
+    # through half the darts arrives through the other half: it passes
+    # every crossing, and the map is connected.  Only a shorter strand, a
+    # link's or a disconnected code's, runs the walk over the crossings.
+    strand = _walk(mate, 0, 2)
+    if 2 * len(strand) != len(mate):
+        reached = [0]
+        seen = bytearray(n)
+        seen[0] = 1
+        for c in reached:
+            for d in mate[4 * c:4 * c + 4]:
+                if not seen[d >> 2]:
+                    seen[d >> 2] = 1
+                    reached.append(d >> 2)
+        if len(reached) != n:
+            raise DiagramError(
+                f"disconnected map: crossing v{seen.index(0) + 1} "
+                "cannot be reached from v1")
+    return mate, tuple(faces), region, strand
 
 
 def _dart(d: int) -> Dart:
@@ -402,10 +413,10 @@ def component_count(diagram: FlatDiagram) -> int:
 
 def is_knot(diagram: FlatDiagram) -> bool:
     """Whether the projection is one closed curve: then the strand from
-    dart 0 runs along all of it, half the darts, and the other half are
-    the same curve walked back."""
-    mate = diagram._mate
-    return 2 * len(_walk(mate, 0, 2)) == len(mate)
+    dart 0, which the diagram keeps from its validation, runs along all of
+    it, half the darts, and the other half are the same curve walked
+    back."""
+    return 2 * len(diagram._strand) == len(diagram._mate)
 
 
 @lru_cache(maxsize=_DIAGRAMS_KEPT)

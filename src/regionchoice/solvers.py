@@ -23,8 +23,8 @@ from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, mul, ne, sub
 
 from . import incidence, zlinalg
-from .diagram import (FlatDiagram, InternalInvariantError, _doubled_crossings,
-                      _Record, _require_crossing, _walk, arc_by_label, arcs)
+from .diagram import (FlatDiagram, InternalInvariantError, _Record,
+                      _require_crossing, arc_by_label, arcs)
 from .incidence import DOUBLE, SINGLE
 from .zlinalg import SolutionFamily
 
@@ -126,6 +126,12 @@ class _WindingSum:
     sum starts at an arc between the two pins, so that the answer is 0 on
     both: multiples of ``e`` and ``e alpha`` are all that is dropped.
 
+    Construction reads the strand from dart 0 that the diagram kept from
+    its validation (``diagram._strand``) in one pass, for the arrivals, the
+    turns, the steps of ``alpha1`` at the corners and each dart's position,
+    which the tree reads.  It keeps the tree's sum with unit weights as
+    ``alpha``, which the single rule's route reads too.
+
     Construction checks the certificate (``check``), and every later call
     checks it again; the single rule's route, which reads this one, checks
     its rank certificate (``check_rank``).  Each answer's residual is
@@ -137,24 +143,38 @@ class _WindingSum:
 
     def __init__(self, diagram: FlatDiagram) -> None:
         mate, faces, region = diagram._mate, diagram._faces, diagram._region
-        walk = _walk(mate, 0, 2)
+        walk = diagram._strand
         if 2 * len(walk) != len(mate):
             raise ValueError(_KNOT_ONLY)
         n = diagram.crossing_count
         self.cols, self.mate, self.region, self.walk = n + 2, mate, region, walk
-        arrival = [mate[d] >> 2 for d in walk]
         self.p, self.q = p, q = [-1] * n, [0] * n
-        for i, v in enumerate(arrival):
+        arrival, turn = [0] * len(walk), [0] * len(walk)
+        # each dart's position on the strand: i if the strand leaves
+        # through it at position i, ~i if it arrives through it there
+        position = [0] * len(mate)
+        # alpha1[v] on v's corners 1, 2, 3, less its value on corner 0: from
+        # corner s to s + 1 it steps across the arc at dart 4 v + s + 1, by
+        # -1 at the entry m, where the strand first arrives, +1 at the exit
+        # m ^ 2 after the second arrival and 0 at the second component's
+        # two darts
+        steps = [0] * len(mate)
+        for i, d in enumerate(walk):
+            m = mate[d]
+            arrival[i] = v = m >> 2
+            position[d], position[m] = i, ~i
             if p[v] < 0:
                 p[v] = i
+                steps[m] -= 1
             else:
                 q[v] = i
+                steps[m ^ 2] += 1
+            turn[i] = 1 if p[v] == i else -1
         # a spanning tree of the regions in breadth-first order from the
         # first pin: region o is reached from r across the arc at dart d,
         # which moves a sum by -w[i] if the strand leaves through d at
         # position i and by +w[i] if it arrives through d
         self.pins = r1, r2 = _pin_pair(diagram)
-        position = dict(zip(walk, range(2 * n)))
         tree, reached = [], [r1]
         seen = bytearray(n + 2)
         seen[r1] = 1
@@ -164,24 +184,14 @@ class _WindingSum:
                 if not seen[o]:
                     seen[o] = 1
                     reached.append(o)
-                    i = position.get(d)
-                    tree.append((o, r, i, -1) if i is not None
-                                else (o, r, position[mate[d]], 1))
+                    i = position[d]
+                    tree.append((o, r, i, -1) if i >= 0 else (o, r, ~i, 1))
         # positions count from the arc the tree crosses from pin to pin
         self.start = k = next(i for o, _, i, _ in tree if o == r2)
         self.tree = [(o, r, (i - k) % (2 * n), s) for o, r, i, s in tree]
-        turn = [1 if p[v] == i else -1 for i, v in enumerate(arrival)]
         self.turn = turn[k:] + turn[:k]
         self._at_arrival = itemgetter(*arrival[k:], *arrival[:k])
         self._at_corner = itemgetter(*region)
-        # alpha1[v] on v's corners 1, 2, 3, less its value on corner 0: from
-        # corner s to s + 1 it steps across the arc at dart 4 v + s + 1, by
-        # -1 at the entry mate[walk[p]], +1 at the exit walk[q + 1] and 0
-        # at the second component's two darts
-        steps = [0] * len(mate)
-        for v in range(n):
-            steps[mate[walk[p[v]]]] -= 1
-            steps[walk[(q[v] + 1) % (2 * n)]] += 1
         one = steps[1::4]
         two = list(map(add, one, steps[2::4]))
         self.corner_alpha1 = one, two, list(map(add, two, steps[3::4]))
@@ -201,8 +211,10 @@ class _WindingSum:
         first pin and ``a = +-1`` on the second, so the kernel vectors that
         are (1, 0) and (0, 1) on the pins are ``e - a e alpha`` and
         ``-a e alpha``.  ``e`` and ``e alpha`` are checked to be in the
-        kernel, and ``sigma`` by ``_signs``."""
-        alpha = self._tree_pass([1] * len(self.walk))
+        kernel, and ``sigma`` by ``_signs``.  ``alpha`` is kept as
+        ``self.alpha``, which the loop correction built on this route
+        reads."""
+        alpha = self.alpha = self._tree_pass([1] * len(self.walk))
         e = [-1 if x & 1 else 1 for x in alpha]
         e_alpha = list(map(mul, e, alpha))
         a0 = self._alternating(e)
@@ -327,8 +339,10 @@ class _LoopCorrection:
     ``base[h] + acc[h] alpha``, where ``acc[h]`` sums the weights of h and
     the loops around it and ``alpha`` is the tree's sum of unit weights.
 
-    Construction reads the pairs off the corner table and checks that the
-    loops nest and that no crossing's two arrivals straddle a loop.  Every
+    Construction reads the pairs and their loops' ends off the corner table
+    in one pass, takes each region's home loop from the tree and reuses the
+    winding sum's ``alpha``; it checks that the loops nest and that no
+    crossing's two arrivals straddle a loop.  Every
     call checks the winding sum's rank certificate, the loops' tree order
     and the kernel (``check``); each answer's residual is checked.
     ``stage`` names the route in every ``InternalInvariantError``.
@@ -338,13 +352,26 @@ class _LoopCorrection:
 
     def __init__(self, diagram: FlatDiagram, double: _WindingSum) -> None:
         self.double, self.pins = double, double.pins
-        self.pairs = [(v, r) for r, twice in enumerate(
-            _doubled_crossings(diagram)) for v in twice]
         p, q, k, size = double.p, double.q, double.start, len(double.walk)
-        ends = []
-        for v, r in self.pairs:
-            lo, hi = (p[v] - k) % size, (q[v] - k) % size
-            ends.append((lo, hi, 1, v, r) if lo < hi else (hi, lo, -1, v, r))
+        region = diagram._region
+        # one pass over the corner table for the pairs and their loops'
+        # ends: a region with two corners at a crossing has opposite ones,
+        # since adjacent corners flank an arc and a 4-valent map has no
+        # bridge (`diagram._doubled_crossings`), and a crossing has at most
+        # one: a closed curve through that region and v parts v's other two
+        # corners
+        twice, ends = [], []
+        for v, a, b, c, d in zip(range(len(p)), region[0::4], region[1::4],
+                                 region[2::4], region[3::4]):
+            if a == c or b == d:
+                r = a if a == c else b
+                twice.append((r, v))
+                lo, hi = (p[v] - k) % size, (q[v] - k) % size
+                ends.append((lo, hi, 1, v, r) if lo < hi
+                            else (hi, lo, -1, v, r))
+        # by region, then crossing
+        twice.sort()
+        self.pairs = [(v, r) for r, v in twice]
         ends.sort()
         # each position's innermost loop, -1 for none, and each loop's
         # parent, from one sweep over the loops' ends
@@ -369,11 +396,11 @@ class _LoopCorrection:
             self.fail("a crossing is met once on a loop")
         self.loops = [(v, r, up, tau * double.sigma[v])
                       for (_, _, tau, v, r), up in zip(ends, parent)]
-        self.home = home = [-1] * len(diagram._faces)
+        self.home = home = [-1] * double.cols
         for o, _, i, _ in double.tree:
             home[o] = inner[i]
         self.inside = [(r, h) for r, h in enumerate(home) if h >= 0]
-        self.alpha = double._tree_pass([1] * size)
+        self.alpha = double.alpha
         # A1 k = -U V^T k for k in the double rule's kernel: the loops'
         # weights -tau sigma k[R] alone take it back to 0
         self.kernel = tuple(
@@ -477,19 +504,23 @@ def kernel_basis(diagram: FlatDiagram, rule: str):
 def pinned_kernel(diagram: FlatDiagram, request: PinnedKernelRequest):
     """Kernel solution with prescribed values on the two sides of an arc.
 
-    The kernel minor ``d`` on the arc's sides is +-1 (criterion 6), so with
-    ``z1``, ``z2`` the kernel vectors that are ``(d, 0)`` and ``(0, d)``
-    there, ``d (a z1 + b z2)`` is the one.  It is checked to be in the
-    kernel and to take the values on the sides."""
+    The kernel minor ``d`` on the arc's sides is +-1 (criterion 6), so
+    ``u = x k1 + y k2`` is the one, with ``(x, y)`` the adjugate of the
+    kernel's 2x2 block on the sides applied to ``(a, b)``, times ``d``:
+    the kernel vectors that are ``(d, 0)`` and ``(0, d)`` there, combined
+    with no vector built for either.  It is checked to be in the kernel and
+    to take the values on the sides."""
     f = _certified(diagram, request.rule)
     s1, s2 = arc_by_label(diagram, request.arc).sides
-    d, z1, z2 = zlinalg._pair_basis(f.kernel, s1, s2)
+    k1, k2 = f.kernel
+    d = zlinalg._minor(k1, k2, s1, s2)
     if d not in (1, -1):
         raise InternalInvariantError(
             f"kernel minor on the sides of arc {request.arc} is {d}, "
             "not +-1")
     a, b = request.a, request.b
-    u = tuple(d * (a * x + b * y) for x, y in zip(z1, z2))
+    x, y = d * (a * k2[s2] - b * k2[s1]), d * (b * k1[s1] - a * k1[s2])
+    u = tuple(map(add, map(mul, k1, repeat(x)), map(mul, k2, repeat(y))))
     if any(f.image(u)) or (u[s1], u[s2]) != (a, b):
         raise InternalInvariantError(
             f"pinned kernel vector for arc {request.arc} misses the kernel "
@@ -560,8 +591,9 @@ def solve_mod2(diagram: FlatDiagram, b) -> tuple[int, ...]:
     ``A1`` has rank n mod 2 and this is the one solution zero on that pair:
     the answer of a bit elimination whose free columns are 0 (README,
     "Certificates").  Its residual mod 2 and its zeros on the pair are
-    checked.  A link is refused by the route's own strand walk, before
-    ``b`` is read."""
+    checked.  A link is refused by the route, whose strand from dart 0,
+    kept by the diagram, covers fewer than half the darts, before ``b`` is
+    read."""
     try:
         f = _certified(diagram, SINGLE)
     except ValueError:      # the route's one refusal: a link

@@ -7,7 +7,10 @@ builds the mate table with a dict, traces each face, counts each face's
 corners per crossing and walks the crossings for connectivity.  On every
 input here both must return the identical ``(mate, faces, region)``, or
 raise ``DiagramError`` with the identical message, so that a code with
-several faults names the same one first.
+several faults names the same one first.  The library's validation also
+returns the strand from dart 0, which must be ``oracle_walk(mate, 0, 2)``
+on every valid code: a strand that leaves through half the darts proves the
+map connected, and only a shorter one, a link's, runs the crossing walk.
 """
 
 import enum
@@ -17,7 +20,10 @@ from itertools import chain
 from hypothesis import given, settings, strategies as st
 
 from regionchoice.catalog import catalog_entry, names
-from regionchoice.diagram import DiagramError, _validate, random_diagram
+from regionchoice.diagram import (DiagramError, _validate, component_count,
+                                  random_diagram)
+from test_braids import braid_closure, sigma1_sigma2_inverse
+from test_sparse import LINKS
 
 
 def oracle_int_mates(crossings) -> list[int]:
@@ -138,9 +144,16 @@ def outcome(crossings, validate):
 
 
 def agree(crossings):
-    """Both validators' outcome, checked equal."""
+    """Both validators' outcome, checked equal: the same three tables or
+    the same message, and the library's kept strand the oracle's walk."""
     got = outcome(crossings, _validate)
-    assert got == outcome(crossings, oracle_validate), crossings
+    want = outcome(crossings, oracle_validate)
+    if isinstance(got, str):
+        assert got == want, crossings
+    else:
+        mate, faces, region, strand = got
+        assert (mate, faces, region) == want, crossings
+        assert strand == oracle_walk(mate, 0, 2), crossings
     return got
 
 
@@ -237,7 +250,7 @@ CATALOG = [[list(tup) for tup in catalog_entry(name).diagram.crossings]
 def test_valid_codes_give_the_identical_tables(seed, moves, curls, rng):
     code = curled(grown(seed, moves), rng, curls)
     for crossings in (code, scrambled(code, rng)):
-        mate, faces, region = agree(crossings)
+        mate, faces, region, _ = agree(crossings)
         assert len(faces) == len(crossings) + 2
         assert all(d is mate[mate[d]] for face in faces for d in face)
 
@@ -265,8 +278,31 @@ def test_int_subclass_labels_are_accepted():
             assert agree(mixed) == outcome(code, _validate)
 
 
+def test_connected_links_validate_through_the_crossing_walk():
+    # a link's strand from dart 0 leaves through fewer than half the darts,
+    # so the walk over the crossings proves the map connected
+    rng = random.Random(3)
+    closures = ([sigma1_sigma2_inverse(k) for k in (3, 6)]
+                + [braid_closure([1] * k, 2) for k in (2, 4, 6)]
+                + [braid_closure([1, 1, 2, 2]), braid_closure([1, 2] * 3)])
+    for D in LINKS + closures:
+        assert component_count(D) > 1
+        code = [list(tup) for tup in D.crossings]
+        for crossings in (code, scrambled(code, rng)):
+            mate, _, _, strand = agree(crossings)
+            assert 2 * len(strand) < len(mate)
+
+
 # ---------------------------------------------------------------------------
 # invalid codes
+
+
+def test_a_torus_beside_a_curl_is_disconnected():
+    # the torus's 2 crossings bound 2 faces and the curl's 1 bounds 3: the
+    # count is n + 2, and the strand from dart 0 stays on the torus
+    crossings = [[5, 1, 4, 1], [4, 2, 5, 2], [3, 6, 6, 3]]
+    assert agree(crossings) == ("DiagramError: disconnected map: crossing "
+                                "v3 cannot be reached from v1")
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
